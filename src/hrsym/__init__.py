@@ -32,7 +32,6 @@ from .enveloping import (
     Monomial,
     PbwPolynomial,
     casimir_candidates,
-    centrality_certificate,
     check_central,
     commutator_uea,
     generator_poly,
@@ -42,13 +41,11 @@ from .enveloping import (
 )
 from .particle import (
     GlobalUnits,
-    InteriorProjector,
     ParticleRep,
     RepConfig,
     ZetaRep,
     build_particle_rep,
     build_zeta_rep,
-    interior_projector,
     rep_config_from_json,
     verify_homomorphism,
 )
@@ -60,7 +57,6 @@ from .composite import (
     com_position,
     naive_position_sum,
     relative_ops,
-    swap_operator,
     tensor_rep,
     verify_ccr_composite,
 )

@@ -18,6 +18,7 @@ from .scenarios import (
     DEFAULT_TOLERANCES,
     SUITE_NAMES,
     ScenarioError,
+    check_tolerance,
     load_scenario,
     run_scenario,
     run_suite,
@@ -38,9 +39,10 @@ def _parse_tol(pairs) -> dict:
                 f"unknown tolerance {key!r} (known: {', '.join(sorted(DEFAULT_TOLERANCES))})"
             )
         try:
-            out[key] = float(value)
+            number = float(value)
         except ValueError:
             raise ScenarioError(f"--tol {key}: {value!r} is not a number") from None
+        out[key] = check_tolerance(key, number, "--tol")
     return out
 
 

@@ -26,14 +26,13 @@ __all__ = [
     "com_position",
     "naive_position_sum",
     "relative_ops",
-    "swap_operator",
     "tensor_rep",
     "verify_ccr_composite",
 ]
 
 
-class CompositeRep:
-    """Tensor product of two single-particle representations."""
+class CompositeRep(ladder.OperatorSystem):
+    """Tensor product of two single-particle representations; `mass` is the total mass."""
 
     def __init__(self, rep_a: ParticleRep, rep_b: ParticleRep):
         ca, cb = rep_a.config, rep_b.config
@@ -44,8 +43,8 @@ class CompositeRep:
         self.rep_a, self.rep_b = rep_a, rep_b
         self.dims = ca.dims
         self.units = ca.units
-        self.total_mass = ca.mass + cb.mass
-        self.reduced_mass = ca.mass * cb.mass / self.total_mass
+        self.mass = ca.mass + cb.mass
+        self.reduced_mass = ca.mass * cb.mass / self.mass
         self.dim = rep_a.dim * rep_b.dim
 
         eye_a = np.eye(rep_a.dim, dtype=complex)
@@ -59,11 +58,11 @@ class CompositeRep:
         self.P = [lift(rep_a.P[i], rep_b.P[i]) for i in range(d)]
         self.M = lift(rep_a.M, rep_b.M)
         self.J = {pair: lift(rep_a.J[pair], rep_b.J[pair]) for pair in rep_a.J}
-        self.X = [op / self.total_mass for op in self.K]
+        self.X = [op / self.mass for op in self.K]
         self.R = [np.kron(rep_a.X[i], eye_b) - np.kron(eye_a, rep_b.X[i]) for i in range(d)]
         self.Q = [
             (cb.mass * np.kron(rep_a.P[i], eye_b) - ca.mass * np.kron(eye_a, rep_b.P[i]))
-            / self.total_mass
+            / self.mass
             for i in range(d)
         ]
 
@@ -72,10 +71,16 @@ class CompositeRep:
         ib = self.rep_b.interior_indices(margin)
         return (ia[:, None] * self.rep_b.dim + ib[None, :]).ravel()
 
-    def boundary_weight(self, state: np.ndarray) -> float:
-        idx = self.interior_indices(1)
-        inside = float(np.vdot(state[idx], state[idx]).real)
-        return max(0.0, float(np.vdot(state, state).real) - inside)
+    def hamiltonian(self, pot) -> np.ndarray:
+        """P.P / 2m + Q.Q / 2mu + V(R.R); the interaction may depend on R only."""
+        if pot.kind == "poly_x":
+            raise ValueError("a composite interaction must depend on the relative separation only")
+        h = sum(p @ p for p in self.P) / (2.0 * self.mass)
+        h = h + sum(q @ q for q in self.Q) / (2.0 * self.reduced_mass)
+        if pot.kind == "poly_r2" and pot.coefficients:
+            rr = sum(r @ r for r in self.R)
+            h = h + ladder.poly_in(rr, pot.coefficients)
+        return h
 
 
 def tensor_rep(rep_a: ParticleRep, rep_b: ParticleRep) -> CompositeRep:
@@ -114,29 +119,14 @@ class CcrCoefficientReport:
     passed: bool
     non_physical: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "pair": self.pair,
-            "coefficient": self.coefficient,
-            "expected": self.expected,
-            "residual_norm": self.residual_norm,
-            "offdiag_norm": self.offdiag_norm,
-            "passed": self.passed,
-            "non_physical": self.non_physical,
-        }
-
 
 def _fit_pair(label, ops_a, ops_b, expected, idx, tol, non_physical=False) -> CcrCoefficientReport:
-    rank = len(idx)
     d = len(ops_a)
     diag = []
     for i in range(d):
         comm = ops_a[i] @ ops_b[i] - ops_b[i] @ ops_a[i]
         diag.append((-1j * comm)[np.ix_(idx, idx)])
-    coeff = float(np.mean([blk.trace().real / rank for blk in diag]))
-    residual = max(
-        ladder.spectral_norm(blk - coeff * np.eye(rank)) for blk in diag
-    )
+    coeff, residual = ladder.interior_scalar_fit(diag)
     offdiag = 0.0
     for i in range(d):
         for j in range(d):
@@ -179,18 +169,6 @@ def verify_ccr_composite(comp: CompositeRep, margin: int = 1, tol: float = 1e-12
         _fit_pair(label, a, b, expected, idx, tol, non_physical=flag)
         for label, a, b, expected, flag in pairs
     ]
-
-
-def swap_operator(comp: CompositeRep) -> np.ndarray:
-    """Exchange of the two tensor factors (requires equal factor dimensions)."""
-    na, nb = comp.rep_a.dim, comp.rep_b.dim
-    if na != nb:
-        raise ValueError("swap needs identical factor dimensions")
-    w = np.zeros((na * nb, na * nb), dtype=complex)
-    for i in range(na):
-        for j in range(nb):
-            w[j * na + i, i * nb + j] = 1.0
-    return w
 
 
 def canonical_map_matrix(m_a, m_b) -> list:

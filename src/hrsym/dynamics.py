@@ -22,10 +22,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import ladder
-from .composite import CompositeRep
-from .particle import ParticleRep
 from .report import VerificationReport
-from .spin import RelativeModeRep
 
 __all__ = [
     "FlowComparison",
@@ -74,72 +71,20 @@ class PotentialSpec:
         return not any(self.coefficients)
 
 
-def _poly_in(op_powers_base: np.ndarray, coefficients) -> np.ndarray:
-    dim = op_powers_base.shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    power = np.eye(dim, dtype=complex)
-    for k, c in enumerate(coefficients):
-        if k > 0:
-            power = power @ op_powers_base
-        if c:
-            acc = acc + c * power
-    return acc
-
-
 def hamiltonian_physical(system, pot: PotentialSpec) -> np.ndarray:
-    """Kinetic term plus the matching potential for the given system.
+    """Kinetic term plus the matching potential, as the system's `hamiltonian` defines it.
 
     Single particle: P.P / 2m + V(X) per dimension.  Composite: the COM and
     relative kinetic terms P.P / 2m + Q.Q / 2mu plus V(R.R); the interaction
     must depend on the relative separation only, so kind "poly_x" is
     rejected there.  A RelativeModeRep drops the (decoupled, free) COM term.
     """
-    if isinstance(system, ParticleRep):
-        if pot.kind == "poly_r2":
-            raise ValueError("a single particle has no relative separation; use kind 'poly_x'")
-        m = system.config.mass
-        h = sum(p @ p for p in system.P) / (2.0 * m)
-        if pot.kind == "poly_x" and pot.coefficients:
-            dim = system.dim
-            const = pot.coefficients[0]
-            v = const * np.eye(dim, dtype=complex)
-            per_axis = (0.0,) + pot.coefficients[1:]
-            for x in system.X:
-                v = v + _poly_in(x, per_axis)
-            h = h + v
-        return h
-    if isinstance(system, CompositeRep):
-        if pot.kind == "poly_x":
-            raise ValueError("a composite interaction must depend on the relative separation only")
-        h = sum(p @ p for p in system.P) / (2.0 * system.total_mass)
-        h = h + sum(q @ q for q in system.Q) / (2.0 * system.reduced_mass)
-        if pot.kind == "poly_r2" and pot.coefficients:
-            rr = sum(r @ r for r in system.R)
-            h = h + _poly_in(rr, pot.coefficients)
-        return h
-    if isinstance(system, RelativeModeRep):
-        if pot.kind == "poly_x":
-            raise ValueError("a composite interaction must depend on the relative separation only")
-        h = system.kinetic.copy()
-        for k, c in enumerate(pot.coefficients):
-            if not c:
-                continue
-            if k > system.max_power:
-                raise ValueError(
-                    f"relative-mode system was built with max_power={system.max_power}, "
-                    f"cannot take (R.R)^{k}"
-                )
-            h = h + c * system.radial[k]
-        return h
-    raise TypeError(f"unsupported system type {type(system).__name__}")
+    return system.hamiltonian(pot)
 
 
-def hamiltonian_galilei(rep: ParticleRep, calV: float) -> np.ndarray:
+def hamiltonian_galilei(rep, calV: float) -> np.ndarray:
     """P.P / 2m + calV * Id, the free-generator Hamiltonian of a single particle."""
-    if not isinstance(rep, ParticleRep):
-        raise TypeError("the free-generator Hamiltonian is defined for a single particle")
-    m = rep.config.mass
-    return sum(p @ p for p in rep.P) / (2.0 * m) + calV * np.eye(rep.dim, dtype=complex)
+    return sum(p @ p for p in rep.P) / (2.0 * rep.mass) + calV * np.eye(rep.dim, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -314,32 +259,25 @@ class EhrenfestResult:
     reliable: bool
 
 
-def _system_xpm(system):
-    if isinstance(system, ParticleRep):
-        return system.X, system.P, system.config.mass, system.boundary_weight
-    if isinstance(system, CompositeRep):
-        return system.X, system.P, system.total_mass, system.boundary_weight
-    raise TypeError("Ehrenfest traces need a single-particle or composite system")
-
-
 def ehrenfest_check(system, H, psi0, times, method: str = "auto") -> EhrenfestResult:
     """Residual of d<X>/dt - <P>/m from centered differences on the grid.
 
     The state must stay clear of the truncation boundary; otherwise the
-    result is flagged unreliable.
+    result is flagged unreliable.  `system` is a single-particle or composite
+    representation; X is then the (center-of-mass) position.
     """
-    x_ops, p_ops, mass, weight_fn = _system_xpm(system)
+    x_ops, p_ops = system.X, system.P
     t = _check_times(times)
     if len(t) < 3:
         raise ValueError("need at least three grid points for centered differences")
     steps = np.diff(t)
     if np.max(steps) - np.min(steps) > 1e-12 * np.max(steps):
         raise ValueError("centered differences need a uniform time grid")
-    hbar = _units_hbar(system)
     obs = {f"x{i}": op for i, op in enumerate(x_ops)}
     obs.update({f"p{i}": op for i, op in enumerate(p_ops)})
     flow = evolve_state(
-        H, psi0, t, method=method, hbar=hbar, observables=obs, boundary_weight=weight_fn
+        H, psi0, t, method=method, hbar=system.units.hbar, observables=obs,
+        boundary_weight=system.boundary_weight,
     )
     dt = steps[0]
     worst = 0.0
@@ -347,7 +285,7 @@ def ehrenfest_check(system, H, psi0, times, method: str = "auto") -> EhrenfestRe
     p_traces = np.array([flow.observable_traces[f"p{i}"] for i in range(len(p_ops))])
     for i in range(len(x_ops)):
         dxdt = (x_traces[i, 2:] - x_traces[i, :-2]) / (2.0 * dt)
-        worst = max(worst, float(np.max(np.abs(dxdt - p_traces[i, 1:-1] / mass))))
+        worst = max(worst, float(np.max(np.abs(dxdt - p_traces[i, 1:-1] / system.mass))))
     return EhrenfestResult(
         max_residual=worst,
         times=t,
@@ -357,14 +295,8 @@ def ehrenfest_check(system, H, psi0, times, method: str = "auto") -> EhrenfestRe
     )
 
 
-def _units_hbar(system) -> float:
-    if isinstance(system, (ParticleRep,)):
-        return system.config.units.hbar
-    return system.units.hbar
-
-
 def extra_casimir_check(
-    rep: ParticleRep,
+    rep,
     calV: float,
     margin: int = 1,
     tol: float = 1e-10,
@@ -381,12 +313,10 @@ def extra_casimir_check(
     h = hamiltonian if hamiltonian is not None else hamiltonian_galilei(rep, calV)
     g = 2.0 * rep.M @ h - sum(p @ p for p in rep.P)
     idx = rep.interior_indices(margin)
-    block = g[np.ix_(idx, idx)]
-    fitted = float(np.trace(block).real / len(idx))
-    deviation = ladder.spectral_norm(block - fitted * np.eye(len(idx)))
-    expected = 2.0 * rep.config.mass * calV
+    fitted, deviation = ladder.interior_scalar_fit([g[np.ix_(idx, idx)]])
+    expected = 2.0 * rep.mass * calV
     value_err = abs(fitted - expected)
-    report = VerificationReport(f"extra_casimir[m={rep.config.mass}, calV={calV}]")
+    report = VerificationReport(f"extra_casimir[m={rep.mass}, calV={calV}]")
     report.add(
         "scalar_on_interior",
         deviation <= tol,
@@ -399,7 +329,7 @@ def extra_casimir_check(
         metrics={
             "fitted_scalar": fitted,
             "expected_scalar": expected,
-            "implied_calV": fitted / (2.0 * rep.config.mass),
+            "implied_calV": fitted / (2.0 * rep.mass),
         },
     )
     return report

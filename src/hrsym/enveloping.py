@@ -25,7 +25,6 @@ __all__ = [
     "Monomial",
     "PbwPolynomial",
     "casimir_candidates",
-    "centrality_certificate",
     "check_central",
     "commutator_uea",
     "generator_poly",
@@ -265,20 +264,3 @@ def check_central(alg: LieAlgebra, candidate: CasimirCandidate) -> VerificationR
             detail="" if rem.is_zero else f"remainder {rem.pretty()}",
         )
     return report
-
-
-def centrality_certificate(alg: LieAlgebra, candidate: CasimirCandidate) -> dict:
-    """JSON-ready exact centrality record, one entry per generator."""
-    report = check_central(alg, candidate)
-    return {
-        "algebra": alg.name,
-        "candidate": candidate.name,
-        "central": report.passed,
-        "checks": [
-            {
-                "generator": c.name.removeprefix("commutes_with_"),
-                "remainder_terms": c.metrics["remainder_terms"],
-            }
-            for c in report.checks
-        ],
-    }

@@ -9,10 +9,6 @@ def destroy(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
 
 
-def create(n: int) -> np.ndarray:
-    return destroy(n).conj().T
-
-
 def position(n: int, mass: float, omega: float, hbar: float) -> np.ndarray:
     a = destroy(n)
     return np.sqrt(hbar / (2.0 * mass * omega)) * (a + a.conj().T)
@@ -61,6 +57,28 @@ def interior_indices(levels: int, dims: int, margin: int, tail_dim: int = 1) -> 
     return (keep[:, None] * tail_dim + np.arange(tail_dim)[None, :]).ravel()
 
 
+class OperatorSystem:
+    """The surface every representation space shares with the checks and flows.
+
+    Subclasses provide `dims`, `dim`, `mass` (the central charge: a particle's
+    mass, a composite's total mass, the reduced mass of relative motion),
+    `units` (hbar, omega_ref), `interior_indices(margin)` and
+    `hamiltonian(pot)`.
+    """
+
+    def boundary_weight(self, state: np.ndarray) -> float:
+        """Probability outside the margin-1 interior, i.e. on the truncation boundary.
+
+        A system too small for a margin-1 interior is all boundary.
+        """
+        try:
+            idx = self.interior_indices(1)
+        except ValueError:
+            idx = np.array([], dtype=int)
+        inside = float(np.vdot(state[idx], state[idx]).real)
+        return max(0.0, float(np.vdot(state, state).real) - inside)
+
+
 def coherent_state(levels: int, alpha: complex) -> np.ndarray:
     """Truncated coherent state, renormalized after the cutoff."""
     vec = np.zeros(levels, dtype=complex)
@@ -87,3 +105,28 @@ def spectral_norm(mat: np.ndarray) -> float:
     if mat.size == 0:
         return 0.0
     return float(np.linalg.norm(mat, 2))
+
+
+def interior_scalar_fit(blocks) -> tuple:
+    """Fit value * Id to square interior blocks of equal rank.
+
+    Returns the mean of trace / rank over the blocks and the largest
+    spectral norm of block - value * Id.
+    """
+    rank = blocks[0].shape[0]
+    value = float(np.mean([blk.trace().real / rank for blk in blocks]))
+    deviation = max(spectral_norm(blk - value * np.eye(rank)) for blk in blocks)
+    return value, deviation
+
+
+def poly_in(base: np.ndarray, coefficients) -> np.ndarray:
+    """sum_k coefficients[k] * base**k as a dense matrix."""
+    dim = base.shape[0]
+    acc = np.zeros((dim, dim), dtype=complex)
+    power = np.eye(dim, dtype=complex)
+    for k, c in enumerate(coefficients):
+        if k > 0:
+            power = power @ base
+        if c:
+            acc = acc + c * power
+    return acc

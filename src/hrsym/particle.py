@@ -17,27 +17,23 @@ covers the polynomial degree of the identity under test.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
 from . import ladder
 from .algebra import LieAlgebra, build_algebra
 from .report import VerificationReport
-from .spin import J_PAIRS, SpinRep, spin_matrices
+from .spin import J_PAIRS, SpinRep, _as_half_integer, spin_matrices
 
 __all__ = [
     "GlobalUnits",
-    "InteriorProjector",
     "ParticleRep",
     "RepConfig",
     "ZetaRep",
     "build_particle_rep",
     "build_zeta_rep",
-    "interior_projector",
     "rep_config_from_json",
     "verify_homomorphism",
 ]
@@ -49,8 +45,10 @@ class GlobalUnits:
     omega_ref: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.omega_ref <= 0:
-            raise ValueError("hbar and omega_ref must be positive")
+        if not (0 < self.hbar < math.inf and 0 < self.omega_ref < math.inf):
+            raise ValueError(
+                f"hbar and omega_ref must be positive and finite, got {self.hbar}, {self.omega_ref}"
+            )
 
 
 @dataclass(frozen=True)
@@ -62,18 +60,16 @@ class RepConfig:
     units: GlobalUnits = field(default_factory=GlobalUnits)
 
     def __post_init__(self):
-        if self.mass <= 0:
+        if not 0 < self.mass < math.inf:
             raise ValueError(
-                "mass must be positive: a vanishing central charge collapses the canonical commutator"
+                f"mass must be positive and finite, got {self.mass}: a vanishing central charge "
+                "collapses the canonical commutator"
             )
         if self.dims not in (1, 2, 3):
             raise ValueError(f"dims must be 1, 2, or 3, got {self.dims}")
         if self.levels < 2:
             raise ValueError("need at least two Fock levels per dimension")
-        spin = Fraction(self.spin).limit_denominator(2)
-        if spin != Fraction(self.spin) or spin < 0 or (2 * spin).denominator != 1:
-            raise ValueError(f"spin must be a nonnegative half-integer, got {self.spin}")
-        if spin > 0 and self.dims != 3:
+        if _as_half_integer(self.spin) > 0 and self.dims != 3:
             raise ValueError("spin blocks are only defined for dims = 3")
 
     @property
@@ -103,27 +99,15 @@ def rep_config_from_json(payload: dict) -> RepConfig:
     )
 
 
-@dataclass
-class InteriorProjector:
-    """Orthogonal projector onto Fock states clear of the truncation boundary."""
-
-    margin: int
-    indices: np.ndarray
-    matrix: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return len(self.indices)
-
-
-class ParticleRep:
+class ParticleRep(ladder.OperatorSystem):
     """Concrete matrices for one particle; built by build_particle_rep."""
 
     def __init__(self, config: RepConfig):
         self.config = config
         n, d = config.levels, config.dims
-        units = config.units
-        m = config.mass
+        units = self.units = config.units
+        m = self.mass = config.mass
+        self.dims = d
         factor_dims = (n,) * d
 
         x1 = ladder.position(n, m, units.omega_ref, units.hbar)
@@ -156,26 +140,23 @@ class ParticleRep:
         self.M = m * np.eye(config.dim, dtype=complex)
         self.dim = config.dim
 
-    @property
-    def dims(self) -> int:
-        return self.config.dims
-
     def interior_indices(self, margin: int) -> np.ndarray:
         return ladder.interior_indices(
             self.config.levels, self.config.dims, margin, tail_dim=self.config.spin_multiplicity
         )
 
-    def interior_projector(self, margin: int) -> InteriorProjector:
-        idx = self.interior_indices(margin)
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        mat[idx, idx] = 1.0
-        return InteriorProjector(margin=margin, indices=idx, matrix=mat)
-
-    def boundary_weight(self, state: np.ndarray) -> float:
-        """Probability of finding any dimension at the top Fock level."""
-        idx = self.interior_indices(1)
-        inside = float(np.vdot(state[idx], state[idx]).real)
-        return max(0.0, float(np.vdot(state, state).real) - inside)
+    def hamiltonian(self, pot) -> np.ndarray:
+        """P.P / 2m + V(X), the potential applied per dimension and summed."""
+        if pot.kind == "poly_r2":
+            raise ValueError("a single particle has no relative separation; use kind 'poly_x'")
+        h = sum(p @ p for p in self.P) / (2.0 * self.mass)
+        if pot.kind == "poly_x" and pot.coefficients:
+            v = pot.coefficients[0] * np.eye(self.dim, dtype=complex)
+            per_axis = (0.0,) + pot.coefficients[1:]
+            for x in self.X:
+                v = v + ladder.poly_in(x, per_axis)
+            h = h + v
+        return h
 
     def generator_matrix(self, name: str) -> np.ndarray:
         """Matrix realizing a generator by catalog name (K1, P2, J12, M, ...)."""
@@ -205,34 +186,9 @@ class ParticleRep:
                 continue
         return out
 
-    def export_matrices(self, path, fmt: str = "npz"):
-        """Dump the generator matrices for debugging (binary npz or JSON arrays)."""
-        path = Path(path)
-        named = {"M": self.M}
-        for i, (x, p, k) in enumerate(zip(self.X, self.P, self.K), start=1):
-            named[f"X{i}"] = x
-            named[f"P{i}"] = p
-            named[f"K{i}"] = k
-        for (i, j), op in self.J.items():
-            named[f"J{i}{j}"] = op
-        if fmt == "npz":
-            np.savez(path, **named)
-        elif fmt == "json":
-            payload = {
-                name: {"re": op.real.tolist(), "im": op.imag.tolist()} for name, op in named.items()
-            }
-            path.write_text(json.dumps(payload))
-        else:
-            raise ValueError(f"unknown export format {fmt!r}")
-        return path
-
 
 def build_particle_rep(config: RepConfig) -> ParticleRep:
     return ParticleRep(config)
-
-
-def interior_projector(rep: ParticleRep, margin: int) -> InteriorProjector:
-    return rep.interior_projector(margin)
 
 
 @dataclass
@@ -246,7 +202,6 @@ class ZetaRep:
     zeta: float
     X: list
     P: list
-    I: np.ndarray
     config: RepConfig
 
 
@@ -260,7 +215,6 @@ def build_zeta_rep(zeta: float, config: RepConfig) -> ZetaRep:
         zeta=float(zeta),
         X=[sign * root * op for op in base.X],
         P=[root * op for op in base.P],
-        I=zeta * np.eye(config.dim, dtype=complex),
         config=config,
     )
 
@@ -274,18 +228,21 @@ def verify_homomorphism(rep: ParticleRep, alg, margin: int | None = None, tol: f
     For each generator pair the defect || P ([Ga, Gb] - i hbar sum f Gc) P ||
     (spectral norm, P the interior projector) must stay below `tol`.  When
     `margin` is None each pair uses the total polynomial degree of its
-    identity; an explicit margin applies to all pairs.
+    identity; an explicit margin applies to all pairs.  Pairs that involve a
+    generator without a matrix at this dimension (H always, K2 at dims = 1)
+    are listed in `report.skipped`.
     """
     alg = build_algebra(alg)
     hbar = rep.config.units.hbar
     realized = rep.realized_generators(alg)
     report = VerificationReport(f"homomorphism[{alg.name} on dims={rep.config.dims}, N={rep.config.levels}]")
-    names = [g.name for g in alg.generators if g.name in realized]
+    names = [g.name for g in alg.generators]
     for ia, na in enumerate(names):
         for nb in names[ia + 1:]:
             targets = alg.constants.terms(alg.index(na), alg.index(nb))
             target_names = [alg.generators[k].name for k, _ in targets]
-            if any(t not in realized for t in target_names):
+            if any(t not in realized for t in (na, nb, *target_names)):
+                report.skipped.append(f"[{na},{nb}]")
                 continue
             ga, gb = realized[na], realized[nb]
             expected = np.zeros_like(ga)

@@ -15,10 +15,14 @@ class CheckRecord:
 
 @dataclass
 class VerificationReport:
-    """Ordered list of named checks with numeric evidence attached."""
+    """Ordered list of named checks with numeric evidence attached.
+
+    `skipped` names the checks the operation could not run.
+    """
 
     title: str
     checks: list[CheckRecord] = field(default_factory=list)
+    skipped: list[str] = field(default_factory=list)
 
     def add(self, name: str, passed: bool, metrics: dict | None = None, detail: str = "") -> CheckRecord:
         rec = CheckRecord(name, bool(passed), dict(metrics or {}), detail)
@@ -37,12 +41,6 @@ class VerificationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def summary(self) -> str:
-        lines = [f"{self.title}: {'pass' if self.passed else 'FAIL'}"]
-        for c in self.checks:
-            lines.append(f"  [{'pass' if c.passed else 'FAIL'}] {c.name}" + (f"  {c.detail}" if c.detail else ""))
-        return "\n".join(lines)
 
     def to_json(self) -> dict:
         return {

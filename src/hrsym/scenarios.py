@@ -15,12 +15,12 @@ the suite default, which beats the module default.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import os
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from .dynamics import (
     PotentialSpec,
     compare_flows,
     ehrenfest_check,
+    evolve_observable,
     evolve_state,
     extra_casimir_check,
     hamiltonian_galilei,
@@ -55,6 +56,7 @@ from .particle import (
 from .spin import (
     J_PAIRS,
     NonScalarCasimirError,
+    brute_force_addition,
     casimir_spin_value,
     decompose_product_spins,
     relative_mode_system,
@@ -77,7 +79,6 @@ __all__ = [
 ]
 
 TOOL_NAME = "hrsym"
-THREADS_ENV = "HRSYM_THREADS"
 
 KINDS = ("algebra", "uea", "single_rep", "composite", "spectrum", "dynamics")
 
@@ -136,6 +137,13 @@ DEFAULT_TOLERANCES = {
 
 class ScenarioError(ValueError):
     """Malformed scenario file or payload (maps to exit code 2)."""
+
+
+def check_tolerance(name: str, value: float, where: str) -> float:
+    """Return `value` if it is a finite, nonnegative tolerance (NaN fails the comparison)."""
+    if not 0 <= value < math.inf:
+        raise ScenarioError(f"{where}: tolerance {name!r} must be finite and nonnegative, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -241,6 +249,7 @@ def scenario_from_dict(raw, where="scenario") -> Scenario:
             raise ScenarioError(f"{where}.tolerances[{key!r}] must be a number")
         if key not in DEFAULT_TOLERANCES:
             raise ScenarioError(f"{where}.tolerances[{key!r}] is not a known tolerance")
+        check_tolerance(key, value, where)
     return Scenario(kind=kind, payload=payload, tolerances=dict(tolerances))
 
 
@@ -363,7 +372,8 @@ def _run_single_rep(sc: Scenario, tols) -> list:
             anchor="ccr-homomorphism",
             passed=hom.passed,
             metrics={"pairs": len(hom.checks), "worst_defect": worst, "tol": tol,
-                     "failing": [c.name for c in hom.failures()]},
+                     "failing": [c.name for c in hom.failures()],
+                     "skipped": len(hom.skipped), "skipped_pairs": hom.skipped},
         )
     )
 
@@ -433,16 +443,21 @@ def _run_single_rep(sc: Scenario, tols) -> list:
     return checks
 
 
-def _run_composite(sc: Scenario, tols) -> list:
-    payload = sc.payload
+def _particle_pair(payload, what):
+    """The two particle configs of a composite payload and their product representation."""
     try:
         cfg_a = rep_config_from_json(_as_object(payload["particleA"], "particleA"))
         cfg_b = rep_config_from_json(_as_object(payload["particleB"], "particleB"))
     except KeyError as exc:
-        raise ScenarioError(f"composite payload needs {exc}") from None
+        raise ScenarioError(f"{what} payload needs {exc}") from None
     except ValueError as exc:
         raise ScenarioError(f"bad particle config: {exc}") from None
-    comp = tensor_rep(build_particle_rep(cfg_a), build_particle_rep(cfg_b))
+    return cfg_a, cfg_b, tensor_rep(build_particle_rep(cfg_a), build_particle_rep(cfg_b))
+
+
+def _run_composite(sc: Scenario, tols) -> list:
+    payload = sc.payload
+    cfg_a, cfg_b, comp = _particle_pair(payload, "composite")
     checks = []
 
     total = cfg_a.mass + cfg_b.mass
@@ -472,7 +487,7 @@ def _run_composite(sc: Scenario, tols) -> list:
                     name=f"ccr:{rec.pair}",
                     anchor=anchors[rec.pair],
                     passed=rec.passed,
-                    metrics=rec.to_json(),
+                    metrics=asdict(rec),
                 )
             )
 
@@ -563,11 +578,12 @@ def _run_spectrum(sc: Scenario, tols) -> list:
         for sa in spins:
             for sb in spins:
                 expected = [s for s, _ in decompose_product_spins(sa, sb)]
-                got = _brute_force_addition(sa, sb)
-                match = expected == got
+                got, unmatched = brute_force_addition(sa, sb)
+                match = expected == got and not unmatched
                 ok = ok and match
                 if not match:
-                    detail.append({"s_a": sa, "s_b": sb, "expected": expected, "got": got})
+                    detail.append({"s_a": sa, "s_b": sb, "expected": expected, "got": got,
+                                   "unmatched": unmatched})
         checks.append(
             CheckResult(
                 name=f"angular_momentum_addition:max{top}",
@@ -579,49 +595,32 @@ def _run_spectrum(sc: Scenario, tols) -> list:
     return checks
 
 
-def _brute_force_addition(s_a, s_b) -> list:
-    """Total-spin content by diagonalizing the coupled Casimir on the product space."""
-    ra, rb = spin_matrices(s_a), spin_matrices(s_b)
-    total = {
-        p: np.kron(ra.components[p], np.eye(rb.dim)) + np.kron(np.eye(ra.dim), rb.components[p])
-        for p in J_PAIRS
-    }
-    casimir = sum(total[p] @ total[p] for p in J_PAIRS)
-    vals = np.linalg.eigvalsh(casimir)
-    found = {}
-    for lam in vals:
-        s = round(2 * (0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * lam))))) / 2
-        found[s] = found.get(s, 0) + 1
-    out = []
-    for s in sorted(found):
-        count, dim = found[s], int(2 * s) + 1
-        if count % dim:
-            raise RuntimeError(f"eigenvalue multiplicity {count} is not a multiple of 2s+1 = {dim}")
-        out.extend([float(s)] * (count // dim))
-    return out
-
-
 def _packet(levels: int, alpha) -> np.ndarray:
     return ladder.coherent_state(levels, complex(alpha[0], alpha[1]))
 
 
-def _initial_state(payload, levels: int, default_alpha) -> np.ndarray:
-    """Explicit coefficient vector ([re, im] pairs) or a coherent-packet preset."""
+def _initial_state(payload, rep, default_alpha) -> np.ndarray:
+    """Explicit coefficient vector ([re, im] pairs) or a coherent packet on every axis."""
     vec = payload.get("psi0")
     if vec is not None:
         state = np.array([complex(re, im) for re, im in vec])
-        if len(state) != levels:
-            raise ScenarioError(f"psi0 has {len(state)} entries, the space has {levels}")
+        if len(state) != rep.dim:
+            raise ScenarioError(f"psi0 has {len(state)} entries, the space has {rep.dim}")
         nrm = np.linalg.norm(state)
         if nrm == 0:
             raise ScenarioError("psi0 must be nonzero")
         return state / nrm
-    return _packet(levels, payload.get("alpha", default_alpha))
+    packet = _packet(rep.config.levels, payload.get("alpha", default_alpha))
+    return functools.reduce(np.kron, [packet] * rep.dims)
 
 
 def _time_grid(payload) -> np.ndarray:
     t_max = float(payload.get("t_max", 1.0))
     steps = int(payload.get("steps", 20))
+    if steps < 1:
+        raise ScenarioError(f"steps must be at least 1, got {steps}")
+    if not 0 < t_max < math.inf:
+        raise ScenarioError(f"t_max must be positive and finite, got {t_max}")
     return np.linspace(0.0, t_max, steps + 1)
 
 
@@ -664,7 +663,7 @@ def _dyn_flow_compare(sc: Scenario, tols) -> list:
     pot = PotentialSpec(**_as_object(payload.get("potential", {"kind": "none"}), "potential"))
     h_free_gen = hamiltonian_galilei(rep, calV)
     h_phys = hamiltonian_physical(rep, pot)
-    psi0 = _initial_state(payload, rep.config.levels, [0.6, 0.5])
+    psi0 = _initial_state(payload, rep, [0.6, 0.5])
     times = _time_grid(payload)
     cmp = compare_flows(h_free_gen, h_phys, psi0, times, hbar=hbar)
     checks = []
@@ -714,7 +713,7 @@ def _dyn_conservation(sc: Scenario, tols) -> list:
     hbar = rep.config.units.hbar
     pot = PotentialSpec(**_as_object(payload.get("potential", {"kind": "none"}), "potential"))
     h = hamiltonian_physical(rep, pot)
-    psi0 = _initial_state(payload, rep.config.levels, [0.5, 0.0])
+    psi0 = _initial_state(payload, rep, [0.5, 0.0])
     times = _time_grid(payload)
     flow = evolve_state(
         h, psi0, times, hbar=hbar, boundary_weight=rep.boundary_weight,
@@ -729,8 +728,6 @@ def _dyn_conservation(sc: Scenario, tols) -> list:
     a = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
     a = (a + a.conj().T) / 2.0
     t_probe = float(times[-1])
-    from .dynamics import evolve_observable
-
     a_t = evolve_observable(h, a, t_probe, hbar=hbar)
     lhs = float(np.vdot(flow.states[-1], a @ flow.states[-1]).real)
     rhs = float(np.vdot(psi0, a_t @ psi0).real)
@@ -790,12 +787,7 @@ def _dyn_extra_casimir(sc: Scenario, tols) -> list:
 
 def _dyn_com_decoupling(sc: Scenario, tols) -> list:
     payload = sc.payload
-    try:
-        cfg_a = rep_config_from_json(_as_object(payload["particleA"], "particleA"))
-        cfg_b = rep_config_from_json(_as_object(payload["particleB"], "particleB"))
-    except KeyError as exc:
-        raise ScenarioError(f"com_decoupling payload needs {exc}") from None
-    comp = tensor_rep(build_particle_rep(cfg_a), build_particle_rep(cfg_b))
+    cfg_a, cfg_b, comp = _particle_pair(payload, "com_decoupling")
     hbar = comp.units.hbar
     pot = PotentialSpec(kind="poly_r2", coefficients=tuple(payload.get("coefficients", [0.0, 0.1])))
     h = hamiltonian_physical(comp, pot)
@@ -836,6 +828,8 @@ def _dyn_com_decoupling(sc: Scenario, tols) -> list:
 def _dyn_relative_conservation(sc: Scenario, tols) -> list:
     payload = sc.payload
     n_max = int(payload.get("n_max", 6))
+    if n_max < 2:
+        raise ScenarioError(f"relative_conservation needs n_max >= 2 for its two-quanta state, got {n_max}")
     mu = float(payload.get("mu", 0.5))
     units = GlobalUnits(hbar=float(payload.get("hbar", 1.0)), omega_ref=float(payload.get("omega_ref", 1.0)))
     sys = relative_mode_system(
@@ -888,7 +882,7 @@ def _dyn_ehrenfest(sc: Scenario, tols) -> list:
     rep = _single_system(payload)
     pot = PotentialSpec(**_as_object(payload.get("potential", {"kind": "none"}), "potential"))
     h = hamiltonian_physical(rep, pot)
-    psi0 = _initial_state(payload, rep.config.levels, [0.5, 0.3])
+    psi0 = _initial_state(payload, rep, [0.5, 0.3])
     times = _time_grid(payload)
     result = ehrenfest_check(rep, h, psi0, times)
     tol = float(payload.get("tol", 1e-6))
@@ -925,7 +919,7 @@ def run_scenario(scenario: Scenario, suite_tolerances: dict | None = None) -> Ru
         checks = _RUNNERS[scenario.kind](scenario, suite_tolerances)
     except ScenarioError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ScenarioError(f"{scenario.kind} payload: {exc}") from None
     report = RunReport(scenario_digest=scenario.digest(), checks=checks)
     report.wall_time_s = time.perf_counter() - start
@@ -1070,8 +1064,6 @@ def _full_suite() -> list:
 SUITES = {"paper-core": _core_suite, "paper-full": _full_suite}
 SUITE_NAMES = tuple(SUITES)
 
-_SUITE_TOLERANCES: dict = {}
-
 
 @dataclass
 class SuiteReport:
@@ -1113,11 +1105,7 @@ class SuiteReport:
 
 
 def run_suite(name: str, tolerances: dict | None = None) -> SuiteReport:
-    """Run a named suite; scenarios may execute on a small thread pool.
-
-    The worker count comes from the HRSYM_THREADS environment variable
-    (default 1); report assembly is ordered by scenario index either way.
-    """
+    """Run a named suite, its scenarios in order."""
     if name not in SUITES:
         raise ScenarioError(f"unknown suite {name!r} (one of {', '.join(SUITE_NAMES)})")
     start = time.perf_counter()
@@ -1129,17 +1117,7 @@ def run_suite(name: str, tolerances: dict | None = None) -> SuiteReport:
             f":{sc.payload.get('check')}" if sc.kind == "dynamics" else ""
         )
         scenarios.append((label, sc))
-    merged_tols = dict(_SUITE_TOLERANCES)
-    if tolerances:
-        merged_tols.update(tolerances)
-
-    workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    if workers == 1:
-        reports = [(label, run_scenario(sc, merged_tols)) for label, sc in scenarios]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(label, pool.submit(run_scenario, sc, merged_tols)) for label, sc in scenarios]
-            reports = [(label, fut.result()) for label, fut in futures]
+    reports = [(label, run_scenario(sc, tolerances)) for label, sc in scenarios]
     out = SuiteReport(suite=name, reports=reports)
     out.wall_time_s = time.perf_counter() - start
     return out

@@ -11,7 +11,8 @@ orbital components X_i P_j - P_i X_j (catalog sign [S12, S23] = -i hb S13).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -100,13 +101,6 @@ def spin_matrices(s, hbar: float = 1.0) -> SpinRep:
     )
 
 
-def _rep_traits(rep):
-    # Works for both single-particle and composite representations.
-    if hasattr(rep, "config"):
-        return rep.config.dims, rep.config.mass, rep.config.units.hbar
-    return rep.dims, rep.total_mass, rep.units.hbar
-
-
 def t_tensor(rep) -> dict:
     """The operator tensor M J_ij - (K_i P_j - P_i K_j) of a d = 3 representation.
 
@@ -115,8 +109,7 @@ def t_tensor(rep) -> dict:
     parts cancel).  Composite representations are accepted; there the
     tensor is mass times the full intrinsic angular momentum.
     """
-    dims, _, _ = _rep_traits(rep)
-    if dims != 3:
+    if rep.dims != 3:
         raise ValueError("the spin tensor needs a three-dimensional representation")
     out = {}
     for i, j in J_PAIRS:
@@ -131,23 +124,32 @@ class SpinCasimirValue:
     deviation: float
 
 
+def spin_from_casimir(lam: float, hbar: float = 1.0, rtol: float = 1e-8) -> tuple:
+    """Invert lam = s (s + 1) hbar^2.
+
+    Returns the raw nonnegative root, the nearest half-integer, and whether
+    that half-integer reproduces lam to `rtol` (relative, with floor 1).
+    """
+    root = 0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * lam / hbar**2)))
+    s = round(2.0 * root) / 2.0
+    return float(root), s, abs(lam - s * (s + 1) * hbar**2) <= rtol * max(1.0, abs(lam))
+
+
 def casimir_spin_value(rep, margin: int = 1, tol: float = 1e-8) -> SpinCasimirValue:
     """Fit the scalar of (1/(2 m^2)) T_ij T^ij on the interior and solve for s.
 
     Raises NonScalarCasimirError when the deviation from a multiple of the
     identity exceeds `tol` (reducible representation, or margin too small).
+    The reported s is the raw root, not snapped to a half-integer.
     """
-    _, m, hbar = _rep_traits(rep)
     t = t_tensor(rep)
-    c_op = sum(t[p] @ t[p] for p in J_PAIRS) / m**2
+    c_op = sum(t[p] @ t[p] for p in J_PAIRS) / rep.mass**2
     idx = rep.interior_indices(margin)
-    block = c_op[np.ix_(idx, idx)]
-    fitted = float(np.trace(block).real / len(idx))
-    deviation = ladder.spectral_norm(block - fitted * np.eye(len(idx)))
+    fitted, deviation = ladder.interior_scalar_fit([c_op[np.ix_(idx, idx)]])
     if deviation > tol * max(1.0, abs(fitted)):
         raise NonScalarCasimirError(fitted, deviation)
-    s_val = 0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * fitted / hbar**2)))
-    return SpinCasimirValue(value=fitted, s=float(s_val), deviation=deviation)
+    s_val, _, _ = spin_from_casimir(fitted, rep.units.hbar)
+    return SpinCasimirValue(value=fitted, s=s_val, deviation=deviation)
 
 
 # ---------------------------------------------------------------------------
@@ -190,52 +192,7 @@ class CasimirSpectrum:
         return [(shell.n, sorted(e.ell for e in shell.entries)) for shell in self.shells]
 
     def to_json(self) -> dict:
-        return {
-            "hbar": self.hbar,
-            "dim": self.dim,
-            "eigenvalues": [
-                {"value": e.value, "multiplicity": e.multiplicity, "ell": e.ell}
-                for e in self.entries
-            ],
-            "shells": [
-                {
-                    "n": s.n,
-                    "entries": [
-                        {"value": e.value, "multiplicity": e.multiplicity, "ell": e.ell}
-                        for e in s.entries
-                    ],
-                }
-                for s in self.shells
-            ],
-            "unmatched": list(self.unmatched),
-        }
-
-
-def _ell_label(lam: float, hbar: float, rtol: float = 1e-8):
-    # Invert lam = ell (ell + 1) hbar^2 and snap to the nearest half-integer.
-    x = 0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * lam / hbar**2)))
-    ell = round(2.0 * x) / 2.0
-    ok = abs(lam - ell * (ell + 1) * hbar**2) <= rtol * max(1.0, abs(lam))
-    return ell, ok
-
-
-def _relative_orbital_components(n_max: int, hbar: float, headroom: int = 1):
-    """Exact R_i Q_j - Q_i R_j restricted to total quanta <= n_max.
-
-    Matrix elements are computed on a larger per-dimension cube so that no
-    intermediate product is clipped; the restriction is then exact and the
-    components conserve total quanta, keeping the ell shells clean.
-    """
-    levels = n_max + 1 + headroom
-    dims = (levels,) * 3
-    r = [ladder.embed(ladder.position(levels, 1.0, 1.0, hbar), k, dims) for k in range(3)]
-    q = [ladder.embed(ladder.momentum(levels, 1.0, 1.0, hbar), k, dims) for k in range(3)]
-    keep, basis = ladder.total_quanta_restriction(levels, n_max)
-    comps = {}
-    for i, j in J_PAIRS:
-        full = r[i - 1] @ q[j - 1] - q[i - 1] @ r[j - 1]
-        comps[(i, j)] = full[np.ix_(keep, keep)]
-    return comps, basis
+        return {**asdict(self), "eigenvalues": [asdict(e) for e in self.entries]}
 
 
 def relative_spin_spectrum(n_max: int, s_a=0, s_b=0, hbar: float = 1.0) -> CasimirSpectrum:
@@ -247,22 +204,15 @@ def relative_spin_spectrum(n_max: int, s_a=0, s_b=0, hbar: float = 1.0) -> Casim
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    comps, basis = _relative_orbital_components(n_max, hbar)
+    cube = _RelativeCube(n_max, 1.0, 1.0, hbar, headroom=1)
     spin_a = spin_matrices(s_a, hbar)
     spin_b = spin_matrices(s_b, hbar)
-    da, db = spin_a.dim, spin_b.dim
-    n_osc = len(basis)
-    total = {}
-    for p in J_PAIRS:
-        total[p] = (
-            np.kron(comps[p], np.eye(da * db))
-            + np.kron(np.eye(n_osc), np.kron(spin_a.components[p], np.eye(db)))
-            + np.kron(np.eye(n_osc), np.kron(np.eye(da), spin_b.components[p]))
-        )
+    spin_block = spin_a.dim * spin_b.dim
+    total = _add_spins({p: cube.lift(cube.orbital(p), spin_block) for p in J_PAIRS}, spin_a, spin_b)
     casimir = sum(total[p] @ total[p] for p in J_PAIRS)
 
-    spectrum = CasimirSpectrum(hbar=hbar, dim=n_osc * da * db)
-    spin_block = da * db
+    basis = cube.basis
+    spectrum = CasimirSpectrum(hbar=hbar, dim=len(basis) * spin_block)
     osc_offset = 0
     for n in range(n_max + 1):
         shell_osc = sum(1 for t in basis if sum(t) == n)
@@ -272,7 +222,7 @@ def relative_spin_spectrum(n_max: int, s_a=0, s_b=0, hbar: float = 1.0) -> Casim
         vals = np.linalg.eigvalsh(block)
         groups: dict = {}
         for lam in vals:
-            ell, ok = _ell_label(float(lam), hbar)
+            _, ell, ok = spin_from_casimir(float(lam), hbar)
             if not ok:
                 spectrum.unmatched.append(float(lam))
                 continue
@@ -303,6 +253,34 @@ def decompose_product_spins(s_a, s_b) -> list:
     return out
 
 
+def brute_force_addition(s_a, s_b) -> tuple:
+    """Total-spin content by diagonalizing the coupled Casimir on the product space.
+
+    Returns (spins, unmatched): each total spin repeated by its multiplicity,
+    and the eigenvalues that match no s (s + 1).
+    """
+    ra, rb = spin_matrices(s_a), spin_matrices(s_b)
+    total = {
+        p: np.kron(ra.components[p], np.eye(rb.dim)) + np.kron(np.eye(ra.dim), rb.components[p])
+        for p in J_PAIRS
+    }
+    casimir = sum(total[p] @ total[p] for p in J_PAIRS)
+    found, unmatched = {}, []
+    for lam in np.linalg.eigvalsh(casimir):
+        _, s, ok = spin_from_casimir(lam)
+        if not ok:
+            unmatched.append(float(lam))
+            continue
+        found[s] = found.get(s, 0) + 1
+    out = []
+    for s in sorted(found):
+        count, dim = found[s], int(2 * s) + 1
+        if count % dim:
+            raise RuntimeError(f"eigenvalue multiplicity {count} is not a multiple of 2s+1 = {dim}")
+        out.extend([float(s)] * (count // dim))
+    return out, unmatched
+
+
 # ---------------------------------------------------------------------------
 # relative-mode system for dynamics
 # ---------------------------------------------------------------------------
@@ -316,66 +294,86 @@ def _sparse_embed(op: np.ndarray, slot: int, factor_dims) -> scipy.sparse.csr_ma
     return out
 
 
-class RelativeModeRep:
+class _RelativeCube:
+    """Sparse relative R_i, Q_i on a 3-D oscillator cube, restricted to total quanta <= n_max.
+
+    The cube keeps `headroom` spare levels per dimension so that no
+    intermediate product is clipped and the restriction is exact: total
+    quanta, the orbital shells and the spin invariant are then conserved to
+    rounding.
+    """
+
+    def __init__(self, n_max: int, mass: float, omega: float, hbar: float, headroom: int):
+        levels = n_max + 1 + headroom
+        dims3 = (levels,) * 3
+        self.r = [_sparse_embed(ladder.position(levels, mass, omega, hbar), k, dims3) for k in range(3)]
+        self.q = [_sparse_embed(ladder.momentum(levels, mass, omega, hbar), k, dims3) for k in range(3)]
+        self.keep, self.basis = ladder.total_quanta_restriction(levels, n_max)
+
+    def orbital(self, pair) -> scipy.sparse.csr_matrix:
+        i, j = pair
+        return self.r[i - 1] @ self.q[j - 1] - self.q[i - 1] @ self.r[j - 1]
+
+    def lift(self, op, spin_block: int) -> np.ndarray:
+        """Restrict a cube operator and repeat it across the spin block."""
+        block = op.tocsr()[self.keep][:, self.keep].toarray()
+        return np.kron(block, np.eye(spin_block))
+
+
+def _add_spins(orbital: dict, spin_a: SpinRep, spin_b: SpinRep) -> dict:
+    """Total angular momentum from lifted orbital components plus both spin blocks."""
+    eye_osc = np.eye(orbital[(1, 2)].shape[0] // (spin_a.dim * spin_b.dim))
+    return {
+        p: orbital[p]
+        + np.kron(eye_osc, np.kron(spin_a.components[p], np.eye(spin_b.dim)))
+        + np.kron(eye_osc, np.kron(np.eye(spin_a.dim), spin_b.components[p]))
+        for p in J_PAIRS
+    }
+
+
+class RelativeModeRep(ladder.OperatorSystem):
     """Relative motion of a two-particle system on a total-quanta basis.
 
     The center of mass factors out, so the physical Hamiltonian acts here as
-    Q.Q / (2 mu) + V(R.R).  All restricted matrices have exact elements
-    (computed with per-dimension headroom), hence total quanta, the orbital
-    shells, and the spin invariant are conserved to rounding.
+    Q.Q / (2 mu) + V(R.R); `mass` is the reduced mass mu.  All restricted
+    matrices have exact elements (computed with per-dimension headroom),
+    hence total quanta, the orbital shells, and the spin invariant are
+    conserved to rounding.
     """
 
     dims = 3
 
     def __init__(self, n_max: int, mu: float, units, s_a=0, s_b=0, max_power: int = 2):
-        if mu <= 0:
-            raise ValueError("reduced mass must be positive")
+        if not 0 < mu < math.inf:
+            raise ValueError(f"reduced mass must be positive and finite, got {mu}")
         self.n_max = int(n_max)
-        self.mu = float(mu)
+        self.mass = float(mu)
         self.units = units
         self.max_power = int(max_power)
-        hbar, omega = units.hbar, units.omega_ref
-
-        headroom = 2 * self.max_power
-        levels = self.n_max + 1 + headroom
-        dims3 = (levels,) * 3
-        r = [_sparse_embed(ladder.position(levels, self.mu, omega, hbar), k, dims3) for k in range(3)]
-        q = [_sparse_embed(ladder.momentum(levels, self.mu, omega, hbar), k, dims3) for k in range(3)]
-        keep, self.basis = ladder.total_quanta_restriction(levels, self.n_max)
+        hbar = units.hbar
+        cube = _RelativeCube(self.n_max, self.mass, units.omega_ref, hbar, headroom=2 * self.max_power)
+        self.basis = cube.basis
 
         spin_a = spin_matrices(s_a, hbar)
         spin_b = spin_matrices(s_b, hbar)
         self.spin_a, self.spin_b = spin_a, spin_b
         spin_block = spin_a.dim * spin_b.dim
         self.spin_dim = spin_block
-        n_osc = len(keep)
-        self.dim = n_osc * spin_block
+        self.dim = len(self.basis) * spin_block
 
-        def lift(op):
-            block = op.tocsr()[keep][:, keep].toarray()
-            return np.kron(block, np.eye(spin_block))
-
-        qq = sum(m @ m for m in q)
-        rr = sum(m @ m for m in r)
-        self.kinetic = lift(qq) / (2.0 * self.mu)
+        qq = sum(m @ m for m in cube.q)
+        rr = sum(m @ m for m in cube.r)
+        self.kinetic = cube.lift(qq, spin_block) / (2.0 * self.mass)
         self.radial = {0: np.eye(self.dim, dtype=complex)}
         power = scipy.sparse.identity(rr.shape[0], format="csr", dtype=complex)
         for k in range(1, self.max_power + 1):
             power = power @ rr
-            self.radial[k] = lift(power)
+            self.radial[k] = cube.lift(power, spin_block)
 
-        self.R = [lift(m) for m in r]
-        self.Q = [lift(m) for m in q]
-        self.L = {}
-        self.S = {}
-        for i, j in J_PAIRS:
-            orbital = r[i - 1] @ q[j - 1] - q[i - 1] @ r[j - 1]
-            self.L[(i, j)] = lift(orbital)
-            self.S[(i, j)] = (
-                self.L[(i, j)]
-                + np.kron(np.eye(n_osc), np.kron(spin_a.components[(i, j)], np.eye(spin_b.dim)))
-                + np.kron(np.eye(n_osc), np.kron(np.eye(spin_a.dim), spin_b.components[(i, j)]))
-            )
+        self.R = [cube.lift(m, spin_block) for m in cube.r]
+        self.Q = [cube.lift(m, spin_block) for m in cube.q]
+        self.L = {p: cube.lift(cube.orbital(p), spin_block) for p in J_PAIRS}
+        self.S = _add_spins(self.L, spin_a, spin_b)
         self.J = self.S
         self.spin_casimir = sum(self.S[p] @ self.S[p] for p in J_PAIRS)
 
@@ -386,11 +384,21 @@ class RelativeModeRep:
         idx = np.array(keep, dtype=int)
         return (idx[:, None] * self.spin_dim + np.arange(self.spin_dim)[None, :]).ravel()
 
-    def boundary_weight(self, state: np.ndarray) -> float:
-        """Probability carried by the outermost shell (total quanta = n_max)."""
-        interior = self.interior_indices(margin=1) if self.n_max > 0 else np.array([], dtype=int)
-        inside = float(np.vdot(state[interior], state[interior]).real) if interior.size else 0.0
-        return max(0.0, float(np.vdot(state, state).real) - inside)
+    def hamiltonian(self, pot) -> np.ndarray:
+        """Q.Q / 2mu + V(R.R) from the radial powers built up to `max_power`."""
+        if pot.kind == "poly_x":
+            raise ValueError("a composite interaction must depend on the relative separation only")
+        h = self.kinetic.copy()
+        for k, c in enumerate(pot.coefficients):
+            if not c:
+                continue
+            if k > self.max_power:
+                raise ValueError(
+                    f"relative-mode system was built with max_power={self.max_power}, "
+                    f"cannot take (R.R)^{k}"
+                )
+            h = h + c * self.radial[k]
+        return h
 
     def ground_state(self) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=complex)
@@ -403,8 +411,8 @@ class RelativeModeRep:
         out = []
         for i in range(3):
             out.append(
-                np.sqrt(self.mu * omega / (2.0 * hbar)) * self.R[i]
-                + 1j / np.sqrt(2.0 * hbar * self.mu * omega) * self.Q[i]
+                np.sqrt(self.mass * omega / (2.0 * hbar)) * self.R[i]
+                + 1j / np.sqrt(2.0 * hbar * self.mass * omega) * self.Q[i]
             )
         return out
 

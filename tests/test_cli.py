@@ -109,6 +109,41 @@ class TestExitCodes:
         proc = run_cli("verify", "rep", str(path))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_non_finite_or_negative_cli_tolerance_exits_two(self, tmp_path, value):
+        path = tmp_path / "composite.json"
+        path.write_text(json.dumps({"kind": "composite", "payload": {
+            "particleA": {"mass": 1.0, "dims": 1, "levels": 4},
+            "particleB": {"mass": 2.0, "dims": 1, "levels": 4}}}))
+        proc = run_cli("verify", "composite", str(path), "--tol", f"ccr_coefficient={value}")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "ccr_coefficient" in proc.stderr
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1e-3])
+    def test_non_finite_or_negative_file_tolerance_rejected(self, value):
+        with pytest.raises(ScenarioError, match="homomorphism"):
+            scenario_from_dict({"kind": "algebra", "payload": {"name": "so3"},
+                                "tolerances": {"homomorphism": value}})
+
+    @pytest.mark.parametrize("field", ["mass", "hbar", "omega_ref"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_physical_constant_exits_two(self, tmp_path, field, value):
+        payload = {"mass": 1.0, "dims": 1, "levels": 4, field: value}
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({"kind": "single_rep", "payload": payload}))
+        proc = run_cli("verify", "rep", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and field in proc.stderr
+
+    def test_zero_steps_exits_two(self, tmp_path):
+        path = tmp_path / "dyn.json"
+        path.write_text(json.dumps({"kind": "dynamics", "payload": {
+            "check": "flow_compare", "levels": 8, "calV": 1.0, "steps": 0}}))
+        proc = run_cli("verify", "dynamics", str(path))
+        assert proc.returncode == 2
+        assert "steps" in proc.stderr
+
 
 class TestReports:
     def test_out_file_written(self, algebra_scenario, tmp_path):
@@ -226,9 +261,11 @@ class TestSuites:
         assert elapsed <= 10.0
 
     def test_suite_thread_env_variable(self, tmp_path):
+        # the suite runs its scenarios in order; a leftover worker-count
+        # setting, even a malformed one, is ignored
         import os
 
-        env = dict(os.environ, HRSYM_THREADS="4")
+        env = dict(os.environ, HRSYM_THREADS="abc")
         proc = subprocess.run(
             [sys.executable, "-m", "hrsym", "suite", "paper-core"],
             capture_output=True, text=True, env=env,
@@ -279,3 +316,20 @@ class TestDynamicsPayloads:
         )
         proc = run_cli("verify", "dynamics", str(path))
         assert proc.returncode == 2
+
+    def test_two_dimensional_conservation_uses_the_product_packet(self):
+        sc = scenario_from_dict({"kind": "dynamics", "payload": {
+            "check": "conservation", "dims": 2, "levels": 16,
+            "potential": {"kind": "poly_x", "coefficients": [0.0, 0.0, 0.5]}}})
+        report = run_scenario(sc)
+        assert report.passed
+        assert [c.name for c in report.checks] == ["unitarity_energy", "picture_equivalence"]
+
+    def test_state_vector_is_sized_by_the_full_space(self):
+        vec = [[0.0, 0.0]] * 16
+        vec[0] = [1.0, 0.0]
+        payload = {"check": "conservation", "dims": 2, "levels": 4, "psi0": vec}
+        assert run_scenario(scenario_from_dict({"kind": "dynamics", "payload": payload})).passed
+        payload["levels"] = 16
+        with pytest.raises(ScenarioError, match="psi0 has 16 entries, the space has 256"):
+            run_scenario(scenario_from_dict({"kind": "dynamics", "payload": payload}))

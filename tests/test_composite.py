@@ -15,7 +15,6 @@ from hrsym import (
     com_position,
     naive_position_sum,
     relative_ops,
-    swap_operator,
     tensor_rep,
     verify_ccr_composite,
 )
@@ -222,7 +221,12 @@ class TestSpinfulComposite:
 class TestSymmetries:
     def test_swap_fixes_symmetric_lifts_and_flips_relative(self):
         comp = desk_pair(1.7, 1.7, levels=5)
-        w = swap_operator(comp)
+        n = comp.rep_a.dim
+        # exchange of the two tensor factors: |i>|j> -> |j>|i>
+        w = np.zeros((n * n, n * n))
+        for i in range(n):
+            for j in range(n):
+                w[j * n + i, i * n + j] = 1.0
         assert np.array_equal(w @ w, np.eye(comp.dim))
         for op in (comp.P[0], comp.K[0], comp.M, com_position(comp)[0]):
             assert np.array_equal(w @ op @ w, op)

@@ -10,11 +10,11 @@ from hrsym import (
     RepConfig,
     build_particle_rep,
     build_zeta_rep,
-    interior_projector,
     rep_config_from_json,
     verify_homomorphism,
 )
 from hrsym.dynamics import evolve_observable
+from hrsym.scenarios import run_scenario, scenario_from_dict
 
 
 def norm2(m):
@@ -84,26 +84,18 @@ class TestLadderMatrices:
 class TestInteriorProjector:
     def test_zero_margin_is_identity(self):
         rep = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=6))
-        proj = interior_projector(rep, 0)
-        assert proj.rank == 6
-        assert np.array_equal(proj.matrix, np.eye(6))
+        assert np.array_equal(rep.interior_indices(0), np.arange(6))
 
     def test_rank_counts(self):
         rep = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=8))
-        assert interior_projector(rep, 1).rank == 7
+        assert len(rep.interior_indices(1)) == 7
         rep2 = build_particle_rep(RepConfig(mass=1.0, dims=2, levels=4))
-        assert interior_projector(rep2, 2).rank == 4
-
-    def test_projector_idempotent_hermitian(self):
-        rep = build_particle_rep(RepConfig(mass=1.0, dims=2, levels=4))
-        p = interior_projector(rep, 1).matrix
-        assert np.array_equal(p, p @ p)
-        assert np.array_equal(p, p.conj().T)
+        assert len(rep2.interior_indices(2)) == 4
 
     def test_margin_out_of_range(self):
         rep = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=4))
         with pytest.raises(ValueError):
-            interior_projector(rep, 4)
+            rep.interior_indices(4)
 
 
 class TestHomomorphism:
@@ -143,6 +135,27 @@ class TestHomomorphism:
         report = verify_homomorphism(rep, "hr3", margin=1, tol=1e-10)
         assert report.passed
 
+    def test_time_generator_pairs_are_listed_as_skipped(self):
+        rep = build_particle_rep(RepConfig(mass=1.0, dims=3, levels=4))
+        report = verify_homomorphism(rep, "g3tilde", margin=1)
+        assert len(report.checks) == 45
+        assert {"[K1,H]", "[K2,H]", "[K3,H]"} <= set(report.skipped)
+        assert len(report.skipped) == 10
+
+    def test_scenario_metrics_name_the_skipped_pairs(self):
+        def metrics(payload):
+            sc = scenario_from_dict({"kind": "single_rep", "payload": payload})
+            rec = run_scenario(sc).checks[1]
+            assert rec.name == f"homomorphism:{payload['algebra']}"
+            return rec.metrics
+
+        g3 = metrics({"mass": 1.0, "dims": 3, "levels": 4, "algebra": "g3tilde", "margin": 1})
+        assert g3["pairs"] == 45 and g3["skipped"] == 10
+        assert "[K1,H]" in g3["skipped_pairs"]
+        hr3 = metrics({"mass": 1.0, "dims": 1, "levels": 6, "algebra": "hr3", "margin": 1})
+        assert hr3["pairs"] == 3 and hr3["skipped"] == 42
+        assert "[J12,K1]" in hr3["skipped_pairs"] and "[K2,P2]" in hr3["skipped_pairs"]
+
 
 class TestZetaFamily:
     def test_unit_zeta_is_plain_rep(self):
@@ -151,7 +164,7 @@ class TestZetaFamily:
         rep = build_particle_rep(cfg)
         assert np.array_equal(z.X[0], rep.X[0])
         assert np.array_equal(z.P[0], rep.P[0])
-        assert np.array_equal(z.I, np.eye(6))
+        assert z.zeta == 1.0
 
     def test_zero_zeta_rejected(self):
         with pytest.raises(ValueError, match="zeta"):
@@ -176,12 +189,16 @@ class TestZetaFamily:
         assert norm2(comm[np.ix_(idx, idx)] - 1j * zeta * np.eye(len(idx))) <= 1e-10
 
     def test_central_charge_eigenvalue_distinguishes_members(self):
-        # the central matrices of distinct zeta values differ, so the family
-        # members are inequivalent representations
+        # the central elements -i [X, P] / hbar = zeta Id of distinct zeta values
+        # differ on the interior, so the family members are inequivalent
         cfg = RepConfig(mass=1.0, dims=1, levels=4)
-        z1 = build_zeta_rep(1.0, cfg)
-        z2 = build_zeta_rep(2.5, cfg)
-        assert np.max(np.abs(z1.I - z2.I)) > 1.0
+        idx = build_particle_rep(cfg).interior_indices(1)
+
+        def central(z):
+            return (-1j * (z.X[0] @ z.P[0] - z.P[0] @ z.X[0]))[np.ix_(idx, idx)]
+
+        diff = central(build_zeta_rep(1.0, cfg)) - central(build_zeta_rep(2.5, cfg))
+        assert np.allclose(diff, -1.5 * np.eye(len(idx)), atol=1e-12)
 
 
 class TestFlowCovariance:
@@ -215,15 +232,3 @@ class TestFlowCovariance:
         want = (np.cos(theta) * rep.K[0] - np.sin(theta) * rep.K[1])[np.ix_(idx, idx)]
         assert norm2(rotated[np.ix_(idx, idx)] - want) <= 1e-6
 
-
-class TestExport:
-    def test_npz_and_json_exports(self, tmp_path):
-        rep = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=3))
-        npz_path = rep.export_matrices(tmp_path / "ops.npz")
-        data = np.load(npz_path)
-        assert np.array_equal(data["X1"], rep.X[0])
-        json_path = rep.export_matrices(tmp_path / "ops.json", fmt="json")
-        import json
-
-        loaded = json.loads(json_path.read_text())
-        assert np.allclose(np.array(loaded["P1"]["im"]), rep.P[0].imag)
