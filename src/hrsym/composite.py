@@ -75,11 +75,10 @@ class CompositeRep(ladder.OperatorSystem):
         """P.P / 2m + Q.Q / 2mu + V(R.R); the interaction may depend on R only."""
         if pot.kind == "poly_x":
             raise ValueError("a composite interaction must depend on the relative separation only")
-        h = sum(p @ p for p in self.P) / (2.0 * self.mass)
-        h = h + sum(q @ q for q in self.Q) / (2.0 * self.reduced_mass)
+        h = ladder.square_sum(self.P) / (2.0 * self.mass)
+        h = h + ladder.square_sum(self.Q) / (2.0 * self.reduced_mass)
         if pot.kind == "poly_r2" and pot.coefficients:
-            rr = sum(r @ r for r in self.R)
-            h = h + ladder.poly_in(rr, pot.coefficients)
+            h = h + ladder.poly_in(ladder.square_sum(self.R), pot.coefficients)
         return h
 
 

@@ -3,9 +3,9 @@
 Any Hermitian matrix generates a one-parameter unitary group here, so the
 same engine drives physical time evolution, the free-generator flow with its
 constant offset, rotations (generator J), and boosts (generator K).  Dense
-propagation uses the scaling-and-squaring exponential; the Krylov path uses
-scipy's expm_multiply stepping for larger sparse systems.  Both are
-deterministic.
+propagation uses the scaling-and-squaring exponential, one per distinct
+step of the time grid; the Krylov path uses scipy's expm_multiply stepping
+for larger sparse systems.  Both are deterministic.
 
 Truncation makes long flows untrustworthy once amplitude reaches the top
 Fock levels, so every flow records the boundary occupation of the evolving
@@ -84,7 +84,7 @@ def hamiltonian_physical(system, pot: PotentialSpec) -> np.ndarray:
 
 def hamiltonian_galilei(rep, calV: float) -> np.ndarray:
     """P.P / 2m + calV * Id, the free-generator Hamiltonian of a single particle."""
-    return sum(p @ p for p in rep.P) / (2.0 * rep.mass) + calV * np.eye(rep.dim, dtype=complex)
+    return ladder.square_sum(rep.P) / (2.0 * rep.mass) + calV * np.eye(rep.dim, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,23 @@ def _expectation(op, psi) -> float:
     return float(np.vdot(psi, op @ psi).real)
 
 
+_SAME_STEP_RTOL = 1e-12
+
+
+def _step_propagator(steps: list, dt: float, hd: np.ndarray, hbar: float) -> np.ndarray:
+    """exp(-i dt H / hbar), reused for any earlier step within `_SAME_STEP_RTOL` of dt.
+
+    A uniform grid's steps differ only by rounding, so it takes one
+    exponential; every genuinely new step gets its own.
+    """
+    for known, prop in reversed(steps):
+        if abs(known - dt) <= _SAME_STEP_RTOL * max(abs(known), abs(dt)):
+            return prop
+    prop = scipy.linalg.expm(-1j * dt * hd / hbar)
+    steps.append((dt, prop))
+    return prop
+
+
 def evolve_state(
     H,
     psi0,
@@ -171,16 +188,13 @@ def evolve_state(
     states = np.empty((len(t), dim), dtype=complex)
     if method == "dense":
         hd = H.toarray() if scipy.sparse.issparse(H) else np.asarray(H)
-        prop_cache: dict = {}
+        steps: list = []  # (dt, propagator), one per distinct step
         psi = psi0
         prev = None
         for k, tk in enumerate(t):
             dt = tk if prev is None else tk - prev
             if dt != 0.0:
-                key = round(float(dt), 15)
-                if key not in prop_cache:
-                    prop_cache[key] = scipy.linalg.expm(-1j * dt * hd / hbar)
-                psi = prop_cache[key] @ psi
+                psi = _step_propagator(steps, dt, hd, hbar) @ psi
             prev = tk
             states[k] = psi
     else:
@@ -253,18 +267,29 @@ def compare_flows(H1, H2, psi0, times, method: str = "auto", hbar: float = 1.0) 
 @dataclass
 class EhrenfestResult:
     max_residual: float
-    times: np.ndarray
     x_traces: np.ndarray
     p_traces: np.ndarray
-    reliable: bool
+    flow: FlowResult
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.flow.times
+
+    @property
+    def reliable(self) -> bool:
+        return self.flow.reliable
 
 
-def ehrenfest_check(system, H, psi0, times, method: str = "auto") -> EhrenfestResult:
+def ehrenfest_check(
+    system, H, psi0, times, method: str = "auto", leakage_threshold: float = 1e-6
+) -> EhrenfestResult:
     """Residual of d<X>/dt - <P>/m from centered differences on the grid.
 
-    The state must stay clear of the truncation boundary; otherwise the
-    result is flagged unreliable.  `system` is a single-particle or composite
-    representation; X is then the (center-of-mass) position.
+    The state must stay clear of the truncation boundary: a boundary weight
+    above `leakage_threshold` flags the result unreliable.  `system` is a
+    single-particle or composite representation; X is then the
+    (center-of-mass) position.  The propagated flow, with its X and P
+    traces, is returned as `flow`.
     """
     x_ops, p_ops = system.X, system.P
     t = _check_times(times)
@@ -277,7 +302,7 @@ def ehrenfest_check(system, H, psi0, times, method: str = "auto") -> EhrenfestRe
     obs.update({f"p{i}": op for i, op in enumerate(p_ops)})
     flow = evolve_state(
         H, psi0, t, method=method, hbar=system.units.hbar, observables=obs,
-        boundary_weight=system.boundary_weight,
+        boundary_weight=system.boundary_weight, leakage_threshold=leakage_threshold,
     )
     dt = steps[0]
     worst = 0.0
@@ -286,13 +311,7 @@ def ehrenfest_check(system, H, psi0, times, method: str = "auto") -> EhrenfestRe
     for i in range(len(x_ops)):
         dxdt = (x_traces[i, 2:] - x_traces[i, :-2]) / (2.0 * dt)
         worst = max(worst, float(np.max(np.abs(dxdt - p_traces[i, 1:-1] / system.mass))))
-    return EhrenfestResult(
-        max_residual=worst,
-        times=t,
-        x_traces=x_traces,
-        p_traces=p_traces,
-        reliable=flow.reliable,
-    )
+    return EhrenfestResult(max_residual=worst, x_traces=x_traces, p_traces=p_traces, flow=flow)
 
 
 def extra_casimir_check(
@@ -311,7 +330,7 @@ def extra_casimir_check(
     algebra.
     """
     h = hamiltonian if hamiltonian is not None else hamiltonian_galilei(rep, calV)
-    g = 2.0 * rep.M @ h - sum(p @ p for p in rep.P)
+    g = 2.0 * rep.M @ h - ladder.square_sum(rep.P)
     idx = rep.interior_indices(margin)
     fitted, deviation = ladder.interior_scalar_fit([g[np.ix_(idx, idx)]])
     expected = 2.0 * rep.mass * calV

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 
 def destroy(n: int) -> np.ndarray:
@@ -119,14 +120,25 @@ def interior_scalar_fit(blocks) -> tuple:
     return value, deviation
 
 
-def poly_in(base: np.ndarray, coefficients) -> np.ndarray:
-    """sum_k coefficients[k] * base**k as a dense matrix."""
-    dim = base.shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    power = np.eye(dim, dtype=complex)
+def square_sum(ops) -> np.ndarray:
+    """sum_k ops[k] @ ops[k] as a dense matrix, multiplied in CSR form.
+
+    Ladder-built operators are banded, so the sparse product costs a small
+    fraction of the dense one.
+    """
+    return sum(m @ m for m in map(scipy.sparse.csr_matrix, ops)).toarray()
+
+
+def poly_in(base, coefficients) -> np.ndarray:
+    """sum_k coefficients[k] * base**k as a dense matrix, powers raised in CSR form."""
+    base = scipy.sparse.csr_matrix(base)
+    power = scipy.sparse.identity(base.shape[0], dtype=complex, format="csr")
+    acc = scipy.sparse.csr_matrix(base.shape, dtype=complex)
     for k, c in enumerate(coefficients):
-        if k > 0:
+        if k == 1:
+            power = base
+        elif k > 1:
             power = power @ base
         if c:
             acc = acc + c * power
-    return acc
+    return acc.toarray()

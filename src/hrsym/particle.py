@@ -149,7 +149,7 @@ class ParticleRep(ladder.OperatorSystem):
         """P.P / 2m + V(X), the potential applied per dimension and summed."""
         if pot.kind == "poly_r2":
             raise ValueError("a single particle has no relative separation; use kind 'poly_x'")
-        h = sum(p @ p for p in self.P) / (2.0 * self.mass)
+        h = ladder.square_sum(self.P) / (2.0 * self.mass)
         if pot.kind == "poly_x" and pot.coefficients:
             v = pot.coefficients[0] * np.eye(self.dim, dtype=complex)
             per_axis = (0.0,) + pot.coefficients[1:]

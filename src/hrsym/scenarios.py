@@ -131,6 +131,7 @@ DEFAULT_TOLERANCES = {
     "spin_conservation": 1e-8,
     "com_momentum": 1e-9,
     "com_ehrenfest": 1e-5,
+    "ehrenfest": 1e-6,
     "leakage": 1e-6,
 }
 
@@ -253,11 +254,20 @@ def scenario_from_dict(raw, where="scenario") -> Scenario:
     return Scenario(kind=kind, payload=payload, tolerances=dict(tolerances))
 
 
-def _tol(scenario: Scenario, suite_overrides: dict | None, name: str) -> float:
+def _tol(scenario: Scenario, suite_overrides: dict | None, name: str, payload_value=None) -> float:
+    """Scenario tolerances, then suite overrides, then `payload_value`, then the default.
+
+    `payload_value` is a tolerance a payload carries as a field of its own;
+    it is validated like any other, and the explicit tolerances outrank it.
+    """
+    if payload_value is not None:
+        payload_value = check_tolerance(name, float(payload_value), f"{scenario.kind} payload")
     if name in scenario.tolerances:
         return float(scenario.tolerances[name])
     if suite_overrides and name in suite_overrides:
         return float(suite_overrides[name])
+    if payload_value is not None:
+        return payload_value
     return DEFAULT_TOLERANCES[name]
 
 
@@ -788,7 +798,6 @@ def _dyn_extra_casimir(sc: Scenario, tols) -> list:
 def _dyn_com_decoupling(sc: Scenario, tols) -> list:
     payload = sc.payload
     cfg_a, cfg_b, comp = _particle_pair(payload, "com_decoupling")
-    hbar = comp.units.hbar
     pot = PotentialSpec(kind="poly_r2", coefficients=tuple(payload.get("coefficients", [0.0, 0.1])))
     h = hamiltonian_physical(comp, pot)
     alpha_a = payload.get("alpha_a", [0.4, 0.2])
@@ -797,24 +806,16 @@ def _dyn_com_decoupling(sc: Scenario, tols) -> list:
         _packet(cfg_a.levels, alpha_a), _packet(cfg_b.levels, alpha_b)
     )
     times = _time_grid(payload)
-    obs = {f"p{i}": comp.P[i] for i in range(comp.dims)}
-    flow = evolve_state(
-        h, psi0, times, hbar=hbar,
-        observables=obs, boundary_weight=comp.boundary_weight,
-        leakage_threshold=_tol(sc, tols, "leakage"),
-    )
+    ehr = ehrenfest_check(comp, h, psi0, times, leakage_threshold=_tol(sc, tols, "leakage"))
     tol_p = _tol(sc, tols, "com_momentum")
-    drift = max(
-        float(np.max(np.abs(tr - tr[0]))) for tr in flow.observable_traces.values()
-    )
-    ehr = ehrenfest_check(comp, h, psi0, times)
+    drift = max(float(np.max(np.abs(tr - tr[0]))) for tr in ehr.p_traces)
     tol_x = _tol(sc, tols, "com_ehrenfest")
     return [
         CheckResult(
             name="com_momentum_constant",
             anchor="com-free-motion",
-            passed=flow.reliable and drift <= tol_p,
-            metrics={"momentum_drift": drift, "tol": tol_p, "reliable": flow.reliable},
+            passed=ehr.reliable and drift <= tol_p,
+            metrics={"momentum_drift": drift, "tol": tol_p, "reliable": ehr.reliable},
         ),
         CheckResult(
             name="com_velocity_matches_momentum",
@@ -872,20 +873,21 @@ def _dyn_relative_conservation(sc: Scenario, tols) -> list:
             anchor="rotation-invariant-interaction",
             passed=drift <= tol_rot and norm_dev <= tol_u,
             metrics={"casimir_drift": drift, "norm_deviation": norm_dev,
-                     "initial_value": float(trace[0])},
+                     "initial_value": float(trace[0]),
+                     "max_boundary_weight": flow.max_boundary_weight},
         ),
     ]
 
 
 def _dyn_ehrenfest(sc: Scenario, tols) -> list:
     payload = sc.payload
+    tol = _tol(sc, tols, "ehrenfest", payload.get("tol"))
     rep = _single_system(payload)
     pot = PotentialSpec(**_as_object(payload.get("potential", {"kind": "none"}), "potential"))
     h = hamiltonian_physical(rep, pot)
     psi0 = _initial_state(payload, rep, [0.5, 0.3])
     times = _time_grid(payload)
-    result = ehrenfest_check(rep, h, psi0, times)
-    tol = float(payload.get("tol", 1e-6))
+    result = ehrenfest_check(rep, h, psi0, times, leakage_threshold=_tol(sc, tols, "leakage"))
     checks = [
         CheckResult(
             name="ehrenfest_velocity",

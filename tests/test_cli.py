@@ -39,6 +39,26 @@ def mutated_scenario(tmp_path):
     return path
 
 
+# a small harmonic-trap packet whose boundary weight sits between 1e-9 and 1e-6
+EHRENFEST = {"check": "ehrenfest", "levels": 12, "mass": 1.0,
+             "potential": {"kind": "poly_x", "coefficients": [0.0, 0.0, 0.5]},
+             "t_max": 1.0, "steps": 100, "alpha": [1.0, 0.0], "tol": 1e-4}
+
+# a composite whose boundary weight sits between 1e-7 and 1e-6; at 18 levels
+# the momentum drifts by about 1e-7, hence the looser com_momentum tolerance
+COM_DECOUPLING = {"check": "com_decoupling",
+                  "particleA": {"mass": 1.0, "dims": 1, "levels": 18},
+                  "particleB": {"mass": 2.0, "dims": 1, "levels": 18},
+                  "coefficients": [0.0, 0.05], "alpha_a": [0.3, 0.2], "alpha_b": [-0.2, 0.1],
+                  "t_max": 1.0, "steps": 10}
+
+
+def dynamics_checks(payload, tolerances=None, suite_tolerances=None) -> dict:
+    sc = scenario_from_dict({"kind": "dynamics", "payload": payload,
+                             "tolerances": tolerances or {}})
+    return {c.name: c for c in run_scenario(sc, suite_tolerances).checks}
+
+
 class TestExitCodes:
     def test_passing_scenario_exits_zero(self, algebra_scenario):
         proc = run_cli("verify", "algebra", str(algebra_scenario))
@@ -135,6 +155,15 @@ class TestExitCodes:
         proc = run_cli("verify", "rep", str(path))
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1 and field in proc.stderr
+
+    @pytest.mark.parametrize("value", ["inf", "nan", -1])
+    def test_invalid_ehrenfest_payload_tolerance_exits_two(self, tmp_path, value):
+        path = tmp_path / "dyn.json"
+        path.write_text(json.dumps({"kind": "dynamics", "payload": {**EHRENFEST, "tol": value}}))
+        proc = run_cli("verify", "dynamics", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "ehrenfest" in proc.stderr
 
     def test_zero_steps_exits_two(self, tmp_path):
         path = tmp_path / "dyn.json"
@@ -247,6 +276,34 @@ class TestToleranceOverrides:
             load_scenario(path)
 
 
+    def test_ehrenfest_tolerance_is_registered(self, tmp_path):
+        # the payload's own `tol` is the scenario value; explicit tolerances outrank it
+        assert dynamics_checks(EHRENFEST)["ehrenfest_velocity"].metrics["tol"] == 1e-4
+        default = {k: v for k, v in EHRENFEST.items() if k != "tol"}
+        assert dynamics_checks(default)["ehrenfest_velocity"].metrics["tol"] == 1e-6
+        strict = dynamics_checks(EHRENFEST, suite_tolerances={"ehrenfest": 1e-12})
+        assert not strict["ehrenfest_velocity"].passed
+        assert strict["ehrenfest_velocity"].metrics["tol"] == 1e-12
+        path = tmp_path / "dyn.json"
+        path.write_text(json.dumps({"kind": "dynamics", "payload": EHRENFEST}))
+        assert run_cli("verify", "dynamics", str(path)).returncode == 0
+        proc = run_cli("verify", "dynamics", str(path), "--tol", "ehrenfest=1e-12")
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["checks"][0]["metrics"]["tol"] == 1e-12
+
+    def test_leakage_override_reaches_every_flow_check(self):
+        loose = {"com_momentum": 1e-6}
+        checks = dynamics_checks(COM_DECOUPLING, loose)
+        assert all(c.passed for c in checks.values())
+        checks = dynamics_checks(COM_DECOUPLING, {**loose, "leakage": 1e-7})
+        assert not checks["com_momentum_constant"].passed
+        assert not checks["com_velocity_matches_momentum"].passed
+        assert dynamics_checks(EHRENFEST)["ehrenfest_velocity"].passed
+        tight = dynamics_checks(EHRENFEST, suite_tolerances={"leakage": 1e-9})
+        assert not tight["ehrenfest_velocity"].metrics["reliable"]
+        assert not tight["ehrenfest_velocity"].passed
+
+
 class TestSuites:
     def test_core_suite_passes_quickly(self):
         import time
@@ -324,6 +381,14 @@ class TestDynamicsPayloads:
         report = run_scenario(sc)
         assert report.passed
         assert [c.name for c in report.checks] == ["unitarity_energy", "picture_equivalence"]
+
+    def test_relative_conservation_reports_its_boundary_weight(self):
+        checks = dynamics_checks({"check": "relative_conservation", "n_max": 4,
+                                  "t_max": 1.0, "steps": 10})
+        spin = checks["spin_casimir_conserved"]
+        assert spin.passed
+        # the top shell takes part by construction, so the weight is reported, not gated
+        assert 0.0 < spin.metrics["max_boundary_weight"] <= 1.0
 
     def test_state_vector_is_sized_by_the_full_space(self):
         vec = [[0.0, 0.0]] * 16

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hrsym import (
     GlobalUnits,
@@ -18,12 +19,27 @@ from hrsym import (
     relative_mode_system,
     tensor_rep,
 )
+from hrsym import ladder
 from hrsym.ladder import coherent_state
+from hrsym.scenarios import SUITES, run_scenario, scenario_from_dict
 from hrsym.spin import J_PAIRS
 
 
 def norm2(m):
     return np.linalg.norm(m, 2)
+
+
+def count_expm(monkeypatch) -> list:
+    """Record every scipy.linalg.expm call, as the flows reach it, in the returned list."""
+    calls = []
+    real = scipy.linalg.expm
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +256,20 @@ class TestEhrenfest:
         result = ehrenfest_check(rep, h, psi0, np.linspace(0, 0.1, 11))
         assert not result.reliable
 
+    def test_returns_its_flow_and_honours_the_leakage_threshold(self):
+        rep = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=12))
+        h = hamiltonian_physical(rep, PotentialSpec("poly_x", (0.0, 0.0, 0.5)))
+        psi0 = coherent_state(12, 1.0)
+        ts = np.linspace(0, 1, 21)
+        result = ehrenfest_check(rep, h, psi0, ts)
+        assert result.reliable
+        assert np.array_equal(result.flow.observable_traces["p0"], result.p_traces[0])
+        assert np.array_equal(result.flow.observable_traces["x0"], result.x_traces[0])
+        bw = result.flow.max_boundary_weight
+        assert 0.0 < bw <= 1e-6
+        tight = ehrenfest_check(rep, h, psi0, ts, leakage_threshold=bw / 2)
+        assert not tight.reliable and not tight.flow.reliable
+
 
 class TestFlowDichotomy:
     def test_identical_flows(self, rep32):
@@ -366,3 +396,81 @@ class TestComDecoupling:
         assert np.max(np.abs(trace - trace[0])) <= 1e-9
         result = ehrenfest_check(comp, h, psi0, ts)
         assert result.max_residual <= 1e-5
+
+
+class TestPropagationCount:
+    def test_com_decoupling_scenario_propagates_once(self, monkeypatch):
+        raw = next(r for r in SUITES["paper-full"]() if r["payload"].get("check") == "com_decoupling")
+        calls = count_expm(monkeypatch)
+        report = run_scenario(scenario_from_dict(raw))
+        assert report.passed
+        assert calls == [(784, 784)]
+
+    def test_uniform_grid_takes_one_exponential(self, rep32, monkeypatch):
+        h = hamiltonian_physical(rep32, PotentialSpec("poly_x", (0.0, 0.0, 0.5)))
+        calls = count_expm(monkeypatch)
+        flow = evolve_state(h, coherent_state(32, 0.5), np.linspace(0.0, 6.0, 61))
+        assert len(flow.times) == 61
+        assert len(calls) == 1
+
+    def test_non_uniform_grid_is_exact(self, rep32, monkeypatch):
+        h = hamiltonian_physical(rep32, PotentialSpec("poly_x", (0.0, 0.3, 0.5)))
+        psi0 = coherent_state(32, 0.4 + 0.2j)
+        times = [0.0, 0.1, 0.3, 0.35]
+        want = [scipy.linalg.expm(-1j * t * h) @ psi0 for t in times]
+        calls = count_expm(monkeypatch)
+        flow = evolve_state(h, psi0, times)
+        assert len(calls) == 3  # steps 0.1, 0.2 and 0.05
+        for state, expected in zip(flow.states, want):
+            assert np.max(np.abs(state - expected)) <= 1e-12
+
+
+class TestSparseAssembly:
+    @staticmethod
+    def dense_poly(base, coefficients):
+        acc = np.zeros(base.shape, dtype=complex)
+        power = np.eye(base.shape[0], dtype=complex)
+        for k, c in enumerate(coefficients):
+            if k > 0:
+                power = power @ base
+            acc = acc + c * power
+        return acc
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.fixture(scope="class")
+    def comp(self):
+        a = build_particle_rep(RepConfig(mass=1.0, dims=2, levels=5))
+        b = build_particle_rep(RepConfig(mass=2.5, dims=2, levels=5))
+        return tensor_rep(a, b)
+
+    def test_square_sum_matches_dense_products(self, comp):
+        for ops in (comp.P, comp.Q, comp.R, comp.X):
+            self.assert_close(ladder.square_sum(ops), sum(m @ m for m in ops))
+
+    def test_square_sum_of_dense_input(self):
+        rng = np.random.default_rng(7)
+        ops = [rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)) for _ in range(3)]
+        self.assert_close(ladder.square_sum(ops), sum(m @ m for m in ops))
+
+    @pytest.mark.parametrize("degree", range(5))
+    def test_poly_in_matches_dense_powers(self, comp, degree):
+        rr = sum(r @ r for r in comp.R)
+        coefficients = [0.7, -0.3, 0.05, 0.01, -0.002][: degree + 1]
+        self.assert_close(ladder.poly_in(rr, coefficients), self.dense_poly(rr, coefficients))
+
+    def test_poly_in_skips_zero_coefficients(self, comp):
+        rr = sum(r @ r for r in comp.R)
+        assert not np.any(ladder.poly_in(rr, (0.0, 0.0, 0.0)))
+        self.assert_close(ladder.poly_in(rr, (0.0, 0.0, 1.5)), 1.5 * rr @ rr)
+        quartic = (0.0, 0.0, 0.0, 0.0, 2.0)
+        self.assert_close(ladder.poly_in(rr, quartic), self.dense_poly(rr, quartic))
+
+    def test_poly_in_of_dense_non_banded_input(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+        base = (a + a.conj().T) / 2.0
+        coefficients = (1.0, 0.0, -0.5, 0.25, 0.125)
+        self.assert_close(ladder.poly_in(base, coefficients), self.dense_poly(base, coefficients))
