@@ -32,7 +32,10 @@ __all__ = [
 
 
 class CompositeRep(ladder.OperatorSystem):
-    """Tensor product of two single-particle representations; `mass` is the total mass."""
+    """Tensor product of two single-particle representations; `mass` is the total mass.
+
+    Every generator and observable is a sparse `ladder.Operator`.
+    """
 
     def __init__(self, rep_a: ParticleRep, rep_b: ParticleRep):
         ca, cb = rep_a.config, rep_b.config
@@ -47,24 +50,24 @@ class CompositeRep(ladder.OperatorSystem):
         self.reduced_mass = ca.mass * cb.mass / self.mass
         self.dim = rep_a.dim * rep_b.dim
 
-        eye_a = np.eye(rep_a.dim, dtype=complex)
-        eye_b = np.eye(rep_b.dim, dtype=complex)
-
-        def lift(op_a, op_b):
-            return np.kron(op_a, eye_b) + np.kron(eye_a, op_b)
-
-        d = self.dims
-        self.K = [lift(rep_a.K[i], rep_b.K[i]) for i in range(d)]
-        self.P = [lift(rep_a.P[i], rep_b.P[i]) for i in range(d)]
-        self.M = lift(rep_a.M, rep_b.M)
-        self.J = {pair: lift(rep_a.J[pair], rep_b.J[pair]) for pair in rep_a.J}
+        xa, xb = [self.lift_a(op) for op in rep_a.X], [self.lift_b(op) for op in rep_b.X]
+        pa, pb = [self.lift_a(op) for op in rep_a.P], [self.lift_b(op) for op in rep_b.P]
+        self.P = [a + b for a, b in zip(pa, pb)]
+        # the lift of K = m X, i.e. m_a X_a (x) I + I (x) m_b X_b, with the lifted X reused
+        self.K = [ca.mass * a + cb.mass * b for a, b in zip(xa, xb)]
+        self.M = self.lift_a(rep_a.M) + self.lift_b(rep_b.M)
+        self.J = {pair: self.lift_a(rep_a.J[pair]) + self.lift_b(rep_b.J[pair]) for pair in rep_a.J}
         self.X = [op / self.mass for op in self.K]
-        self.R = [np.kron(rep_a.X[i], eye_b) - np.kron(eye_a, rep_b.X[i]) for i in range(d)]
-        self.Q = [
-            (cb.mass * np.kron(rep_a.P[i], eye_b) - ca.mass * np.kron(eye_a, rep_b.P[i]))
-            / self.mass
-            for i in range(d)
-        ]
+        self.R = [a - b for a, b in zip(xa, xb)]
+        self.Q = [(cb.mass * a - ca.mass * b) / self.mass for a, b in zip(pa, pb)]
+
+    def lift_a(self, op) -> ladder.Operator:
+        """op (x) I on the product space."""
+        return ladder.embed(op, 0, (self.rep_a.dim, self.rep_b.dim))
+
+    def lift_b(self, op) -> ladder.Operator:
+        """I (x) op on the product space."""
+        return ladder.embed(op, 1, (self.rep_a.dim, self.rep_b.dim))
 
     def interior_indices(self, margin: int) -> np.ndarray:
         ia = self.rep_a.interior_indices(margin)
@@ -93,12 +96,7 @@ def com_position(comp: CompositeRep) -> list:
 
 def naive_position_sum(comp: CompositeRep) -> list:
     """The additive position sum; non-physical, kept as a failure witness."""
-    eye_a = np.eye(comp.rep_a.dim, dtype=complex)
-    eye_b = np.eye(comp.rep_b.dim, dtype=complex)
-    return [
-        np.kron(comp.rep_a.X[i], eye_b) + np.kron(eye_a, comp.rep_b.X[i])
-        for i in range(comp.dims)
-    ]
+    return [comp.lift_a(xa) + comp.lift_b(xb) for xa, xb in zip(comp.rep_a.X, comp.rep_b.X)]
 
 
 def relative_ops(comp: CompositeRep):
@@ -124,7 +122,7 @@ def _fit_pair(label, ops_a, ops_b, expected, idx, tol, non_physical=False) -> Cc
     diag = []
     for i in range(d):
         comm = ops_a[i] @ ops_b[i] - ops_b[i] @ ops_a[i]
-        diag.append((-1j * comm)[np.ix_(idx, idx)])
+        diag.append(ladder.block(-1j * comm, idx))
     coeff, residual = ladder.interior_scalar_fit(diag)
     offdiag = 0.0
     for i in range(d):
@@ -132,7 +130,7 @@ def _fit_pair(label, ops_a, ops_b, expected, idx, tol, non_physical=False) -> Cc
             if i == j:
                 continue
             comm = ops_a[i] @ ops_b[j] - ops_b[j] @ ops_a[i]
-            offdiag = max(offdiag, ladder.spectral_norm(comm[np.ix_(idx, idx)]))
+            offdiag = max(offdiag, ladder.spectral_norm(ladder.block(comm, idx)))
     passed = abs(coeff - expected) <= tol and residual <= tol and offdiag <= tol
     return CcrCoefficientReport(
         pair=label,

@@ -332,7 +332,7 @@ def extra_casimir_check(
     h = hamiltonian if hamiltonian is not None else hamiltonian_galilei(rep, calV)
     g = 2.0 * rep.M @ h - ladder.square_sum(rep.P)
     idx = rep.interior_indices(margin)
-    fitted, deviation = ladder.interior_scalar_fit([g[np.ix_(idx, idx)]])
+    fitted, deviation = ladder.interior_scalar_fit([ladder.block(g, idx)])
     expected = 2.0 * rep.mass * calV
     value_err = abs(fitted - expected)
     report = VerificationReport(f"extra_casimir[m={rep.mass}, calV={calV}]")

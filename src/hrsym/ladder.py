@@ -1,6 +1,15 @@
-"""Truncated oscillator ladder matrices and tensor-slot helpers."""
+"""Truncated oscillator ladder matrices and tensor-slot helpers.
+
+Every representation operator is an `Operator`: a CSR array built by one
+sparse Kron embedding.  Ladder generators are two-diagonal, so products and
+commutators stay banded and cheap; only the interior restrictions that feed
+an exact spectral norm or a scalar fit are made dense, by `block`.
+"""
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 import scipy.sparse
@@ -26,12 +35,49 @@ def top_level_projector(n: int) -> np.ndarray:
     return out
 
 
-def embed(op: np.ndarray, slot: int, factor_dims) -> np.ndarray:
-    """Kron-lift `op` onto one slot of a product space (slot 0 is leftmost)."""
-    out = np.eye(1, dtype=complex)
-    for k, d in enumerate(factor_dims):
-        out = np.kron(out, op if k == slot else np.eye(d, dtype=complex))
-    return out
+class Operator(scipy.sparse.csr_array):
+    """A complex CSR operator; `+`, `-`, `@` and scalar products keep the type.
+
+    Being an array rather than a matrix, `op @ ndarray` and `op + ndarray`
+    give plain ndarrays.  `nbytes` counts the stored CSR buffers.
+    """
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
+def identity(n: int) -> Operator:
+    return Operator(scipy.sparse.eye_array(n, dtype=complex, format="csr"))
+
+
+def embed(op, slot: int, factor_dims) -> Operator:
+    """Kron-lift square `op` (dense or sparse) onto one slot of a product space.
+
+    Slot 0 is leftmost.  I_left (x) op (x) I_right is assembled directly in
+    CSR form, with the entries of `op` copied unchanged.
+    """
+    a = scipy.sparse.csr_array(op, dtype=complex)
+    left, right = math.prod(factor_dims[:slot]), math.prod(factor_dims[slot + 1:])
+    # op (x) I_right: row (i, k) carries row i of op at columns j * right + k
+    counts = np.repeat(np.diff(a.indptr), right)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    src = np.repeat(np.repeat(a.indptr[:-1], right) - indptr[:-1], counts) + np.arange(indptr[-1])
+    cols = a.indices[src] * right + np.repeat(np.tile(np.arange(right), a.shape[0]), counts)
+    # I_left (x) that block: the block repeated down the diagonal
+    size = a.shape[0] * right
+    cols = (np.arange(left)[:, None] * size + cols).ravel()
+    indptr = np.concatenate(([0], (np.arange(left)[:, None] * indptr[-1] + indptr[1:]).ravel()))
+    n = left * size
+    index = np.int32 if max(n, indptr[-1]) <= np.iinfo(np.int32).max else np.int64
+    return Operator((np.tile(a.data[src], left), cols.astype(index), indptr.astype(index)), shape=(n, n))
+
+
+def block(op, idx) -> np.ndarray:
+    """Dense restriction of `op` to the rows and columns `idx`."""
+    if scipy.sparse.issparse(op):
+        return op[idx][:, idx].toarray()
+    return np.asarray(op)[np.ix_(idx, idx)]
 
 
 def occupations(levels: int, dims: int) -> np.ndarray:
@@ -67,17 +113,23 @@ class OperatorSystem:
     `hamiltonian(pot)`.
     """
 
-    def boundary_weight(self, state: np.ndarray) -> float:
-        """Probability outside the margin-1 interior, i.e. on the truncation boundary.
+    @functools.cached_property
+    def boundary_indices(self) -> np.ndarray:
+        """Flat indices outside the margin-1 interior, i.e. on the truncation boundary.
 
         A system too small for a margin-1 interior is all boundary.
         """
+        outside = np.ones(self.dim, dtype=bool)
         try:
-            idx = self.interior_indices(1)
+            outside[self.interior_indices(1)] = False
         except ValueError:
-            idx = np.array([], dtype=int)
-        inside = float(np.vdot(state[idx], state[idx]).real)
-        return max(0.0, float(np.vdot(state, state).real) - inside)
+            pass
+        return np.flatnonzero(outside)
+
+    def boundary_weight(self, state: np.ndarray) -> float:
+        """Probability on the truncation boundary, summed there to relative rounding."""
+        edge = state[self.boundary_indices]
+        return float(np.vdot(edge, edge).real)
 
 
 def coherent_state(levels: int, alpha: complex) -> np.ndarray:
@@ -126,14 +178,14 @@ def square_sum(ops) -> np.ndarray:
     Ladder-built operators are banded, so the sparse product costs a small
     fraction of the dense one.
     """
-    return sum(m @ m for m in map(scipy.sparse.csr_matrix, ops)).toarray()
+    return sum(m @ m for m in map(Operator, ops)).toarray()
 
 
 def poly_in(base, coefficients) -> np.ndarray:
     """sum_k coefficients[k] * base**k as a dense matrix, powers raised in CSR form."""
-    base = scipy.sparse.csr_matrix(base)
-    power = scipy.sparse.identity(base.shape[0], dtype=complex, format="csr")
-    acc = scipy.sparse.csr_matrix(base.shape, dtype=complex)
+    base = Operator(base)
+    power = identity(base.shape[0])
+    acc = Operator(base.shape, dtype=complex)
     for k, c in enumerate(coefficients):
         if k == 1:
             power = base

@@ -100,7 +100,7 @@ def rep_config_from_json(payload: dict) -> RepConfig:
 
 
 class ParticleRep(ladder.OperatorSystem):
-    """Concrete matrices for one particle; built by build_particle_rep."""
+    """Sparse operators for one particle; built by build_particle_rep."""
 
     def __init__(self, config: RepConfig):
         self.config = config
@@ -108,7 +108,12 @@ class ParticleRep(ladder.OperatorSystem):
         units = self.units = config.units
         m = self.mass = config.mass
         self.dims = d
+        self.spin_rep: SpinRep | None = None
+        # a spin block is the trailing tensor factor, spatial factors come first
         factor_dims = (n,) * d
+        if config.spin > 0:
+            self.spin_rep = spin_matrices(config.spin, units.hbar)
+            factor_dims += (self.spin_rep.dim,)
 
         x1 = ladder.position(n, m, units.omega_ref, units.hbar)
         p1 = ladder.momentum(n, m, units.omega_ref, units.hbar)
@@ -119,25 +124,14 @@ class ParticleRep(ladder.OperatorSystem):
         for i, j in J_PAIRS:
             if i <= d and j <= d:
                 j_ops[(i, j)] = x_ops[i - 1] @ p_ops[j - 1] - p_ops[i - 1] @ x_ops[j - 1]
-
-        self.spin_rep: SpinRep | None = None
-        if config.spin > 0:
-            self.spin_rep = spin_matrices(config.spin, units.hbar)
-            s_dim = self.spin_rep.dim
-            eye_s = np.eye(s_dim, dtype=complex)
-            x_ops = [np.kron(op, eye_s) for op in x_ops]
-            p_ops = [np.kron(op, eye_s) for op in p_ops]
-            eye_space = np.eye(config.space_dim, dtype=complex)
-            j_ops = {
-                pair: np.kron(op, eye_s) + np.kron(eye_space, self.spin_rep.components[pair])
-                for pair, op in j_ops.items()
-            }
+                if self.spin_rep is not None:
+                    j_ops[(i, j)] += ladder.embed(self.spin_rep.components[(i, j)], d, factor_dims)
 
         self.X = x_ops
         self.P = p_ops
         self.K = [m * op for op in x_ops]
         self.J = j_ops
-        self.M = m * np.eye(config.dim, dtype=complex)
+        self.M = m * ladder.identity(config.dim)
         self.dim = config.dim
 
     def interior_indices(self, margin: int) -> np.ndarray:
@@ -158,12 +152,12 @@ class ParticleRep(ladder.OperatorSystem):
             h = h + v
         return h
 
-    def generator_matrix(self, name: str) -> np.ndarray:
-        """Matrix realizing a generator by catalog name (K1, P2, J12, M, ...)."""
+    def generator_matrix(self, name: str) -> ladder.Operator:
+        """Operator realizing a generator by catalog name (K1, P2, J12, M, ...)."""
         if name == "M":
             return self.M
         if name == "I":
-            return np.eye(self.dim, dtype=complex)
+            return ladder.identity(self.dim)
         if name.startswith("J") and len(name) == 3:
             pair = (int(name[1]), int(name[2]))
             if pair in self.J:
@@ -245,7 +239,7 @@ def verify_homomorphism(rep: ParticleRep, alg, margin: int | None = None, tol: f
                 report.skipped.append(f"[{na},{nb}]")
                 continue
             ga, gb = realized[na], realized[nb]
-            expected = np.zeros_like(ga)
+            expected = ladder.Operator(ga.shape, dtype=complex)
             for (k, f), tname in zip(targets, target_names):
                 expected = expected + float(f) * realized[tname]
             defect = ga @ gb - gb @ ga - 1j * hbar * expected
@@ -253,7 +247,7 @@ def verify_homomorphism(rep: ParticleRep, alg, margin: int | None = None, tol: f
                 _DEGREE[na[0]] + _DEGREE[nb[0]], rep.config.levels - 1
             )
             idx = rep.interior_indices(pair_margin)
-            norm = ladder.spectral_norm(defect[np.ix_(idx, idx)])
+            norm = ladder.spectral_norm(ladder.block(defect, idx))
             report.add(
                 f"[{na},{nb}]",
                 norm <= tol,

@@ -361,7 +361,7 @@ def _run_single_rep(sc: Scenario, tols) -> list:
     hbar = config.units.hbar
     checks = []
 
-    m_dev = float(np.max(np.abs(rep.M - config.mass * np.eye(rep.dim))))
+    m_dev = float(abs(rep.M - config.mass * ladder.identity(rep.dim)).max())
     checks.append(
         CheckResult(
             name="mass_scalar",
@@ -393,11 +393,10 @@ def _run_single_rep(sc: Scenario, tols) -> list:
         worst_raw = 0.0
         for i in range(config.dims):
             comm = rep.X[i] @ rep.P[i] - rep.P[i] @ rep.X[i]
-            top = ladder.embed(ladder.top_level_projector(n), i, (n,) * config.dims)
-            if config.spin_multiplicity > 1:
-                top = np.kron(top, np.eye(config.spin_multiplicity))
-            expected = 1j * hbar * (np.eye(rep.dim) - n * top)
-            worst_raw = max(worst_raw, float(np.max(np.abs(comm - expected))))
+            factor_dims = (n,) * config.dims + (config.spin_multiplicity,)
+            top = ladder.embed(ladder.top_level_projector(n), i, factor_dims)
+            expected = 1j * hbar * (ladder.identity(rep.dim) - n * top)
+            worst_raw = max(worst_raw, float(abs(comm - expected).max()))
         checks.append(
             CheckResult(
                 name="raw_boundary_defect",
@@ -416,7 +415,7 @@ def _run_single_rep(sc: Scenario, tols) -> list:
         worst_z = 0.0
         for i in range(config.dims):
             comm = zrep.X[i] @ zrep.P[i] - zrep.P[i] @ zrep.X[i]
-            block = comm[np.ix_(idx, idx)] - 1j * hbar * zeta * np.eye(len(idx))
+            block = ladder.block(comm, idx) - 1j * hbar * zeta * np.eye(len(idx))
             worst_z = max(worst_z, ladder.spectral_norm(block))
         checks.append(
             CheckResult(
@@ -433,12 +432,12 @@ def _run_single_rep(sc: Scenario, tols) -> list:
         mass = config.mass
         if config.spin > 0:
             worst_t = 0.0
-            eye_space = np.eye(config.space_dim)
+            factor_dims = (config.space_dim, config.spin_multiplicity)
             for pair in J_PAIRS:
-                expected = mass * np.kron(eye_space, rep.spin_rep.components[pair])
-                worst_t = max(worst_t, float(np.max(np.abs(t[pair] - expected))))
+                expected = mass * ladder.embed(rep.spin_rep.components[pair], 1, factor_dims)
+                worst_t = max(worst_t, float(abs(t[pair] - expected).max()))
         else:
-            worst_t = max(float(np.max(np.abs(t[pair]))) for pair in J_PAIRS)
+            worst_t = max(float(abs(t[pair]).max()) for pair in J_PAIRS)
         value = casimir_spin_value(rep)
         s_err = abs(value.s - config.spin)
         checks.append(
@@ -471,7 +470,7 @@ def _run_composite(sc: Scenario, tols) -> list:
     checks = []
 
     total = cfg_a.mass + cfg_b.mass
-    m_dev = float(np.max(np.abs(comp.M - total * np.eye(comp.dim))))
+    m_dev = float(abs(comp.M - total * ladder.identity(comp.dim)).max())
     checks.append(
         CheckResult(
             name="mass_additivity",

@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse
 
 from . import ladder
 
@@ -145,7 +144,7 @@ def casimir_spin_value(rep, margin: int = 1, tol: float = 1e-8) -> SpinCasimirVa
     t = t_tensor(rep)
     c_op = sum(t[p] @ t[p] for p in J_PAIRS) / rep.mass**2
     idx = rep.interior_indices(margin)
-    fitted, deviation = ladder.interior_scalar_fit([c_op[np.ix_(idx, idx)]])
+    fitted, deviation = ladder.interior_scalar_fit([ladder.block(c_op, idx)])
     if deviation > tol * max(1.0, abs(fitted)):
         raise NonScalarCasimirError(fitted, deviation)
     s_val, _, _ = spin_from_casimir(fitted, rep.units.hbar)
@@ -285,15 +284,6 @@ def brute_force_addition(s_a, s_b) -> tuple:
 # relative-mode system for dynamics
 # ---------------------------------------------------------------------------
 
-def _sparse_embed(op: np.ndarray, slot: int, factor_dims) -> scipy.sparse.csr_matrix:
-    # cube ladder operators are two-diagonal, so build products sparsely
-    out = scipy.sparse.identity(1, format="csr", dtype=complex)
-    for k, d in enumerate(factor_dims):
-        blk = scipy.sparse.csr_matrix(op) if k == slot else scipy.sparse.identity(d, dtype=complex)
-        out = scipy.sparse.kron(out, blk, format="csr")
-    return out
-
-
 class _RelativeCube:
     """Sparse relative R_i, Q_i on a 3-D oscillator cube, restricted to total quanta <= n_max.
 
@@ -306,18 +296,17 @@ class _RelativeCube:
     def __init__(self, n_max: int, mass: float, omega: float, hbar: float, headroom: int):
         levels = n_max + 1 + headroom
         dims3 = (levels,) * 3
-        self.r = [_sparse_embed(ladder.position(levels, mass, omega, hbar), k, dims3) for k in range(3)]
-        self.q = [_sparse_embed(ladder.momentum(levels, mass, omega, hbar), k, dims3) for k in range(3)]
+        self.r = [ladder.embed(ladder.position(levels, mass, omega, hbar), k, dims3) for k in range(3)]
+        self.q = [ladder.embed(ladder.momentum(levels, mass, omega, hbar), k, dims3) for k in range(3)]
         self.keep, self.basis = ladder.total_quanta_restriction(levels, n_max)
 
-    def orbital(self, pair) -> scipy.sparse.csr_matrix:
+    def orbital(self, pair) -> ladder.Operator:
         i, j = pair
         return self.r[i - 1] @ self.q[j - 1] - self.q[i - 1] @ self.r[j - 1]
 
     def lift(self, op, spin_block: int) -> np.ndarray:
         """Restrict a cube operator and repeat it across the spin block."""
-        block = op.tocsr()[self.keep][:, self.keep].toarray()
-        return np.kron(block, np.eye(spin_block))
+        return np.kron(ladder.block(op, self.keep), np.eye(spin_block))
 
 
 def _add_spins(orbital: dict, spin_a: SpinRep, spin_b: SpinRep) -> dict:
@@ -365,7 +354,7 @@ class RelativeModeRep(ladder.OperatorSystem):
         rr = sum(m @ m for m in cube.r)
         self.kinetic = cube.lift(qq, spin_block) / (2.0 * self.mass)
         self.radial = {0: np.eye(self.dim, dtype=complex)}
-        power = scipy.sparse.identity(rr.shape[0], format="csr", dtype=complex)
+        power = ladder.identity(rr.shape[0])
         for k in range(1, self.max_power + 1):
             power = power @ rr
             self.radial[k] = cube.lift(power, spin_block)

@@ -101,7 +101,7 @@ def test_criterion_03_mass_casimir_and_additivity():
     for _ in range(10):
         m = float(rng.uniform(1e-3, 10.0))
         rep = build_particle_rep(RepConfig(mass=m, dims=1, levels=5))
-        ok = ok and np.array_equal(rep.M, m * np.eye(5))
+        ok = ok and np.array_equal(rep.M.toarray(), m * np.eye(5))
     for _ in range(10):
         m_a = float(rng.uniform(1e-3, 10.0))
         m_b = float(rng.uniform(1e-3, 10.0))
@@ -109,7 +109,7 @@ def test_criterion_03_mass_casimir_and_additivity():
             build_particle_rep(RepConfig(mass=m_a, dims=1, levels=3)),
             build_particle_rep(RepConfig(mass=m_b, dims=1, levels=3)),
         )
-        ok = ok and np.array_equal(comp.M, (m_a + m_b) * np.eye(comp.dim))
+        ok = ok and np.array_equal(comp.M.toarray(), (m_a + m_b) * np.eye(comp.dim))
     announce(3, ok, "M = m*Id exactly, composite M = (m_a+m_b)*Id exactly, 10 random draws each")
 
 

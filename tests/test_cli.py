@@ -303,6 +303,18 @@ class TestToleranceOverrides:
         assert not tight["ehrenfest_velocity"].metrics["reliable"]
         assert not tight["ehrenfest_velocity"].passed
 
+    def test_zero_leakage_flags_a_tiny_boundary_weight(self, tmp_path):
+        # a trapped coherent packet keeps a top-level weight near 4e-37, far below
+        # the rounding of its total norm
+        payload = {**EHRENFEST, "levels": 24, "alpha": [0.5, 0.0]}
+        path = tmp_path / "dyn.json"
+        path.write_text(json.dumps({"kind": "dynamics", "payload": payload}))
+        assert run_cli("verify", "dynamics", str(path)).returncode == 0
+        proc = run_cli("verify", "dynamics", str(path), "--tol", "leakage=0")
+        assert proc.returncode == 1
+        metrics = json.loads(proc.stdout)["checks"][0]["metrics"]
+        assert metrics["reliable"] is False
+
 
 class TestSuites:
     def test_core_suite_passes_quickly(self):

@@ -33,7 +33,7 @@ def desk_pair(m_a=1.0, m_b=2.0, levels=8, dims=1):
 class TestLiftedGenerators:
     def test_mass_additivity_exact(self):
         comp = desk_pair(1.0, 2.0)
-        assert np.array_equal(comp.M, 3.0 * np.eye(comp.dim))
+        assert np.array_equal(comp.M.toarray(), 3.0 * np.eye(comp.dim))
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -42,14 +42,14 @@ class TestLiftedGenerators:
     )
     def test_mass_additivity_random(self, m_a, m_b):
         comp = desk_pair(m_a, m_b, levels=3)
-        assert np.array_equal(comp.M, (m_a + m_b) * np.eye(comp.dim))
+        assert np.array_equal(comp.M.toarray(), (m_a + m_b) * np.eye(comp.dim))
 
     def test_momentum_lift_entrywise(self):
         a = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=4))
         b = build_particle_rep(RepConfig(mass=2.0, dims=1, levels=4))
         comp = tensor_rep(a, b)
-        expected = np.kron(a.P[0], np.eye(4)) + np.kron(np.eye(4), b.P[0])
-        assert np.array_equal(comp.P[0], expected)
+        expected = np.kron(a.P[0].toarray(), np.eye(4)) + np.kron(np.eye(4), b.P[0].toarray())
+        assert np.array_equal(comp.P[0].toarray(), expected)
 
     def test_reduced_mass(self):
         comp = desk_pair(1.0, 2.0)
@@ -77,7 +77,7 @@ class TestLiftedGenerators:
         alpha = 0.75
         combo_a = alpha * a.K[0] + a.P[0]
         combo_b = alpha * b.K[0] + b.P[0]
-        lifted_combo = np.kron(combo_a, np.eye(4)) + np.kron(np.eye(4), combo_b)
+        lifted_combo = np.kron(combo_a.toarray(), np.eye(4)) + np.kron(np.eye(4), combo_b.toarray())
         assert np.max(np.abs(lifted_combo - (alpha * comp.K[0] + comp.P[0]))) <= 1e-15
 
     def test_lift_preserves_brackets_on_interior(self):
@@ -87,14 +87,14 @@ class TestLiftedGenerators:
         idx = comp.interior_indices(2)
         k, p = comp.K[0], comp.P[0]
         comm = k @ p - p @ k
-        assert norm2((comm - 1j * comp.M)[np.ix_(idx, idx)]) <= 1e-10
+        assert norm2((comm - 1j * comp.M).toarray()[np.ix_(idx, idx)]) <= 1e-10
 
     def test_lift_preserves_rotation_brackets(self):
         comp = desk_pair(1.0, 2.0, levels=4, dims=2)
         idx = comp.interior_indices(2)
         j, k1, k2 = comp.J[(1, 2)], comp.K[0], comp.K[1]
         comm = j @ k1 - k1 @ j
-        assert norm2((comm - 1j * k2)[np.ix_(idx, idx)]) <= 1e-10
+        assert norm2((comm - 1j * k2).toarray()[np.ix_(idx, idx)]) <= 1e-10
 
 
 class TestComPosition:
@@ -102,14 +102,15 @@ class TestComPosition:
         comp = desk_pair(1.0, 2.0)
         a, b = comp.rep_a, comp.rep_b
         weighted = (
-            1.0 * np.kron(a.X[0], np.eye(b.dim)) + 2.0 * np.kron(np.eye(a.dim), b.X[0])
+            1.0 * np.kron(a.X[0].toarray(), np.eye(b.dim))
+            + 2.0 * np.kron(np.eye(a.dim), b.X[0].toarray())
         ) / 3.0
         assert np.max(np.abs(com_position(comp)[0] - weighted)) <= 1e-15
 
     def test_equal_masses_arithmetic_mean(self):
         comp = desk_pair(1.5, 1.5)
         a, b = comp.rep_a, comp.rep_b
-        mean = 0.5 * (np.kron(a.X[0], np.eye(b.dim)) + np.kron(np.eye(a.dim), b.X[0]))
+        mean = 0.5 * (np.kron(a.X[0].toarray(), np.eye(b.dim)) + np.kron(np.eye(a.dim), b.X[0].toarray()))
         assert np.max(np.abs(com_position(comp)[0] - mean)) <= 1e-15
 
     def test_heavy_mass_limit_scaling(self):
@@ -121,7 +122,7 @@ class TestComPosition:
             b = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=4))
             comp = tensor_rep(a, b)
             idx = comp.interior_indices(1)
-            x_heavy = np.kron(a.X[0], np.eye(4))
+            x_heavy = np.kron(a.X[0].toarray(), np.eye(4))
             num = norm2((com_position(comp)[0] - x_heavy)[np.ix_(idx, idx)])
             den = norm2(x_heavy[np.ix_(idx, idx)])
             assert num / den <= bound
@@ -129,7 +130,7 @@ class TestComPosition:
 
     def test_naive_sum_is_hermitian_but_different(self):
         comp = desk_pair(1.0, 2.0)
-        naive = naive_position_sum(comp)[0]
+        naive = naive_position_sum(comp)[0].toarray()
         assert np.max(np.abs(naive - naive.conj().T)) <= 1e-15
         assert norm2(naive - com_position(comp)[0]) > 0.1
 
@@ -145,7 +146,7 @@ class TestRelativeObservables:
     def test_equal_mass_relative_momentum(self):
         comp = desk_pair(2.0, 2.0, levels=4)
         a, b = comp.rep_a, comp.rep_b
-        expected = 0.5 * (np.kron(a.P[0], np.eye(4)) - np.kron(np.eye(4), b.P[0]))
+        expected = 0.5 * (np.kron(a.P[0].toarray(), np.eye(4)) - np.kron(np.eye(4), b.P[0].toarray()))
         assert np.max(np.abs(comp.Q[0] - expected)) <= 1e-15
 
     def test_relative_ops_hermitian(self):
@@ -165,7 +166,7 @@ class TestRelativeObservables:
         ]
         for a_op, b_op in pairs:
             comm = a_op @ b_op - b_op @ a_op
-            assert norm2(comm[np.ix_(idx, idx)]) <= 1e-12
+            assert norm2(comm.toarray()[np.ix_(idx, idx)]) <= 1e-12
 
 
 class TestCcrCoefficients:
@@ -207,15 +208,15 @@ class TestSpinfulComposite:
         b = build_particle_rep(RepConfig(mass=2.0, dims=3, levels=2, spin=0.5))
         comp = tensor_rep(a, b)
         assert comp.dim == 16 * 16
-        assert np.array_equal(comp.M, 3.0 * np.eye(comp.dim))
+        assert np.array_equal(comp.M.toarray(), 3.0 * np.eye(comp.dim))
         reports = {r.pair: r for r in verify_ccr_composite(comp, margin=1, tol=1e-12)}
         assert abs(reports["x_com:p"].coefficient - 1.0) <= 1e-12
         assert abs(reports["r:q"].coefficient - 1.0) <= 1e-12
         # the lifted rotation generator carries both spin blocks
         eye_a = np.eye(a.dim)
         eye_b = np.eye(b.dim)
-        expected = np.kron(a.J[(1, 2)], eye_b) + np.kron(eye_a, b.J[(1, 2)])
-        assert np.array_equal(comp.J[(1, 2)], expected)
+        expected = np.kron(a.J[(1, 2)].toarray(), eye_b) + np.kron(eye_a, b.J[(1, 2)].toarray())
+        assert np.array_equal(comp.J[(1, 2)].toarray(), expected)
 
 
 class TestSymmetries:
@@ -229,9 +230,9 @@ class TestSymmetries:
                 w[j * n + i, i * n + j] = 1.0
         assert np.array_equal(w @ w, np.eye(comp.dim))
         for op in (comp.P[0], comp.K[0], comp.M, com_position(comp)[0]):
-            assert np.array_equal(w @ op @ w, op)
-        assert np.array_equal(w @ comp.R[0] @ w, -comp.R[0])
-        assert np.array_equal(w @ comp.Q[0] @ w, -comp.Q[0])
+            assert np.array_equal(w @ op @ w, op.toarray())
+        assert np.array_equal(w @ comp.R[0] @ w, -comp.R[0].toarray())
+        assert np.array_equal(w @ comp.Q[0] @ w, -comp.Q[0].toarray())
 
     @settings(max_examples=25, deadline=None)
     @given(m_a=st.floats(0.01, 50.0), m_b=st.floats(0.01, 50.0))

@@ -1,5 +1,7 @@
 """Hamiltonian construction, flows, conservation, and the flow dichotomy."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -189,6 +191,15 @@ class TestEvolveState:
         flow = evolve_state(h, psi0, [0.0, 0.5], boundary_weight=rep.boundary_weight)
         assert not flow.reliable
         assert flow.max_boundary_weight > 0.9
+
+    def test_tiny_boundary_weight_is_exact_to_rounding(self):
+        # a 24-level coherent packet at alpha 0.5 keeps about 4.3e-37 on its top level
+        levels, alpha = 24, 0.5
+        rep = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=levels))
+        terms = [alpha ** (2 * n) / math.factorial(n) for n in range(levels)]
+        exact = terms[-1] / math.fsum(terms)
+        assert 1e-37 < exact < 1e-36
+        assert rep.boundary_weight(coherent_state(levels, alpha)) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 class TestEvolveObservable:

@@ -50,14 +50,14 @@ class TestLadderMatrices:
     def test_two_level_matrices_literal(self):
         rep = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=2))
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        assert np.allclose(rep.X[0], inv_sqrt2 * np.array([[0, 1], [1, 0]]), atol=1e-15)
-        assert np.allclose(rep.P[0], 1j * inv_sqrt2 * np.array([[0, -1], [1, 0]]), atol=1e-15)
+        assert np.allclose(rep.X[0].toarray(), inv_sqrt2 * np.array([[0, 1], [1, 0]]), atol=1e-15)
+        assert np.allclose(rep.P[0].toarray(), 1j * inv_sqrt2 * np.array([[0, -1], [1, 0]]), atol=1e-15)
 
     def test_mass_matrix_is_exact_scalar(self):
         for mass in (0.25, 1.0, 7.5):
             rep = build_particle_rep(RepConfig(mass=mass, dims=1, levels=5))
-            assert np.array_equal(rep.M, mass * np.eye(5))
-            assert np.array_equal(rep.K[0], mass * rep.X[0])
+            assert np.array_equal(rep.M.toarray(), mass * np.eye(5))
+            assert np.array_equal(rep.K[0].toarray(), (mass * rep.X[0]).toarray())
 
     def test_truncated_commutator_defect_sits_at_top_level(self):
         # oracle: [a, a+] truncated = Id - N |N-1><N-1|
@@ -78,7 +78,7 @@ class TestLadderMatrices:
         rep = build_particle_rep(RepConfig(mass=5.0, dims=1, levels=4, units=units))
         a = np.diag(np.sqrt(np.arange(1.0, 4)), 1)
         expected = np.sqrt(3.0 / (2 * 5.0 * 2.0)) * (a + a.T)
-        assert np.allclose(rep.X[0], expected, atol=1e-15)
+        assert np.allclose(rep.X[0].toarray(), expected, atol=1e-15)
 
 
 class TestInteriorProjector:
@@ -162,8 +162,8 @@ class TestZetaFamily:
         cfg = RepConfig(mass=1.0, dims=1, levels=6)
         z = build_zeta_rep(1.0, cfg)
         rep = build_particle_rep(cfg)
-        assert np.array_equal(z.X[0], rep.X[0])
-        assert np.array_equal(z.P[0], rep.P[0])
+        assert np.array_equal(z.X[0].toarray(), rep.X[0].toarray())
+        assert np.array_equal(z.P[0].toarray(), rep.P[0].toarray())
         assert z.zeta == 1.0
 
     def test_zero_zeta_rejected(self):
@@ -195,7 +195,7 @@ class TestZetaFamily:
         idx = build_particle_rep(cfg).interior_indices(1)
 
         def central(z):
-            return (-1j * (z.X[0] @ z.P[0] - z.P[0] @ z.X[0]))[np.ix_(idx, idx)]
+            return (-1j * (z.X[0] @ z.P[0] - z.P[0] @ z.X[0])).toarray()[np.ix_(idx, idx)]
 
         diff = central(build_zeta_rep(1.0, cfg)) - central(build_zeta_rep(2.5, cfg))
         assert np.allclose(diff, -1.5 * np.eye(len(idx)), atol=1e-12)

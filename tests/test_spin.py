@@ -119,7 +119,7 @@ class TestSpinTensor:
         rep = build_particle_rep(RepConfig(mass=2.0, dims=3, levels=2, spin=0.5))
         t = t_tensor(rep)
         tt = sum(t[p] @ t[p] for p in J_PAIRS)
-        vals = np.linalg.eigvalsh(tt)
+        vals = np.linalg.eigvalsh(tt.toarray())
         assert np.max(np.abs(vals - 3.0)) <= 1e-12
 
     def test_two_dimensional_rep_rejected(self):
