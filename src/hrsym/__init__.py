@@ -68,6 +68,7 @@ from .spin import (
     SpinRep,
     casimir_spin_value,
     decompose_product_spins,
+    mass_times_spin,
     relative_mode_system,
     relative_spin_spectrum,
     spin_matrices,

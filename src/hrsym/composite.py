@@ -78,8 +78,9 @@ class CompositeRep(ladder.OperatorSystem):
         """P.P / 2m + Q.Q / 2mu + V(R.R); the interaction may depend on R only."""
         if pot.kind == "poly_x":
             raise ValueError("a composite interaction must depend on the relative separation only")
-        h = ladder.square_sum(self.P) / (2.0 * self.mass)
-        h = h + ladder.square_sum(self.Q) / (2.0 * self.reduced_mass)
+        # densified term by term: summing the CSR terms first raises the peak memory
+        h = ladder.square_sum(self.P).toarray() / (2.0 * self.mass)
+        h = h + ladder.square_sum(self.Q).toarray() / (2.0 * self.reduced_mass)
         if pot.kind == "poly_r2" and pot.coefficients:
             h = h + ladder.poly_in(ladder.square_sum(self.R), pot.coefficients)
         return h

@@ -49,13 +49,11 @@ class PotentialSpec:
     kind "poly_x" takes the coordinate operators of a single particle
     (applied per dimension and summed, so [0, 0, 0.5] is the isotropic
     harmonic well).  kind "poly_r2" takes the squared relative separation
-    R.R of a composite.  calV is the constant offset carried by the
-    free-generator Hamiltonian.
+    R.R of a composite.
     """
 
     kind: str = "none"
     coefficients: tuple = ()
-    calV: float = 0.0
 
     def __post_init__(self):
         if self.kind not in _POT_KINDS:
@@ -84,7 +82,7 @@ def hamiltonian_physical(system, pot: PotentialSpec) -> np.ndarray:
 
 def hamiltonian_galilei(rep, calV: float) -> np.ndarray:
     """P.P / 2m + calV * Id, the free-generator Hamiltonian of a single particle."""
-    return ladder.square_sum(rep.P) / (2.0 * rep.mass) + calV * np.eye(rep.dim, dtype=complex)
+    return ladder.square_sum(rep.P).toarray() / (2.0 * rep.mass) + calV * np.eye(rep.dim, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +158,6 @@ def evolve_state(
     H,
     psi0,
     times,
-    method: str = "auto",
     hbar: float = 1.0,
     observables: dict | None = None,
     boundary_weight=None,
@@ -168,9 +165,10 @@ def evolve_state(
 ) -> FlowResult:
     """Propagate psi0 along exp(-i t H / hbar) over the time grid.
 
-    `boundary_weight` is an optional callable(state) -> probability near the
-    truncation boundary; if the worst value along the flow exceeds
-    `leakage_threshold` the result is flagged unreliable.
+    Spaces up to `_DENSE_LIMIT` take dense step propagators, larger ones
+    Krylov steps.  `boundary_weight` is an optional callable(state) ->
+    probability near the truncation boundary; if the worst value along the
+    flow exceeds `leakage_threshold` the result is flagged unreliable.
     """
     t = _check_times(times)
     _check_hermitian(H)
@@ -180,33 +178,27 @@ def evolve_state(
         raise ValueError(f"initial state must be normalized (|psi| = {nrm:.12g})")
 
     dim = H.shape[0]
-    if method == "auto":
-        method = "dense" if dim <= _DENSE_LIMIT else "krylov"
-    if method not in ("dense", "krylov"):
-        raise ValueError(f"unknown method {method!r}")
-
-    states = np.empty((len(t), dim), dtype=complex)
-    if method == "dense":
+    if dim <= _DENSE_LIMIT:
         hd = H.toarray() if scipy.sparse.issparse(H) else np.asarray(H)
         steps: list = []  # (dt, propagator), one per distinct step
-        psi = psi0
-        prev = None
-        for k, tk in enumerate(t):
-            dt = tk if prev is None else tk - prev
-            if dt != 0.0:
-                psi = _step_propagator(steps, dt, hd, hbar) @ psi
-            prev = tk
-            states[k] = psi
+
+        def advance(psi, dt):
+            return _step_propagator(steps, dt, hd, hbar) @ psi
     else:
         hs = H if scipy.sparse.issparse(H) else scipy.sparse.csr_matrix(H)
-        psi = psi0
-        prev = None
-        for k, tk in enumerate(t):
-            dt = tk if prev is None else tk - prev
-            if dt != 0.0:
-                psi = scipy.sparse.linalg.expm_multiply(-1j * dt * hs / hbar, psi)
-            prev = tk
-            states[k] = psi
+
+        def advance(psi, dt):
+            return scipy.sparse.linalg.expm_multiply(-1j * dt * hs / hbar, psi)
+
+    states = np.empty((len(t), dim), dtype=complex)
+    psi = psi0
+    prev = None
+    for k, tk in enumerate(t):
+        dt = tk if prev is None else tk - prev
+        if dt != 0.0:
+            psi = advance(psi, dt)
+        prev = tk
+        states[k] = psi
 
     norm_trace = np.linalg.norm(states, axis=1)
     energy_trace = np.array([_expectation(H, s) for s in states])
@@ -249,7 +241,7 @@ class FlowComparison:
     phase: np.ndarray
 
 
-def compare_flows(H1, H2, psi0, times, method: str = "auto", hbar: float = 1.0) -> FlowComparison:
+def compare_flows(H1, H2, psi0, times, hbar: float = 1.0) -> FlowComparison:
     """Overlap traces between the two flows from a common initial state.
 
     fidelity[k] = |<psi_2(t_k)|psi_1(t_k)>|; phase[k] is the phase of flow 1
@@ -258,8 +250,8 @@ def compare_flows(H1, H2, psi0, times, method: str = "auto", hbar: float = 1.0) 
     """
     if H1.shape != H2.shape:
         raise ValueError("flow comparison needs operators on the same space")
-    f1 = evolve_state(H1, psi0, times, method=method, hbar=hbar)
-    f2 = evolve_state(H2, psi0, times, method=method, hbar=hbar)
+    f1 = evolve_state(H1, psi0, times, hbar=hbar)
+    f2 = evolve_state(H2, psi0, times, hbar=hbar)
     overlaps = np.array([np.vdot(s2, s1) for s1, s2 in zip(f1.states, f2.states)])
     return FlowComparison(times=f1.times, fidelity=np.abs(overlaps), phase=np.angle(overlaps))
 
@@ -280,9 +272,7 @@ class EhrenfestResult:
         return self.flow.reliable
 
 
-def ehrenfest_check(
-    system, H, psi0, times, method: str = "auto", leakage_threshold: float = 1e-6
-) -> EhrenfestResult:
+def ehrenfest_check(system, H, psi0, times, leakage_threshold: float = 1e-6) -> EhrenfestResult:
     """Residual of d<X>/dt - <P>/m from centered differences on the grid.
 
     The state must stay clear of the truncation boundary: a boundary weight
@@ -301,7 +291,7 @@ def ehrenfest_check(
     obs = {f"x{i}": op for i, op in enumerate(x_ops)}
     obs.update({f"p{i}": op for i, op in enumerate(p_ops)})
     flow = evolve_state(
-        H, psi0, t, method=method, hbar=system.units.hbar, observables=obs,
+        H, psi0, t, hbar=system.units.hbar, observables=obs,
         boundary_weight=system.boundary_weight, leakage_threshold=leakage_threshold,
     )
     dt = steps[0]
@@ -330,7 +320,7 @@ def extra_casimir_check(
     algebra.
     """
     h = hamiltonian if hamiltonian is not None else hamiltonian_galilei(rep, calV)
-    g = 2.0 * rep.M @ h - ladder.square_sum(rep.P)
+    g = 2.0 * rep.M @ h - ladder.square_sum(rep.P).toarray()
     idx = rep.interior_indices(margin)
     fitted, deviation = ladder.interior_scalar_fit([ladder.block(g, idx)])
     expected = 2.0 * rep.mass * calV

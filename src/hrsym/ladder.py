@@ -172,13 +172,13 @@ def interior_scalar_fit(blocks) -> tuple:
     return value, deviation
 
 
-def square_sum(ops) -> np.ndarray:
-    """sum_k ops[k] @ ops[k] as a dense matrix, multiplied in CSR form.
+def square_sum(ops) -> Operator:
+    """sum_k ops[k] @ ops[k], multiplied and summed in CSR form.
 
     Ladder-built operators are banded, so the sparse product costs a small
     fraction of the dense one.
     """
-    return sum(m @ m for m in map(Operator, ops)).toarray()
+    return sum(m @ m for m in map(Operator, ops))
 
 
 def poly_in(base, coefficients) -> np.ndarray:

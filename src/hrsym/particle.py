@@ -25,7 +25,7 @@ import numpy as np
 from . import ladder
 from .algebra import LieAlgebra, build_algebra
 from .report import VerificationReport
-from .spin import J_PAIRS, SpinRep, _as_half_integer, spin_matrices
+from .spin import J_PAIRS, _as_half_integer, spin_matrices
 
 __all__ = [
     "GlobalUnits",
@@ -100,50 +100,62 @@ def rep_config_from_json(payload: dict) -> RepConfig:
 
 
 class ParticleRep(ladder.OperatorSystem):
-    """Sparse operators for one particle; built by build_particle_rep."""
+    """Sparse operators for one particle; built by build_particle_rep.
+
+    `factor_dims` is the tensor layout: one Fock factor per spatial
+    dimension, then the spin block (of dimension 1 when spinless).  `S`
+    holds the spin lifts, empty operators when spinless, and
+    J_ij = X_i P_j - P_i X_j + S_ij.
+    """
 
     def __init__(self, config: RepConfig):
         self.config = config
         n, d = config.levels, config.dims
         units = self.units = config.units
         m = self.mass = config.mass
-        self.dims = d
-        self.spin_rep: SpinRep | None = None
-        # a spin block is the trailing tensor factor, spatial factors come first
-        factor_dims = (n,) * d
-        if config.spin > 0:
-            self.spin_rep = spin_matrices(config.spin, units.hbar)
-            factor_dims += (self.spin_rep.dim,)
+        self.dims, self.dim = d, config.dim
+        self.spin_rep = spin_matrices(config.spin, units.hbar)
+        layout = self.factor_dims = (n,) * d + (self.spin_rep.dim,)
 
         x1 = ladder.position(n, m, units.omega_ref, units.hbar)
         p1 = ladder.momentum(n, m, units.omega_ref, units.hbar)
-        x_ops = [ladder.embed(x1, k, factor_dims) for k in range(d)]
-        p_ops = [ladder.embed(p1, k, factor_dims) for k in range(d)]
+        self.X = [ladder.embed(x1, k, layout) for k in range(d)]
+        self.P = [ladder.embed(p1, k, layout) for k in range(d)]
+        self.K = [m * op for op in self.X]
+        self.M = m * ladder.identity(self.dim)
+        pairs = [(i, j) for i, j in J_PAIRS if j <= d]
+        orbital = {(i, j): self.X[i - 1] @ self.P[j - 1] - self.P[i - 1] @ self.X[j - 1] for i, j in pairs}
+        if config.spin > 0:
+            self.S = {pair: ladder.embed(self.spin_rep.components[pair], d, layout) for pair in pairs}
+            self.J = {pair: orbital[pair] + self.S[pair] for pair in pairs}
+        else:  # the spin lifts are empty and J is purely orbital
+            self.S = {pair: ladder.Operator((self.dim, self.dim), dtype=complex) for pair in pairs}
+            self.J = orbital
 
-        j_ops = {}
-        for i, j in J_PAIRS:
-            if i <= d and j <= d:
-                j_ops[(i, j)] = x_ops[i - 1] @ p_ops[j - 1] - p_ops[i - 1] @ x_ops[j - 1]
-                if self.spin_rep is not None:
-                    j_ops[(i, j)] += ladder.embed(self.spin_rep.components[(i, j)], d, factor_dims)
+    def raw_boundary_defect(self) -> float:
+        """Largest entry of [X_i, P_i] - i hbar (Id - N |N-1><N-1|_i) over the axes.
 
-        self.X = x_ops
-        self.P = p_ops
-        self.K = [m * op for op in x_ops]
-        self.J = j_ops
-        self.M = m * ladder.identity(config.dim)
-        self.dim = config.dim
+        The truncated bracket equals that expression exactly: the whole
+        canonical defect sits on the top Fock level of axis i.
+        """
+        n = self.config.levels
+        top = ladder.top_level_projector(n)
+        worst = 0.0
+        for i, (x, p) in enumerate(zip(self.X, self.P)):
+            edge = ladder.identity(self.dim) - n * ladder.embed(top, i, self.factor_dims)
+            worst = max(worst, float(abs(x @ p - p @ x - 1j * self.units.hbar * edge).max()))
+        return worst
 
     def interior_indices(self, margin: int) -> np.ndarray:
         return ladder.interior_indices(
-            self.config.levels, self.config.dims, margin, tail_dim=self.config.spin_multiplicity
+            self.config.levels, self.config.dims, margin, tail_dim=self.factor_dims[-1]
         )
 
     def hamiltonian(self, pot) -> np.ndarray:
         """P.P / 2m + V(X), the potential applied per dimension and summed."""
         if pot.kind == "poly_r2":
             raise ValueError("a single particle has no relative separation; use kind 'poly_x'")
-        h = ladder.square_sum(self.P) / (2.0 * self.mass)
+        h = ladder.square_sum(self.P).toarray() / (2.0 * self.mass)
         if pot.kind == "poly_x" and pot.coefficients:
             v = pot.coefficients[0] * np.eye(self.dim, dtype=complex)
             per_axis = (0.0,) + pot.coefficients[1:]
@@ -197,6 +209,13 @@ class ZetaRep:
     X: list
     P: list
     config: RepConfig
+
+    def defect(self, idx) -> float:
+        """Largest spectral norm of [X_i, P_i] - i hbar zeta Id restricted to `idx`."""
+        central = 1j * self.config.units.hbar * self.zeta * np.eye(len(idx))
+        return max(
+            ladder.spectral_norm(ladder.block(x @ p - p @ x, idx) - central) for x, p in zip(self.X, self.P)
+        )
 
 
 def build_zeta_rep(zeta: float, config: RepConfig) -> ZetaRep:

@@ -56,13 +56,12 @@ from .particle import (
 from .spin import (
     J_PAIRS,
     NonScalarCasimirError,
-    brute_force_addition,
     casimir_spin_value,
-    decompose_product_spins,
+    mass_times_spin,
     relative_mode_system,
     relative_spin_spectrum,
+    spin_addition_mismatches,
     spin_matrices,
-    t_tensor,
 )
 from .version import __version__
 
@@ -388,63 +387,40 @@ def _run_single_rep(sc: Scenario, tols) -> list:
     )
 
     if payload.get("raw_defect"):
-        n = config.levels
         tol_raw = _tol(sc, tols, "raw_defect")
-        worst_raw = 0.0
-        for i in range(config.dims):
-            comm = rep.X[i] @ rep.P[i] - rep.P[i] @ rep.X[i]
-            factor_dims = (n,) * config.dims + (config.spin_multiplicity,)
-            top = ladder.embed(ladder.top_level_projector(n), i, factor_dims)
-            expected = 1j * hbar * (ladder.identity(rep.dim) - n * top)
-            worst_raw = max(worst_raw, float(abs(comm - expected).max()))
+        worst_raw = rep.raw_boundary_defect()
         checks.append(
             CheckResult(
                 name="raw_boundary_defect",
                 anchor="truncation-boundary-defect",
                 passed=worst_raw <= tol_raw,
                 metrics={"deviation": worst_raw, "tol": tol_raw,
-                         "defect_norm_per_dim": hbar * n},
+                         "defect_norm_per_dim": hbar * config.levels},
             )
         )
 
     if payload.get("zeta") is not None:
-        zeta = float(payload["zeta"])
-        zrep = build_zeta_rep(zeta, config)
+        zrep = build_zeta_rep(float(payload["zeta"]), config)
         idx = rep.interior_indices(max(1, payload.get("zeta_margin", 1)))
         tol_z = _tol(sc, tols, "zeta_ccr")
-        worst_z = 0.0
-        for i in range(config.dims):
-            comm = zrep.X[i] @ zrep.P[i] - zrep.P[i] @ zrep.X[i]
-            block = ladder.block(comm, idx) - 1j * hbar * zeta * np.eye(len(idx))
-            worst_z = max(worst_z, ladder.spectral_norm(block))
+        worst_z = zrep.defect(idx)
         checks.append(
             CheckResult(
-                name=f"zeta_rep:{zeta}",
+                name=f"zeta_rep:{zrep.zeta}",
                 anchor="central-charge-family",
                 passed=worst_z <= tol_z,
-                metrics={"zeta": zeta, "defect_norm": worst_z, "tol": tol_z},
+                metrics={"zeta": zrep.zeta, "defect_norm": worst_z, "tol": tol_z},
             )
         )
 
     if payload.get("t_tensor"):
         tol_t = _tol(sc, tols, "t_tensor")
-        t = t_tensor(rep)
-        mass = config.mass
-        if config.spin > 0:
-            worst_t = 0.0
-            factor_dims = (config.space_dim, config.spin_multiplicity)
-            for pair in J_PAIRS:
-                expected = mass * ladder.embed(rep.spin_rep.components[pair], 1, factor_dims)
-                worst_t = max(worst_t, float(abs(t[pair] - expected).max()))
-        else:
-            worst_t = max(float(abs(t[pair]).max()) for pair in J_PAIRS)
-        value = casimir_spin_value(rep)
-        s_err = abs(value.s - config.spin)
+        worst_t, value = mass_times_spin(rep)
         checks.append(
             CheckResult(
                 name="t_tensor_identity",
                 anchor="spin-tensor-equals-mass-times-spin",
-                passed=worst_t <= tol_t and s_err <= 1e-8,
+                passed=worst_t <= tol_t and abs(value.s - config.spin) <= 1e-8,
                 metrics={"deviation": worst_t, "tol": tol_t,
                          "casimir_value": value.value, "implied_spin": value.s},
             )
@@ -577,28 +553,13 @@ def _run_spectrum(sc: Scenario, tols) -> list:
 
     if "addition_max" in payload:
         top = float(payload["addition_max"])
-        ok = True
-        detail = []
-        s = 0.0
-        spins = []
-        while s <= top:
-            spins.append(s)
-            s += 0.5
-        for sa in spins:
-            for sb in spins:
-                expected = [s for s, _ in decompose_product_spins(sa, sb)]
-                got, unmatched = brute_force_addition(sa, sb)
-                match = expected == got and not unmatched
-                ok = ok and match
-                if not match:
-                    detail.append({"s_a": sa, "s_b": sb, "expected": expected, "got": got,
-                                   "unmatched": unmatched})
+        pairs, mismatches = spin_addition_mismatches(top)
         checks.append(
             CheckResult(
                 name=f"angular_momentum_addition:max{top}",
                 anchor="angular-momentum-addition",
-                passed=ok,
-                metrics={"pairs_checked": len(spins) ** 2, "mismatches": detail},
+                passed=not mismatches,
+                metrics={"pairs_checked": pairs, "mismatches": mismatches},
             )
         )
     return checks
@@ -633,24 +594,6 @@ def _time_grid(payload) -> np.ndarray:
     return np.linspace(0.0, t_max, steps + 1)
 
 
-def _run_dynamics(sc: Scenario, tols) -> list:
-    payload = sc.payload
-    check = payload.get("check")
-    if check == "flow_compare":
-        return _dyn_flow_compare(sc, tols)
-    if check == "conservation":
-        return _dyn_conservation(sc, tols)
-    if check == "extra_casimir":
-        return _dyn_extra_casimir(sc, tols)
-    if check == "com_decoupling":
-        return _dyn_com_decoupling(sc, tols)
-    if check == "relative_conservation":
-        return _dyn_relative_conservation(sc, tols)
-    if check == "ehrenfest":
-        return _dyn_ehrenfest(sc, tols)
-    raise ScenarioError(f"unknown dynamics check {check!r}")
-
-
 def _single_system(payload):
     cfg = rep_config_from_json(
         {
@@ -664,17 +607,20 @@ def _single_system(payload):
     return build_particle_rep(cfg)
 
 
+def _single_flow(payload, default_alpha) -> tuple:
+    """A single-particle flow: system, potential, physical Hamiltonian, initial state, time grid."""
+    rep = _single_system(payload)
+    pot = PotentialSpec(**_as_object(payload.get("potential", {"kind": "none"}), "potential"))
+    h = hamiltonian_physical(rep, pot)
+    return rep, pot, h, _initial_state(payload, rep, default_alpha), _time_grid(payload)
+
+
 def _dyn_flow_compare(sc: Scenario, tols) -> list:
     payload = sc.payload
-    rep = _single_system(payload)
-    hbar = rep.config.units.hbar
     calV = float(payload.get("calV", 0.0))
-    pot = PotentialSpec(**_as_object(payload.get("potential", {"kind": "none"}), "potential"))
-    h_free_gen = hamiltonian_galilei(rep, calV)
-    h_phys = hamiltonian_physical(rep, pot)
-    psi0 = _initial_state(payload, rep, [0.6, 0.5])
-    times = _time_grid(payload)
-    cmp = compare_flows(h_free_gen, h_phys, psi0, times, hbar=hbar)
+    rep, pot, h_phys, psi0, times = _single_flow(payload, [0.6, 0.5])
+    hbar = rep.units.hbar
+    cmp = compare_flows(hamiltonian_galilei(rep, calV), h_phys, psi0, times, hbar=hbar)
     checks = []
     expect = payload.get("expect", "scalar_phase" if pot.is_trivial else "diverge")
     if expect == "scalar_phase":
@@ -717,13 +663,8 @@ def _dyn_flow_compare(sc: Scenario, tols) -> list:
 
 
 def _dyn_conservation(sc: Scenario, tols) -> list:
-    payload = sc.payload
-    rep = _single_system(payload)
-    hbar = rep.config.units.hbar
-    pot = PotentialSpec(**_as_object(payload.get("potential", {"kind": "none"}), "potential"))
-    h = hamiltonian_physical(rep, pot)
-    psi0 = _initial_state(payload, rep, [0.5, 0.0])
-    times = _time_grid(payload)
+    rep, _, h, psi0, times = _single_flow(sc.payload, [0.5, 0.0])
+    hbar = rep.units.hbar
     flow = evolve_state(
         h, psi0, times, hbar=hbar, boundary_weight=rep.boundary_weight,
         leakage_threshold=_tol(sc, tols, "leakage"),
@@ -879,15 +820,10 @@ def _dyn_relative_conservation(sc: Scenario, tols) -> list:
 
 
 def _dyn_ehrenfest(sc: Scenario, tols) -> list:
-    payload = sc.payload
-    tol = _tol(sc, tols, "ehrenfest", payload.get("tol"))
-    rep = _single_system(payload)
-    pot = PotentialSpec(**_as_object(payload.get("potential", {"kind": "none"}), "potential"))
-    h = hamiltonian_physical(rep, pot)
-    psi0 = _initial_state(payload, rep, [0.5, 0.3])
-    times = _time_grid(payload)
+    tol = _tol(sc, tols, "ehrenfest", sc.payload.get("tol"))
+    rep, _, h, psi0, times = _single_flow(sc.payload, [0.5, 0.3])
     result = ehrenfest_check(rep, h, psi0, times, leakage_threshold=_tol(sc, tols, "leakage"))
-    checks = [
+    return [
         CheckResult(
             name="ehrenfest_velocity",
             anchor="unitary-flow-conservation",
@@ -895,7 +831,24 @@ def _dyn_ehrenfest(sc: Scenario, tols) -> list:
             metrics={"residual": result.max_residual, "tol": tol, "reliable": result.reliable},
         )
     ]
-    return checks
+
+
+_DYNAMICS = {
+    "flow_compare": _dyn_flow_compare,
+    "conservation": _dyn_conservation,
+    "extra_casimir": _dyn_extra_casimir,
+    "com_decoupling": _dyn_com_decoupling,
+    "relative_conservation": _dyn_relative_conservation,
+    "ehrenfest": _dyn_ehrenfest,
+}
+
+
+def _run_dynamics(sc: Scenario, tols) -> list:
+    check = sc.payload.get("check")
+    runner = _DYNAMICS.get(check) if isinstance(check, str) else None
+    if runner is None:
+        raise ScenarioError(f"unknown dynamics check {check!r}")
+    return runner(sc, tols)
 
 
 _RUNNERS = {

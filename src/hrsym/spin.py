@@ -27,6 +27,7 @@ __all__ = [
     "SpinRep",
     "casimir_spin_value",
     "decompose_product_spins",
+    "mass_times_spin",
     "relative_mode_system",
     "relative_spin_spectrum",
     "spin_matrices",
@@ -141,7 +142,10 @@ def casimir_spin_value(rep, margin: int = 1, tol: float = 1e-8) -> SpinCasimirVa
     identity exceeds `tol` (reducible representation, or margin too small).
     The reported s is the raw root, not snapped to a half-integer.
     """
-    t = t_tensor(rep)
+    return _spin_of_tensor(rep, t_tensor(rep), margin, tol)
+
+
+def _spin_of_tensor(rep, t: dict, margin: int, tol: float) -> SpinCasimirValue:
     c_op = sum(t[p] @ t[p] for p in J_PAIRS) / rep.mass**2
     idx = rep.interior_indices(margin)
     fitted, deviation = ladder.interior_scalar_fit([ladder.block(c_op, idx)])
@@ -149,6 +153,17 @@ def casimir_spin_value(rep, margin: int = 1, tol: float = 1e-8) -> SpinCasimirVa
         raise NonScalarCasimirError(fitted, deviation)
     s_val, _, _ = spin_from_casimir(fitted, rep.units.hbar)
     return SpinCasimirValue(value=fitted, s=s_val, deviation=deviation)
+
+
+def mass_times_spin(rep, margin: int = 1, tol: float = 1e-8) -> tuple:
+    """T = m S on a single-particle representation, from one evaluation of T.
+
+    Returns the largest entry of T_ij - m S_ij, with S the particle's stored
+    spin lifts, and the spin that casimir_spin_value fits from the same T.
+    """
+    t = t_tensor(rep)
+    deviation = max(float(abs(t[p] - rep.mass * rep.S[p]).max()) for p in J_PAIRS)
+    return deviation, _spin_of_tensor(rep, t, margin, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +274,8 @@ def brute_force_addition(s_a, s_b) -> tuple:
     and the eigenvalues that match no s (s + 1).
     """
     ra, rb = spin_matrices(s_a), spin_matrices(s_b)
-    total = {
-        p: np.kron(ra.components[p], np.eye(rb.dim)) + np.kron(np.eye(ra.dim), rb.components[p])
-        for p in J_PAIRS
-    }
+    no_orbital = np.zeros((ra.dim * rb.dim,) * 2)
+    total = _add_spins({p: no_orbital for p in J_PAIRS}, ra, rb)
     casimir = sum(total[p] @ total[p] for p in J_PAIRS)
     found, unmatched = {}, []
     for lam in np.linalg.eigvalsh(casimir):
@@ -278,6 +291,25 @@ def brute_force_addition(s_a, s_b) -> tuple:
             raise RuntimeError(f"eigenvalue multiplicity {count} is not a multiple of 2s+1 = {dim}")
         out.extend([float(s)] * (count // dim))
     return out, unmatched
+
+
+def spin_addition_mismatches(top) -> tuple:
+    """Brute-force addition against decompose_product_spins for s_a, s_b = 0, 1/2, ..., top.
+
+    Returns the number of (s_a, s_b) pairs checked and the pairs that disagree.
+    """
+    if not 0 <= top < math.inf:
+        raise ValueError(f"the largest spin must be nonnegative and finite, got {top}")
+    spins = [k / 2 for k in range(math.floor(2 * top) + 1)]
+    mismatches = []
+    for sa in spins:
+        for sb in spins:
+            expected = [s for s, _ in decompose_product_spins(sa, sb)]
+            got, unmatched = brute_force_addition(sa, sb)
+            if expected != got or unmatched:
+                mismatches.append({"s_a": sa, "s_b": sb, "expected": expected, "got": got,
+                                   "unmatched": unmatched})
+    return len(spins) ** 2, mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +382,8 @@ class RelativeModeRep(ladder.OperatorSystem):
         self.spin_dim = spin_block
         self.dim = len(self.basis) * spin_block
 
-        qq = sum(m @ m for m in cube.q)
-        rr = sum(m @ m for m in cube.r)
+        qq = ladder.square_sum(cube.q)
+        rr = ladder.square_sum(cube.r)
         self.kinetic = cube.lift(qq, spin_block) / (2.0 * self.mass)
         self.radial = {0: np.eye(self.dim, dtype=complex)}
         power = ladder.identity(rr.shape[0])

@@ -173,6 +173,32 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "steps" in proc.stderr
 
+    def test_potential_offset_field_exits_two(self, tmp_path):
+        # the free-generator offset calV is a payload field; a potential carrying
+        # one used to be accepted and ignored
+        path = tmp_path / "dyn.json"
+        path.write_text(json.dumps({"kind": "dynamics", "payload": {
+            "check": "flow_compare", "levels": 8, "steps": 4,
+            "potential": {"kind": "none", "calV": 5.0}}}))
+        proc = run_cli("verify", "dynamics", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "calV" in proc.stderr
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_vacuous_or_unbounded_addition_range_rejected(self, value):
+        sc = scenario_from_dict({"kind": "spectrum", "payload": {"addition_max": value}})
+        with pytest.raises(ScenarioError, match="largest spin"):
+            run_scenario(sc)
+
+    def test_unknown_dynamics_check_exits_two_and_names_it(self, tmp_path):
+        path = tmp_path / "dyn.json"
+        path.write_text(json.dumps({"kind": "dynamics", "payload": {"check": "free_fall"}}))
+        proc = run_cli("verify", "dynamics", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "'free_fall'" in proc.stderr
+
 
 class TestReports:
     def test_out_file_written(self, algebra_scenario, tmp_path):

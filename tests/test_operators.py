@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hrsym import (
+    GlobalUnits,
     NonScalarCasimirError,
     RepConfig,
     build_particle_rep,
@@ -145,6 +146,47 @@ class TestParticleAgainstDense:
         assert [c.passed for c in sparse.checks] == [c.passed for c in dense.checks]
         for cs, cd in zip(sparse.checks, dense.checks):
             assert metric_close(cs.metrics["defect_norm"], cd.metrics["defect_norm"]), cs.name
+
+
+# the particles above and one with hbar != 1, so a misplaced hbar shows
+DEFECT_PARTICLES = [
+    *PARTICLES,
+    RepConfig(mass=1.2, dims=2, levels=3, units=GlobalUnits(hbar=0.7, omega_ref=1.3)),
+]
+
+
+def defect_id(cfg) -> str:
+    return f"d{cfg.dims}n{cfg.levels}s{cfg.spin}h{cfg.units.hbar}"
+
+
+@pytest.mark.parametrize("cfg", DEFECT_PARTICLES, ids=defect_id)
+def test_raw_boundary_defect_matches_the_kron_reference(cfg):
+    ref = dense_particle(cfg)
+    n, hbar = cfg.levels, cfg.units.hbar
+    top = np.zeros((n, n))
+    top[-1, -1] = 1.0
+    want = 0.0
+    for k, (x, p) in enumerate(zip(ref["X"], ref["P"])):
+        edge = kron_all(*[top if i == k else np.eye(n) for i in range(cfg.dims)],
+                        np.eye(cfg.spin_multiplicity))
+        truncated = 1j * hbar * (np.eye(cfg.dim) - n * edge)
+        want = max(want, float(np.max(np.abs(x @ p - p @ x - truncated))))
+    assert metric_close(build_particle_rep(cfg).raw_boundary_defect(), want)
+
+
+@pytest.mark.parametrize("zeta", [2.5, -0.4])
+@pytest.mark.parametrize("cfg", DEFECT_PARTICLES, ids=defect_id)
+def test_zeta_defect_matches_the_kron_reference(cfg, zeta):
+    ref = dense_particle(cfg)
+    root, sign = np.sqrt(abs(zeta)), np.sign(zeta)
+    idx = build_particle_rep(cfg).interior_indices(1)
+    central = 1j * cfg.units.hbar * zeta * np.eye(len(idx))
+    want = max(
+        np.linalg.norm((sign * root * x @ (root * p) - root * p @ (sign * root * x))[np.ix_(idx, idx)]
+                       - central, 2)
+        for x, p in zip(ref["X"], ref["P"])
+    )
+    assert metric_close(build_zeta_rep(zeta, cfg).defect(idx), want)
 
 
 @pytest.mark.parametrize("cfg", [c for c in PARTICLES if c.dims == 3],

@@ -1,5 +1,7 @@
 """Spin blocks, the mass*spin tensor, relative-motion spectra, spin addition."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from hrsym import (
     t_tensor,
     tensor_rep,
 )
+import hrsym.spin
+from hrsym.scenarios import run_scenario, scenario_from_dict
 from hrsym.spin import J_PAIRS
 
 
@@ -126,6 +130,27 @@ class TestSpinTensor:
         rep = build_particle_rep(RepConfig(mass=1.0, dims=2, levels=3))
         with pytest.raises(ValueError):
             t_tensor(rep)
+
+    @pytest.mark.parametrize("spin", [0.0, 0.5])
+    def test_scenario_evaluates_the_tensor_once(self, monkeypatch, spin):
+        # count calls wherever a caller looks t_tensor up: every hrsym binding
+        original, calls = hrsym.spin.t_tensor, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "hrsym" or name.startswith("hrsym.")):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        sc = scenario_from_dict({"kind": "single_rep", "payload": {
+            "mass": 2.0, "dims": 3, "levels": 3, "spin": spin, "algebra": "hr3",
+            "margin": 1, "t_tensor": True}})
+        checks = {c.name: c for c in run_scenario(sc).checks}
+        assert checks["t_tensor_identity"].passed
+        assert len(calls) == 1
 
 
 class TestCasimirSpinValue:
