@@ -74,13 +74,12 @@ class CompositeRep(ladder.OperatorSystem):
         ib = self.rep_b.interior_indices(margin)
         return (ia[:, None] * self.rep_b.dim + ib[None, :]).ravel()
 
-    def hamiltonian(self, pot) -> np.ndarray:
+    def hamiltonian(self, pot) -> ladder.Operator:
         """P.P / 2m + Q.Q / 2mu + V(R.R); the interaction may depend on R only."""
         if pot.kind == "poly_x":
             raise ValueError("a composite interaction must depend on the relative separation only")
-        # densified term by term: summing the CSR terms first raises the peak memory
-        h = ladder.square_sum(self.P).toarray() / (2.0 * self.mass)
-        h = h + ladder.square_sum(self.Q).toarray() / (2.0 * self.reduced_mass)
+        h = ladder.square_sum(self.P) / (2.0 * self.mass)
+        h = h + ladder.square_sum(self.Q) / (2.0 * self.reduced_mass)
         if pot.kind == "poly_r2" and pot.coefficients:
             h = h + ladder.poly_in(ladder.square_sum(self.R), pot.coefficients)
         return h
@@ -125,13 +124,10 @@ def _fit_pair(label, ops_a, ops_b, expected, idx, tol, non_physical=False) -> Cc
         comm = ops_a[i] @ ops_b[i] - ops_b[i] @ ops_a[i]
         diag.append(ladder.block(-1j * comm, idx))
     coeff, residual = ladder.interior_scalar_fit(diag)
-    offdiag = 0.0
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            comm = ops_a[i] @ ops_b[j] - ops_b[j] @ ops_a[i]
-            offdiag = max(offdiag, ladder.spectral_norm(ladder.block(comm, idx)))
+    offdiag = float(np.max([
+        ladder.spectral_norm(ladder.block(ops_a[i] @ ops_b[j] - ops_b[j] @ ops_a[i], idx))
+        for i in range(d) for j in range(d) if i != j
+    ], initial=0.0))
     passed = abs(coeff - expected) <= tol and residual <= tol and offdiag <= tol
     return CcrCoefficientReport(
         pair=label,

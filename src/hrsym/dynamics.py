@@ -2,10 +2,12 @@
 
 Any Hermitian matrix generates a one-parameter unitary group here, so the
 same engine drives physical time evolution, the free-generator flow with its
-constant offset, rotations (generator J), and boosts (generator K).  Dense
-propagation uses the scaling-and-squaring exponential, one per distinct
-step of the time grid; the Krylov path uses scipy's expm_multiply stepping
-for larger sparse systems.  Both are deterministic.
+constant offset, rotations (generator J), and boosts (generator K).  Every
+Hamiltonian a system builds is a CSR `ladder.Operator`, and the flows take
+any generator as one (dense input is converted once).  Dense propagation
+densifies it once and uses the scaling-and-squaring exponential, one per
+distinct step of the time grid; the Krylov path uses scipy's expm_multiply
+stepping on the CSR operator for larger systems.  Both are deterministic.
 
 Truncation makes long flows untrustworthy once amplitude reaches the top
 Fock levels, so every flow records the boundary occupation of the evolving
@@ -14,11 +16,11 @@ state and flags the result unreliable above a configurable threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from . import ladder
@@ -69,20 +71,24 @@ class PotentialSpec:
         return not any(self.coefficients)
 
 
-def hamiltonian_physical(system, pot: PotentialSpec) -> np.ndarray:
+def hamiltonian_physical(system, pot: PotentialSpec) -> ladder.Operator:
     """Kinetic term plus the matching potential, as the system's `hamiltonian` defines it.
 
     Single particle: P.P / 2m + V(X) per dimension.  Composite: the COM and
     relative kinetic terms P.P / 2m + Q.Q / 2mu plus V(R.R); the interaction
     must depend on the relative separation only, so kind "poly_x" is
     rejected there.  A RelativeModeRep drops the (decoupled, free) COM term.
+    The result is a CSR `ladder.Operator`; the dense propagator densifies it
+    once.
     """
     return system.hamiltonian(pot)
 
 
-def hamiltonian_galilei(rep, calV: float) -> np.ndarray:
-    """P.P / 2m + calV * Id, the free-generator Hamiltonian of a single particle."""
-    return ladder.square_sum(rep.P).toarray() / (2.0 * rep.mass) + calV * np.eye(rep.dim, dtype=complex)
+def hamiltonian_galilei(rep, calV: float) -> ladder.Operator:
+    """P.P / 2m + calV * Id, the free-generator Hamiltonian of a single particle, in CSR form."""
+    if not math.isfinite(calV):
+        raise ValueError(f"calV must be finite, got {calV}")
+    return ladder.square_sum(rep.P) / (2.0 * rep.mass) + calV * ladder.identity(rep.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +128,11 @@ def _check_times(times) -> np.ndarray:
     return t
 
 
-def _check_hermitian(h, what="H"):
-    if scipy.sparse.issparse(h):
-        err = abs(h - h.conj().T).max()
-        scale = abs(h).max()
-    else:
-        err = float(np.max(np.abs(h - h.conj().T)))
-        scale = float(np.max(np.abs(h))) if h.size else 0.0
-    if err > 1e-12 * max(1.0, scale):
-        raise ValueError(f"{what} is not Hermitian (max deviation {err:.3g})")
+def _check_hermitian(h: ladder.Operator, what="H"):
+    """Reject a non-Hermitian or non-finite `h`."""
+    err = abs(h - h.conj().T).max()
+    if not err <= 1e-12 * max(1.0, abs(h).max()):
+        raise ValueError(f"{what} is not a finite Hermitian matrix (max deviation {err:.3g})")
 
 
 def _expectation(op, psi) -> float:
@@ -171,24 +173,23 @@ def evolve_state(
     flow exceeds `leakage_threshold` the result is flagged unreliable.
     """
     t = _check_times(times)
+    H = ladder.Operator(H)
     _check_hermitian(H)
     psi0 = np.asarray(psi0, dtype=complex).ravel()
     nrm = np.linalg.norm(psi0)
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"initial state must be normalized (|psi| = {nrm:.12g})")
 
     dim = H.shape[0]
     if dim <= _DENSE_LIMIT:
-        hd = H.toarray() if scipy.sparse.issparse(H) else np.asarray(H)
+        hd = H.toarray()
         steps: list = []  # (dt, propagator), one per distinct step
 
         def advance(psi, dt):
             return _step_propagator(steps, dt, hd, hbar) @ psi
     else:
-        hs = H if scipy.sparse.issparse(H) else scipy.sparse.csr_matrix(H)
-
         def advance(psi, dt):
-            return scipy.sparse.linalg.expm_multiply(-1j * dt * hs / hbar, psi)
+            return scipy.sparse.linalg.expm_multiply(-1j * dt * H / hbar, psi)
 
     states = np.empty((len(t), dim), dtype=complex)
     psi = psi0
@@ -209,7 +210,7 @@ def evolve_state(
     max_bw = 0.0
     reliable = True
     if boundary_weight is not None:
-        max_bw = max(float(boundary_weight(s)) for s in states)
+        max_bw = float(np.max([boundary_weight(s) for s in states]))
         reliable = max_bw <= leakage_threshold
     return FlowResult(
         times=t,
@@ -224,9 +225,9 @@ def evolve_state(
 
 def evolve_observable(H, A, t: float, hbar: float = 1.0) -> np.ndarray:
     """Heisenberg-picture conjugation exp(+i t H / hbar) A exp(-i t H / hbar)."""
+    H = ladder.Operator(H)
     _check_hermitian(H)
-    hd = H.toarray() if scipy.sparse.issparse(H) else np.asarray(H)
-    u = scipy.linalg.expm(1j * t * hd / hbar)
+    u = scipy.linalg.expm(1j * t * H.toarray() / hbar)
     out = u @ A @ u.conj().T
     herm_err = float(np.max(np.abs(out - out.conj().T)))
     if herm_err > 1e-12 * max(1.0, float(np.max(np.abs(out)))):
@@ -294,13 +295,10 @@ def ehrenfest_check(system, H, psi0, times, leakage_threshold: float = 1e-6) -> 
         H, psi0, t, hbar=system.units.hbar, observables=obs,
         boundary_weight=system.boundary_weight, leakage_threshold=leakage_threshold,
     )
-    dt = steps[0]
-    worst = 0.0
     x_traces = np.array([flow.observable_traces[f"x{i}"] for i in range(len(x_ops))])
     p_traces = np.array([flow.observable_traces[f"p{i}"] for i in range(len(p_ops))])
-    for i in range(len(x_ops)):
-        dxdt = (x_traces[i, 2:] - x_traces[i, :-2]) / (2.0 * dt)
-        worst = max(worst, float(np.max(np.abs(dxdt - p_traces[i, 1:-1] / system.mass))))
+    dxdt = (x_traces[:, 2:] - x_traces[:, :-2]) / (2.0 * steps[0])
+    worst = float(np.max(np.abs(dxdt - p_traces[:, 1:-1] / system.mass)))
     return EhrenfestResult(max_residual=worst, x_traces=x_traces, p_traces=p_traces, flow=flow)
 
 
@@ -320,7 +318,7 @@ def extra_casimir_check(
     algebra.
     """
     h = hamiltonian if hamiltonian is not None else hamiltonian_galilei(rep, calV)
-    g = 2.0 * rep.M @ h - ladder.square_sum(rep.P).toarray()
+    g = 2.0 * rep.M @ h - ladder.square_sum(rep.P)
     idx = rep.interior_indices(margin)
     fitted, deviation = ladder.interior_scalar_fit([ladder.block(g, idx)])
     expected = 2.0 * rep.mass * calV

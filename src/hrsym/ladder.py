@@ -1,9 +1,11 @@
 """Truncated oscillator ladder matrices and tensor-slot helpers.
 
-Every representation operator is an `Operator`: a CSR array built by one
-sparse Kron embedding.  Ladder generators are two-diagonal, so products and
-commutators stay banded and cheap; only the interior restrictions that feed
-an exact spectral norm or a scalar fit are made dense, by `block`.
+Every representation operator and every Hamiltonian is an `Operator`: a CSR
+array built by one sparse Kron embedding.  Ladder generators are
+two-diagonal, so products and commutators stay banded and cheap; only the
+interior restrictions that feed an exact spectral norm or a scalar fit are
+made dense, by `block`, and the dense propagator densifies its Hamiltonian
+once.
 """
 
 from __future__ import annotations
@@ -19,20 +21,32 @@ def destroy(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
 
 
+def _ladder_scale(square: float, what: str, mass: float, omega: float, hbar: float) -> float:
+    """sqrt(square), refusing a square that over- or underflowed out of (0, inf)."""
+    if not 0 < square < math.inf:
+        raise ValueError(
+            f"ladder scale {what} = {square:.3g} is not positive and finite "
+            f"(mass={mass}, omega={omega}, hbar={hbar})"
+        )
+    return math.sqrt(square)
+
+
 def position(n: int, mass: float, omega: float, hbar: float) -> np.ndarray:
     a = destroy(n)
-    return np.sqrt(hbar / (2.0 * mass * omega)) * (a + a.conj().T)
+    den = 2.0 * mass * omega
+    scale = _ladder_scale(hbar / den if den else math.inf, "hbar/(2 m omega)", mass, omega, hbar)
+    return scale * (a + a.conj().T)
 
 
 def momentum(n: int, mass: float, omega: float, hbar: float) -> np.ndarray:
     a = destroy(n)
-    return 1j * np.sqrt(hbar * mass * omega / 2.0) * (a.conj().T - a)
+    scale = _ladder_scale(hbar * mass * omega / 2.0, "hbar m omega/2", mass, omega, hbar)
+    return 1j * scale * (a.conj().T - a)
 
 
-def top_level_projector(n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=complex)
-    out[n - 1, n - 1] = 1.0
-    return out
+def top_level_projector(n: int) -> Operator:
+    """|n-1><n-1| as a one-entry CSR operator."""
+    return Operator(([1.0], ([n - 1], [n - 1])), shape=(n, n), dtype=complex)
 
 
 class Operator(scipy.sparse.csr_array):
@@ -74,10 +88,8 @@ def embed(op, slot: int, factor_dims) -> Operator:
 
 
 def block(op, idx) -> np.ndarray:
-    """Dense restriction of `op` to the rows and columns `idx`."""
-    if scipy.sparse.issparse(op):
-        return op[idx][:, idx].toarray()
-    return np.asarray(op)[np.ix_(idx, idx)]
+    """Dense restriction of `op` (sparse or dense) to the rows and columns `idx`."""
+    return Operator(op)[idx][:, idx].toarray()
 
 
 def occupations(levels: int, dims: int) -> np.ndarray:
@@ -168,7 +180,7 @@ def interior_scalar_fit(blocks) -> tuple:
     """
     rank = blocks[0].shape[0]
     value = float(np.mean([blk.trace().real / rank for blk in blocks]))
-    deviation = max(spectral_norm(blk - value * np.eye(rank)) for blk in blocks)
+    deviation = float(np.max([spectral_norm(blk - value * np.eye(rank)) for blk in blocks]))
     return value, deviation
 
 
@@ -181,8 +193,8 @@ def square_sum(ops) -> Operator:
     return sum(m @ m for m in map(Operator, ops))
 
 
-def poly_in(base, coefficients) -> np.ndarray:
-    """sum_k coefficients[k] * base**k as a dense matrix, powers raised in CSR form."""
+def poly_in(base, coefficients) -> Operator:
+    """sum_k coefficients[k] * base**k, powers raised and summed in CSR form."""
     base = Operator(base)
     power = identity(base.shape[0])
     acc = Operator(base.shape, dtype=complex)
@@ -193,4 +205,4 @@ def poly_in(base, coefficients) -> np.ndarray:
             power = power @ base
         if c:
             acc = acc + c * power
-    return acc.toarray()
+    return acc

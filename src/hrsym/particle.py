@@ -140,24 +140,24 @@ class ParticleRep(ladder.OperatorSystem):
         """
         n = self.config.levels
         top = ladder.top_level_projector(n)
-        worst = 0.0
+        worst = []
         for i, (x, p) in enumerate(zip(self.X, self.P)):
             edge = ladder.identity(self.dim) - n * ladder.embed(top, i, self.factor_dims)
-            worst = max(worst, float(abs(x @ p - p @ x - 1j * self.units.hbar * edge).max()))
-        return worst
+            worst.append(abs(x @ p - p @ x - 1j * self.units.hbar * edge).max())
+        return float(np.max(worst))
 
     def interior_indices(self, margin: int) -> np.ndarray:
         return ladder.interior_indices(
             self.config.levels, self.config.dims, margin, tail_dim=self.factor_dims[-1]
         )
 
-    def hamiltonian(self, pot) -> np.ndarray:
+    def hamiltonian(self, pot) -> ladder.Operator:
         """P.P / 2m + V(X), the potential applied per dimension and summed."""
         if pot.kind == "poly_r2":
             raise ValueError("a single particle has no relative separation; use kind 'poly_x'")
-        h = ladder.square_sum(self.P).toarray() / (2.0 * self.mass)
+        h = ladder.square_sum(self.P) / (2.0 * self.mass)
         if pot.kind == "poly_x" and pot.coefficients:
-            v = pot.coefficients[0] * np.eye(self.dim, dtype=complex)
+            v = pot.coefficients[0] * ladder.identity(self.dim)
             per_axis = (0.0,) + pot.coefficients[1:]
             for x in self.X:
                 v = v + ladder.poly_in(x, per_axis)
@@ -208,27 +208,29 @@ class ZetaRep:
     zeta: float
     X: list
     P: list
-    config: RepConfig
+    hbar: float
 
     def defect(self, idx) -> float:
         """Largest spectral norm of [X_i, P_i] - i hbar zeta Id restricted to `idx`."""
-        central = 1j * self.config.units.hbar * self.zeta * np.eye(len(idx))
-        return max(
+        central = 1j * self.hbar * self.zeta * np.eye(len(idx))
+        return float(np.max([
             ladder.spectral_norm(ladder.block(x @ p - p @ x, idx) - central) for x, p in zip(self.X, self.P)
+        ]))
+
+
+def build_zeta_rep(zeta: float, rep: ParticleRep) -> ZetaRep:
+    """The canonical pair of `rep` scaled to central charge zeta."""
+    if zeta == 0 or not math.isfinite(zeta):
+        raise ValueError(
+            f"zeta must be nonzero and finite, got {zeta}: zero collapses the family to the commutative limit"
         )
-
-
-def build_zeta_rep(zeta: float, config: RepConfig) -> ZetaRep:
-    if zeta == 0:
-        raise ValueError("zeta must be nonzero: zero collapses the family to the commutative limit")
-    base = build_particle_rep(config)
     root = np.sqrt(abs(zeta))
     sign = 1.0 if zeta > 0 else -1.0
     return ZetaRep(
         zeta=float(zeta),
-        X=[sign * root * op for op in base.X],
-        P=[root * op for op in base.P],
-        config=config,
+        X=[sign * root * op for op in rep.X],
+        P=[root * op for op in rep.P],
+        hbar=rep.units.hbar,
     )
 
 

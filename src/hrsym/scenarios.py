@@ -374,7 +374,7 @@ def _run_single_rep(sc: Scenario, tols) -> list:
     margin = payload.get("margin")
     tol = _tol(sc, tols, "homomorphism")
     hom = verify_homomorphism(rep, alg_name, margin=margin, tol=tol)
-    worst = max((c.metrics["defect_norm"] for c in hom.checks), default=0.0)
+    worst = float(np.max([c.metrics["defect_norm"] for c in hom.checks], initial=0.0))
     checks.append(
         CheckResult(
             name=f"homomorphism:{alg_name}",
@@ -400,7 +400,7 @@ def _run_single_rep(sc: Scenario, tols) -> list:
         )
 
     if payload.get("zeta") is not None:
-        zrep = build_zeta_rep(float(payload["zeta"]), config)
+        zrep = build_zeta_rep(float(payload["zeta"]), rep)
         idx = rep.interior_indices(max(1, payload.get("zeta_margin", 1)))
         tol_z = _tol(sc, tols, "zeta_ccr")
         worst_z = zrep.defect(idx)
@@ -537,11 +537,11 @@ def _run_spectrum(sc: Scenario, tols) -> list:
 
     if "spins" in payload:
         tol_spin = _tol(sc, tols, "spin_casimir")
-        worst = 0.0
+        deviations = [0.0]
         for s in payload["spins"]:
             rep = spin_matrices(s)
-            expected = s * (s + 1) * np.eye(rep.dim)
-            worst = max(worst, float(np.max(np.abs(rep.casimir() - expected))))
+            deviations.append(np.max(np.abs(rep.casimir() - s * (s + 1) * np.eye(rep.dim))))
+        worst = float(np.max(deviations))
         checks.append(
             CheckResult(
                 name="spin_casimir_scalar",
@@ -748,7 +748,7 @@ def _dyn_com_decoupling(sc: Scenario, tols) -> list:
     times = _time_grid(payload)
     ehr = ehrenfest_check(comp, h, psi0, times, leakage_threshold=_tol(sc, tols, "leakage"))
     tol_p = _tol(sc, tols, "com_momentum")
-    drift = max(float(np.max(np.abs(tr - tr[0]))) for tr in ehr.p_traces)
+    drift = float(np.max(np.abs(ehr.p_traces - ehr.p_traces[:, :1])))
     tol_x = _tol(sc, tols, "com_ehrenfest")
     return [
         CheckResult(
@@ -779,9 +779,9 @@ def _dyn_relative_conservation(sc: Scenario, tols) -> list:
     pot = PotentialSpec(kind="poly_r2", coefficients=tuple(payload.get("coefficients", [0.0, 0.5, 0.05])))
     h = hamiltonian_physical(sys, pot)
 
-    comm_norm = max(
-        ladder.spectral_norm(h @ sys.S[p] - sys.S[p] @ h) for p in J_PAIRS
-    )
+    comm_norm = float(np.max([
+        ladder.spectral_norm((h @ sys.S[p] - sys.S[p] @ h).toarray()) for p in J_PAIRS
+    ]))
     tol_rot = _tol(sc, tols, "spin_conservation")
 
     ladder_ops = sys.relative_ladder()

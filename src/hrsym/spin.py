@@ -222,8 +222,8 @@ def relative_spin_spectrum(n_max: int, s_a=0, s_b=0, hbar: float = 1.0) -> Casim
     spin_a = spin_matrices(s_a, hbar)
     spin_b = spin_matrices(s_b, hbar)
     spin_block = spin_a.dim * spin_b.dim
-    total = _add_spins({p: cube.lift(cube.orbital(p), spin_block) for p in J_PAIRS}, spin_a, spin_b)
-    casimir = sum(total[p] @ total[p] for p in J_PAIRS)
+    total = _add_spins({p: _lift(cube.orbital(p), cube.keep, spin_block) for p in J_PAIRS}, spin_a, spin_b)
+    casimir = ladder.square_sum(total.values())
 
     basis = cube.basis
     spectrum = CasimirSpectrum(hbar=hbar, dim=len(basis) * spin_block)
@@ -232,8 +232,7 @@ def relative_spin_spectrum(n_max: int, s_a=0, s_b=0, hbar: float = 1.0) -> Casim
         shell_osc = sum(1 for t in basis if sum(t) == n)
         sl = slice(osc_offset * spin_block, (osc_offset + shell_osc) * spin_block)
         osc_offset += shell_osc
-        block = casimir[sl, sl]
-        vals = np.linalg.eigvalsh(block)
+        vals = np.linalg.eigvalsh(casimir[sl, sl].toarray())
         groups: dict = {}
         for lam in vals:
             _, ell, ok = spin_from_casimir(float(lam), hbar)
@@ -274,11 +273,10 @@ def brute_force_addition(s_a, s_b) -> tuple:
     and the eigenvalues that match no s (s + 1).
     """
     ra, rb = spin_matrices(s_a), spin_matrices(s_b)
-    no_orbital = np.zeros((ra.dim * rb.dim,) * 2)
+    no_orbital = ladder.Operator((ra.dim * rb.dim,) * 2, dtype=complex)
     total = _add_spins({p: no_orbital for p in J_PAIRS}, ra, rb)
-    casimir = sum(total[p] @ total[p] for p in J_PAIRS)
     found, unmatched = {}, []
-    for lam in np.linalg.eigvalsh(casimir):
+    for lam in np.linalg.eigvalsh(ladder.square_sum(total.values()).toarray()):
         _, s, ok = spin_from_casimir(lam)
         if not ok:
             unmatched.append(float(lam))
@@ -336,18 +334,19 @@ class _RelativeCube:
         i, j = pair
         return self.r[i - 1] @ self.q[j - 1] - self.q[i - 1] @ self.r[j - 1]
 
-    def lift(self, op, spin_block: int) -> np.ndarray:
-        """Restrict a cube operator and repeat it across the spin block."""
-        return np.kron(ladder.block(op, self.keep), np.eye(spin_block))
+
+def _lift(op, keep, spin_block: int) -> ladder.Operator:
+    """Restrict a cube operator to the states `keep` and repeat it across the spin block."""
+    return ladder.embed(op[keep][:, keep], 0, (len(keep), spin_block))
 
 
 def _add_spins(orbital: dict, spin_a: SpinRep, spin_b: SpinRep) -> dict:
     """Total angular momentum from lifted orbital components plus both spin blocks."""
-    eye_osc = np.eye(orbital[(1, 2)].shape[0] // (spin_a.dim * spin_b.dim))
+    layout = (orbital[(1, 2)].shape[0] // (spin_a.dim * spin_b.dim), spin_a.dim, spin_b.dim)
     return {
         p: orbital[p]
-        + np.kron(eye_osc, np.kron(spin_a.components[p], np.eye(spin_b.dim)))
-        + np.kron(eye_osc, np.kron(np.eye(spin_a.dim), spin_b.components[p]))
+        + ladder.embed(spin_a.components[p], 1, layout)
+        + ladder.embed(spin_b.components[p], 2, layout)
         for p in J_PAIRS
     }
 
@@ -356,10 +355,10 @@ class RelativeModeRep(ladder.OperatorSystem):
     """Relative motion of a two-particle system on a total-quanta basis.
 
     The center of mass factors out, so the physical Hamiltonian acts here as
-    Q.Q / (2 mu) + V(R.R); `mass` is the reduced mass mu.  All restricted
-    matrices have exact elements (computed with per-dimension headroom),
-    hence total quanta, the orbital shells, and the spin invariant are
-    conserved to rounding.
+    Q.Q / (2 mu) + V(R.R); `mass` is the reduced mass mu.  Every operator is
+    restricted from a cube with per-dimension headroom for (R.R)^max_power,
+    so its elements are exact; hence total quanta, the orbital shells, and
+    the spin invariant are conserved to rounding.
     """
 
     dims = 3
@@ -373,7 +372,7 @@ class RelativeModeRep(ladder.OperatorSystem):
         self.max_power = int(max_power)
         hbar = units.hbar
         cube = _RelativeCube(self.n_max, self.mass, units.omega_ref, hbar, headroom=2 * self.max_power)
-        self.basis = cube.basis
+        self.basis, self._keep = cube.basis, cube.keep
 
         spin_a = spin_matrices(s_a, hbar)
         spin_b = spin_matrices(s_b, hbar)
@@ -382,21 +381,14 @@ class RelativeModeRep(ladder.OperatorSystem):
         self.spin_dim = spin_block
         self.dim = len(self.basis) * spin_block
 
-        qq = ladder.square_sum(cube.q)
-        rr = ladder.square_sum(cube.r)
-        self.kinetic = cube.lift(qq, spin_block) / (2.0 * self.mass)
-        self.radial = {0: np.eye(self.dim, dtype=complex)}
-        power = ladder.identity(rr.shape[0])
-        for k in range(1, self.max_power + 1):
-            power = power @ rr
-            self.radial[k] = cube.lift(power, spin_block)
-
-        self.R = [cube.lift(m, spin_block) for m in cube.r]
-        self.Q = [cube.lift(m, spin_block) for m in cube.q]
-        self.L = {p: cube.lift(cube.orbital(p), spin_block) for p in J_PAIRS}
+        self._qq = ladder.square_sum(cube.q)
+        self._rr = ladder.square_sum(cube.r)
+        self.R = [_lift(m, cube.keep, spin_block) for m in cube.r]
+        self.Q = [_lift(m, cube.keep, spin_block) for m in cube.q]
+        self.L = {p: _lift(cube.orbital(p), cube.keep, spin_block) for p in J_PAIRS}
         self.S = _add_spins(self.L, spin_a, spin_b)
         self.J = self.S
-        self.spin_casimir = sum(self.S[p] @ self.S[p] for p in J_PAIRS)
+        self.spin_casimir = ladder.square_sum(self.S.values())
 
     def interior_indices(self, margin: int = 1) -> np.ndarray:
         if not 0 <= margin <= self.n_max:
@@ -405,21 +397,18 @@ class RelativeModeRep(ladder.OperatorSystem):
         idx = np.array(keep, dtype=int)
         return (idx[:, None] * self.spin_dim + np.arange(self.spin_dim)[None, :]).ravel()
 
-    def hamiltonian(self, pot) -> np.ndarray:
-        """Q.Q / 2mu + V(R.R) from the radial powers built up to `max_power`."""
+    def hamiltonian(self, pot) -> ladder.Operator:
+        """Q.Q / 2mu + V(R.R), taken on the cube and restricted; V has degree <= `max_power`."""
         if pot.kind == "poly_x":
             raise ValueError("a composite interaction must depend on the relative separation only")
-        h = self.kinetic.copy()
-        for k, c in enumerate(pot.coefficients):
-            if not c:
-                continue
-            if k > self.max_power:
-                raise ValueError(
-                    f"relative-mode system was built with max_power={self.max_power}, "
-                    f"cannot take (R.R)^{k}"
-                )
-            h = h + c * self.radial[k]
-        return h
+        beyond = [k for k, c in enumerate(pot.coefficients) if c and k > self.max_power]
+        if beyond:
+            raise ValueError(
+                f"relative-mode system was built with max_power={self.max_power}, "
+                f"cannot take (R.R)^{beyond[0]}"
+            )
+        h = self._qq / (2.0 * self.mass) + ladder.poly_in(self._rr, pot.coefficients)
+        return _lift(h, self._keep, self.spin_dim)
 
     def ground_state(self) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=complex)

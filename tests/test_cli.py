@@ -129,6 +129,25 @@ class TestExitCodes:
         proc = run_cli("verify", "rep", str(path))
         assert proc.returncode == 2
 
+    def test_overflowing_ladder_scale_exits_two_naming_the_mass(self, tmp_path):
+        # a positive, finite mass whose position scale hbar / (2 m omega) overflows
+        path = tmp_path / "tiny_mass.json"
+        path.write_text(json.dumps({"kind": "single_rep",
+                                    "payload": {"mass": 1e-310, "dims": 1, "levels": 4}}))
+        proc = run_cli("verify", "rep", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "mass" in proc.stderr
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_calV_or_zeta_is_a_scenario_error(self, value):
+        with pytest.raises(ScenarioError, match="calV"):
+            dynamics_checks({"check": "flow_compare", "levels": 6, "calV": value, "t_max": 0.5, "steps": 4})
+        rep = scenario_from_dict({"kind": "single_rep",
+                                  "payload": {"mass": 1.0, "dims": 1, "levels": 4, "zeta": value}})
+        with pytest.raises(ScenarioError, match="zeta"):
+            run_scenario(rep)
+
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
     def test_non_finite_or_negative_cli_tolerance_exits_two(self, tmp_path, value):
         path = tmp_path / "composite.json"

@@ -72,7 +72,7 @@ class TestHamiltonians:
     def test_free_equals_offsetless_generator(self, rep32):
         h_phys = hamiltonian_physical(rep32, PotentialSpec("none"))
         h_gen = hamiltonian_galilei(rep32, 0.0)
-        assert np.array_equal(h_phys, h_gen)
+        assert np.array_equal(h_phys.toarray(), h_gen.toarray())
 
     def test_generator_offset_commutes_with_momentum(self, rep32):
         h = hamiltonian_galilei(rep32, 7.3)
@@ -84,7 +84,7 @@ class TestHamiltonians:
         h = hamiltonian_galilei(rep32, 0.0)
         k, p = rep32.K[0], rep32.P[0]
         idx = rep32.interior_indices(2)
-        defect = (k @ h - h @ k - 1j * p)[np.ix_(idx, idx)]
+        defect = (k @ h - h @ k - 1j * p).toarray()[np.ix_(idx, idx)]
         assert norm2(defect) <= 1e-10
 
     def test_composite_hamiltonian_structure(self):
@@ -107,7 +107,7 @@ class TestHamiltonians:
         rep = build_particle_rep(RepConfig(mass=1.0, dims=3, levels=4))
         h = hamiltonian_physical(rep, PotentialSpec("poly_x", (0.0, 0.0, 0.5)))
         idx = rep.interior_indices(1)
-        block = h[np.ix_(idx, idx)]
+        block = h.toarray()[np.ix_(idx, idx)]
         vals = np.sort(np.linalg.eigvalsh(block))
         want = np.sort(
             [n1 + n2 + n3 + 1.5 for n1 in range(3) for n2 in range(3) for n3 in range(3)]
@@ -164,6 +164,14 @@ class TestEvolveState:
         h = hamiltonian_physical(rep32, PotentialSpec("none"))
         with pytest.raises(ValueError, match="normalized"):
             evolve_state(h, np.ones(32), [0.0, 1.0])
+
+    def test_non_finite_state_or_generator_rejected(self, rep32):
+        h = hamiltonian_physical(rep32, PotentialSpec("none"))
+        psi0 = coherent_state(32, 0.1)
+        with pytest.raises(ValueError, match="normalized"):
+            evolve_state(h, np.full(32, np.nan), [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite Hermitian"):
+            evolve_state(h + np.nan * ladder.identity(32), psi0, [0.0, 1.0])
 
     def test_non_increasing_grid_rejected(self, rep32):
         h = hamiltonian_physical(rep32, PotentialSpec("none"))
@@ -363,7 +371,7 @@ class TestRelativeModeConservation:
         units = GlobalUnits()
         sys = relative_mode_system(5, 0.5, units)
         h = hamiltonian_physical(sys, PotentialSpec("poly_r2", (0.0, 0.5, 0.05)))
-        worst = max(norm2(h @ sys.S[p] - sys.S[p] @ h) for p in J_PAIRS)
+        worst = max(norm2((h @ sys.S[p] - sys.S[p] @ h).toarray()) for p in J_PAIRS)
         assert worst <= 1e-12
 
     def test_spin_casimir_conserved_along_flow(self):
@@ -384,7 +392,7 @@ class TestRelativeModeConservation:
         units = GlobalUnits()
         sys = relative_mode_system(3, 0.5, units, s_a=0.5, s_b=0.5)
         h = hamiltonian_physical(sys, PotentialSpec("poly_r2", (0.0, 0.3)))
-        worst = max(norm2(h @ sys.S[p] - sys.S[p] @ h) for p in J_PAIRS)
+        worst = max(norm2((h @ sys.S[p] - sys.S[p] @ h).toarray()) for p in J_PAIRS)
         assert worst <= 1e-12
 
     def test_power_beyond_headroom_rejected(self):
@@ -430,7 +438,7 @@ class TestPropagationCount:
         h = hamiltonian_physical(rep32, PotentialSpec("poly_x", (0.0, 0.3, 0.5)))
         psi0 = coherent_state(32, 0.4 + 0.2j)
         times = [0.0, 0.1, 0.3, 0.35]
-        want = [scipy.linalg.expm(-1j * t * h) @ psi0 for t in times]
+        want = [scipy.linalg.expm(-1j * t * h.toarray()) @ psi0 for t in times]
         calls = count_expm(monkeypatch)
         flow = evolve_state(h, psi0, times)
         assert len(calls) == 3  # steps 0.1, 0.2 and 0.05
@@ -476,7 +484,7 @@ class TestSparseAssembly:
 
     def test_poly_in_skips_zero_coefficients(self, comp):
         rr = sum(r @ r for r in comp.R)
-        assert not np.any(ladder.poly_in(rr, (0.0, 0.0, 0.0)))
+        assert not np.any(ladder.poly_in(rr, (0.0, 0.0, 0.0)).toarray())
         self.assert_close(ladder.poly_in(rr, (0.0, 0.0, 1.5)), 1.5 * rr @ rr)
         quartic = (0.0, 0.0, 0.0, 0.0, 2.0)
         self.assert_close(ladder.poly_in(rr, quartic), self.dense_poly(rr, quartic))

@@ -8,10 +8,14 @@ import pytest
 from hrsym import (
     GlobalUnits,
     NonScalarCasimirError,
+    PotentialSpec,
     RepConfig,
     build_particle_rep,
     build_zeta_rep,
     casimir_spin_value,
+    hamiltonian_galilei,
+    relative_mode_system,
+    spin_matrices,
     t_tensor,
     tensor_rep,
     verify_ccr_composite,
@@ -186,7 +190,7 @@ def test_zeta_defect_matches_the_kron_reference(cfg, zeta):
                        - central, 2)
         for x, p in zip(ref["X"], ref["P"])
     )
-    assert metric_close(build_zeta_rep(zeta, cfg).defect(idx), want)
+    assert metric_close(build_zeta_rep(zeta, build_particle_rep(cfg)).defect(idx), want)
 
 
 @pytest.mark.parametrize("cfg", [c for c in PARTICLES if c.dims == 3],
@@ -208,7 +212,7 @@ def test_spin_tensor_and_casimir_match_the_dense_operators(cfg):
 @pytest.mark.parametrize("dims", [1, 2, 3])
 def test_zeta_family_matches_the_scaled_kron_operators(zeta, dims):
     cfg = RepConfig(mass=1.0, dims=dims, levels=3)
-    z = build_zeta_rep(zeta, cfg)
+    z = build_zeta_rep(zeta, build_particle_rep(cfg))
     ref = dense_particle(cfg)
     root, sign = np.sqrt(abs(zeta)), np.sign(zeta)
     for op, dense in zip(z.X, ref["X"], strict=True):
@@ -289,3 +293,71 @@ def test_dims_three_levels_four_composite_stays_sparse():
     for op in held:
         assert isinstance(op, ladder.Operator)
         assert op.nnz <= 8 * comp.dim
+
+
+def dense_relative(n_max, mu, s_a, s_b, max_power=2) -> dict:
+    """R, Q, L, S, the spin Casimir and the relative H, each np.kron(block(cube op, keep), Id_spin)."""
+    levels = n_max + 1 + 2 * max_power
+    x1 = ladder.position(levels, mu, 1.0, 1.0)
+    p1 = ladder.momentum(levels, mu, 1.0, 1.0)
+    eye_n = np.eye(levels)
+
+    def slot(op, k):
+        return kron_all(*[op if i == k else eye_n for i in range(3)])
+
+    r, q = [slot(x1, k) for k in range(3)], [slot(p1, k) for k in range(3)]
+    keep, _ = ladder.total_quanta_restriction(levels, n_max)
+    spin_a, spin_b = spin_matrices(s_a), spin_matrices(s_b)
+    spin_block = spin_a.dim * spin_b.dim
+
+    def lift(op):
+        return np.kron(ladder.block(op, keep), np.eye(spin_block))
+
+    ell = {(i, j): lift(r[i - 1] @ q[j - 1] - q[i - 1] @ r[j - 1]) for i, j in J_PAIRS}
+    eye_osc = np.eye(len(keep))
+    spin = {p: ell[p] + kron_all(eye_osc, spin_a.components[p], np.eye(spin_b.dim))
+            + kron_all(eye_osc, np.eye(spin_a.dim), spin_b.components[p]) for p in J_PAIRS}
+    rr = sum(m @ m for m in r)
+    h = sum(m @ m for m in q) / (2.0 * mu) + 0.5 * rr + 0.05 * rr @ rr
+    return {"R": [lift(m) for m in r], "Q": [lift(m) for m in q], "L": ell, "S": spin,
+            "spin_casimir": sum(spin[p] @ spin[p] for p in J_PAIRS), "H": lift(h)}
+
+
+@pytest.mark.parametrize("s_a,s_b", [(0, 0), (0.5, 0), (0.5, 1)])
+def test_relative_mode_operators_are_sparse_and_match_the_restricted_kron(s_a, s_b):
+    system = relative_mode_system(3, 0.75, GlobalUnits(), s_a=s_a, s_b=s_b)
+    ref = dense_relative(3, 0.75, s_a, s_b)
+    assert_stored_operators_match(system, ref, ("R", "Q", "L", "S", "spin_casimir"))
+    h = system.hamiltonian(PotentialSpec("poly_r2", (0.0, 0.5, 0.05)))
+    assert isinstance(h, ladder.Operator) and close(h, ref["H"])
+
+
+@pytest.mark.parametrize("cfg", PARTICLES, ids=lambda c: f"d{c.dims}n{c.levels}s{c.spin}")
+def test_particle_hamiltonians_are_operators_equal_to_their_dense_terms(cfg):
+    rep = build_particle_rep(cfg)
+    ref = dense_particle(cfg)
+    kinetic = sum(p @ p for p in ref["P"]) / (2.0 * cfg.mass)
+    coefficients = (0.3, 0.1, 0.5, 0.0, 0.02)
+    potential = coefficients[0] * np.eye(cfg.dim) + sum(
+        sum(c * np.linalg.matrix_power(x, k) for k, c in enumerate(coefficients) if k > 0)
+        for x in ref["X"]
+    )
+    got = {"poly_x": rep.hamiltonian(PotentialSpec("poly_x", coefficients)),
+           "none": rep.hamiltonian(PotentialSpec("none")),
+           "galilei": hamiltonian_galilei(rep, 2.5)}
+    want = {"poly_x": kinetic + potential, "none": kinetic, "galilei": kinetic + 2.5 * np.eye(cfg.dim)}
+    for key, h in got.items():
+        assert isinstance(h, ladder.Operator) and close(h, want[key]), key
+
+
+@pytest.mark.parametrize("cfg_a,cfg_b", COMPOSITES,
+                         ids=lambda c: f"d{c.dims}n{c.levels}s{c.spin}")
+def test_composite_hamiltonian_is_an_operator_equal_to_its_dense_terms(cfg_a, cfg_b):
+    comp = tensor_rep(build_particle_rep(cfg_a), build_particle_rep(cfg_b))
+    ref = dense_composite(cfg_a, cfg_b)
+    total, mu = cfg_a.mass + cfg_b.mass, cfg_a.mass * cfg_b.mass / (cfg_a.mass + cfg_b.mass)
+    rr = sum(r @ r for r in ref["R"])
+    want = (sum(p @ p for p in ref["P"]) / (2.0 * total) + sum(q @ q for q in ref["Q"]) / (2.0 * mu)
+            + 0.2 * np.eye(comp.dim) + 0.5 * rr + 0.05 * rr @ rr)
+    h = comp.hamiltonian(PotentialSpec("poly_r2", (0.2, 0.5, 0.05)))
+    assert isinstance(h, ladder.Operator) and close(h, want)

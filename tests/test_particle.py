@@ -1,5 +1,7 @@
 """Truncated Fock representations: matrices, projectors, bracket checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hrsym import (
     rep_config_from_json,
     verify_homomorphism,
 )
+from hrsym import ladder
 from hrsym.dynamics import evolve_observable
 from hrsym.scenarios import run_scenario, scenario_from_dict
 
@@ -79,6 +82,24 @@ class TestLadderMatrices:
         a = np.diag(np.sqrt(np.arange(1.0, 4)), 1)
         expected = np.sqrt(3.0 / (2 * 5.0 * 2.0)) * (a + a.T)
         assert np.allclose(rep.X[0].toarray(), expected, atol=1e-15)
+
+
+class TestNonFiniteScales:
+    def test_overflowing_position_scale_names_the_mass(self):
+        # hbar / (2 m omega) overflows although the mass itself is positive and finite
+        with pytest.raises(ValueError, match="mass=1e-310"):
+            build_particle_rep(RepConfig(mass=1e-310, dims=1, levels=4))
+
+    def test_underflowing_momentum_scale_is_rejected(self):
+        with pytest.raises(ValueError, match="hbar m omega/2"):
+            ladder.momentum(4, 1e-320, 1e-10, 1.0)
+
+    def test_nan_operator_entry_makes_the_raw_defect_nan(self):
+        rep = build_particle_rep(RepConfig(mass=1.0, dims=2, levels=4))
+        x = rep.X[0].copy()
+        x.data[0] = np.nan
+        rep.X[0] = x
+        assert math.isnan(rep.raw_boundary_defect())
 
 
 class TestInteriorProjector:
@@ -160,19 +181,33 @@ class TestHomomorphism:
 class TestZetaFamily:
     def test_unit_zeta_is_plain_rep(self):
         cfg = RepConfig(mass=1.0, dims=1, levels=6)
-        z = build_zeta_rep(1.0, cfg)
+        z = build_zeta_rep(1.0, build_particle_rep(cfg))
         rep = build_particle_rep(cfg)
         assert np.array_equal(z.X[0].toarray(), rep.X[0].toarray())
         assert np.array_equal(z.P[0].toarray(), rep.P[0].toarray())
         assert z.zeta == 1.0
 
+    def test_zeta_scenario_reuses_the_particle_rep(self, monkeypatch):
+        calls = []
+        real = ladder.embed
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ladder, "embed", counted)
+        sc = scenario_from_dict({"kind": "single_rep",
+                                 "payload": {"mass": 1.0, "dims": 3, "levels": 4, "zeta": 2.0}})
+        assert run_scenario(sc).passed
+        assert len(calls) == 6  # X and P of three axes, built once
+
     def test_zero_zeta_rejected(self):
         with pytest.raises(ValueError, match="zeta"):
-            build_zeta_rep(0.0, RepConfig(mass=1.0, dims=1, levels=4))
+            build_zeta_rep(0.0, build_particle_rep(RepConfig(mass=1.0, dims=1, levels=4)))
 
     def test_scaled_commutator_on_interior(self):
         cfg = RepConfig(mass=1.0, dims=1, levels=8)
-        z = build_zeta_rep(4.0, cfg)
+        z = build_zeta_rep(4.0, build_particle_rep(cfg))
         rep = build_particle_rep(cfg)
         idx = rep.interior_indices(1)
         comm = z.X[0] @ z.P[0] - z.P[0] @ z.X[0]
@@ -182,7 +217,7 @@ class TestZetaFamily:
     @given(zeta=st.floats(-10, 10).filter(lambda z: abs(z) > 1e-3))
     def test_commutator_tracks_zeta(self, zeta):
         cfg = RepConfig(mass=1.0, dims=1, levels=8)
-        z = build_zeta_rep(zeta, cfg)
+        z = build_zeta_rep(zeta, build_particle_rep(cfg))
         rep = build_particle_rep(cfg)
         idx = rep.interior_indices(1)
         comm = z.X[0] @ z.P[0] - z.P[0] @ z.X[0]
@@ -197,7 +232,8 @@ class TestZetaFamily:
         def central(z):
             return (-1j * (z.X[0] @ z.P[0] - z.P[0] @ z.X[0])).toarray()[np.ix_(idx, idx)]
 
-        diff = central(build_zeta_rep(1.0, cfg)) - central(build_zeta_rep(2.5, cfg))
+        diff = (central(build_zeta_rep(1.0, build_particle_rep(cfg)))
+                - central(build_zeta_rep(2.5, build_particle_rep(cfg))))
         assert np.allclose(diff, -1.5 * np.eye(len(idx)), atol=1e-12)
 
 

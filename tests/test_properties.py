@@ -1,5 +1,7 @@
 """Property test: any payload value or tolerance gives a report or a ScenarioError."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,18 @@ def _scenario(base: str, field: str, value, tol_name: str, tol_value) -> dict:
     return {"kind": kind, "payload": payload, "tolerances": {tol_name: tol_value}}
 
 
+def _numbers(value):
+    """Every float inside a (nested) metrics value."""
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _numbers(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _numbers(v)
+    elif isinstance(value, float):
+        yield value
+
+
 @st.composite
 def scenarios(draw):
     base = draw(st.sampled_from(sorted(BASES)))
@@ -83,6 +97,9 @@ def test_any_value_gives_a_report_or_a_scenario_error(raw):
         assert "\n" not in str(exc)
     else:
         assert report.checks
+        for check in report.checks:
+            finite = all(math.isfinite(x) for x in _numbers(check.metrics))
+            assert finite or not check.passed, check.name
 
 
 @pytest.mark.parametrize("base", sorted(BASES))
