@@ -2,10 +2,11 @@
 
 Every representation operator and every Hamiltonian is an `Operator`: a CSR
 array built by one sparse Kron embedding.  Ladder generators are
-two-diagonal, so products and commutators stay banded and cheap; only the
-interior restrictions that feed an exact spectral norm or a scalar fit are
-made dense, by `block`, and the dense propagator densifies its Hamiltonian
-once.
+two-diagonal, so products and commutators stay banded and cheap.  Interior
+restrictions stay CSR too (`block`): the exact spectral norm is taken per
+connected component of a block's row-column bipartite graph, and the scalar
+fit subtracts a sparse identity.  The dense propagator densifies its
+Hamiltonian once.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 
 def destroy(n: int) -> np.ndarray:
@@ -87,9 +89,9 @@ def embed(op, slot: int, factor_dims) -> Operator:
     return Operator((np.tile(a.data[src], left), cols.astype(index), indptr.astype(index)), shape=(n, n))
 
 
-def block(op, idx) -> np.ndarray:
-    """Dense restriction of `op` (sparse or dense) to the rows and columns `idx`."""
-    return Operator(op)[idx][:, idx].toarray()
+def block(op, idx) -> Operator:
+    """CSR restriction of `op` (sparse or dense) to the rows and columns `idx`."""
+    return Operator(op)[idx][:, idx]
 
 
 def occupations(levels: int, dims: int) -> np.ndarray:
@@ -166,21 +168,67 @@ def total_quanta_restriction(levels: int, n_max: int, dims: int = 3):
     return keep, basis
 
 
-def spectral_norm(mat: np.ndarray) -> float:
-    if mat.size == 0:
+def _positions(comp: np.ndarray, n_comp: int) -> tuple:
+    """Each vertex's position within its component, and the component sizes."""
+    sizes = np.bincount(comp, minlength=n_comp)
+    order = np.argsort(comp, kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(comp)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return pos, sizes
+
+
+def spectral_norm(mat) -> float:
+    """Exact 2-norm of `mat` (sparse or dense); NaN if a stored entry is not finite.
+
+    The 2-norm of a matrix is the largest 2-norm of the connected components
+    of its row-column bipartite graph (a direct sum, up to permutations).
+    Components of shape 1 x c or r x 1 take the vector 2-norm; the others
+    take one stacked SVD per distinct component shape.
+    """
+    a = scipy.sparse.csr_array(mat, copy=True)
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    if not np.isfinite(a.data).all():
+        return math.nan
+    if a.nnz == 0:
         return 0.0
-    return float(np.linalg.norm(mat, 2))
+    # vertices: rows 0..n_r-1, then columns; an edge per stored entry
+    n_r, n_c = a.shape
+    graph = scipy.sparse.csr_array(
+        (np.ones(a.nnz), a.indices + n_r, np.concatenate((a.indptr, np.full(n_c, a.nnz)))),
+        shape=(n_r + n_c,) * 2,
+    )
+    n_comp, label = connected_components(graph, directed=False)
+    row_pos, r = _positions(label[:n_r], n_comp)
+    col_pos, c = _positions(label[n_r:], n_comp)
+    row_of, col_of = np.repeat(np.arange(n_r), np.diff(a.indptr)), a.indices
+    comp = label[row_of]
+    # a power-of-two scale keeps the sums of squares finite and is exact
+    scale = np.ldexp(1.0, int(np.frexp(np.abs(a.data).max())[1]))
+    data = a.data / scale
+    norms = np.sqrt(np.bincount(comp, weights=np.abs(data) ** 2, minlength=n_comp))
+    shape_of = np.where((r > 1) & (c > 1), r * (c.max() + 1) + c, -1)
+    for key in np.unique(shape_of[shape_of >= 0]):
+        members = np.flatnonzero(shape_of == key)
+        slot = np.full(n_comp, -1)
+        slot[members] = np.arange(len(members))
+        sel = slot[comp] >= 0
+        stack = np.zeros((len(members), r[members[0]], c[members[0]]), dtype=data.dtype)
+        stack[slot[comp[sel]], row_pos[row_of[sel]], col_pos[col_of[sel]]] = data[sel]
+        norms[members] = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    return float(norms.max() * scale)
 
 
 def interior_scalar_fit(blocks) -> tuple:
-    """Fit value * Id to square interior blocks of equal rank.
+    """Fit value * Id to square interior blocks (CSR or dense) of equal rank.
 
     Returns the mean of trace / rank over the blocks and the largest
-    spectral norm of block - value * Id.
+    spectral norm of block - value * Id, with Id a sparse identity.
     """
     rank = blocks[0].shape[0]
     value = float(np.mean([blk.trace().real / rank for blk in blocks]))
-    deviation = float(np.max([spectral_norm(blk - value * np.eye(rank)) for blk in blocks]))
+    eye = identity(rank)
+    deviation = float(np.max([spectral_norm(blk - value * eye) for blk in blocks]))
     return value, deviation
 
 

@@ -212,7 +212,7 @@ class ZetaRep:
 
     def defect(self, idx) -> float:
         """Largest spectral norm of [X_i, P_i] - i hbar zeta Id restricted to `idx`."""
-        central = 1j * self.hbar * self.zeta * np.eye(len(idx))
+        central = 1j * self.hbar * self.zeta * ladder.identity(len(idx))
         return float(np.max([
             ladder.spectral_norm(ladder.block(x @ p - p @ x, idx) - central) for x, p in zip(self.X, self.P)
         ]))

@@ -780,7 +780,7 @@ def _dyn_relative_conservation(sc: Scenario, tols) -> list:
     h = hamiltonian_physical(sys, pot)
 
     comm_norm = float(np.max([
-        ladder.spectral_norm((h @ sys.S[p] - sys.S[p] @ h).toarray()) for p in J_PAIRS
+        ladder.spectral_norm(h @ sys.S[p] - sys.S[p] @ h) for p in J_PAIRS
     ]))
     tol_rot = _tol(sc, tols, "spin_conservation")
 

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, report shape, determinism, suites."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -138,6 +139,19 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "mass" in proc.stderr
+
+    def test_overflowing_bracket_fails_the_homomorphism_with_a_non_finite_defect(self, tmp_path):
+        # every ladder scale is finite, but M = m Id times K = m X overflows, so
+        # the [K1, M] and [P1, M] defects hold NaN: a failed check, not an SVD error
+        path = tmp_path / "huge_mass.json"
+        path.write_text(json.dumps({"kind": "single_rep",
+                                    "payload": {"mass": 1e300, "dims": 1, "levels": 4}}))
+        out = tmp_path / "out.json"
+        proc = run_cli("verify", "rep", str(path), "--out", str(out))
+        assert proc.returncode == 1, proc.stderr
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["homomorphism:h3"]["status"] == "fail"
+        assert not math.isfinite(checks["homomorphism:h3"]["metrics"]["worst_defect"])
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_calV_or_zeta_is_a_scenario_error(self, value):

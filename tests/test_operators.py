@@ -4,6 +4,8 @@ import copy
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from hrsym import (
     GlobalUnits,
@@ -267,8 +269,58 @@ def test_interior_block_is_the_dense_restriction():
     rep = build_particle_rep(RepConfig(mass=1.0, dims=2, levels=4))
     idx = rep.interior_indices(1)
     op = rep.J[(1, 2)]
-    assert np.array_equal(ladder.block(op, idx), op.toarray()[np.ix_(idx, idx)])
-    assert np.array_equal(ladder.block(op.toarray(), idx), op.toarray()[np.ix_(idx, idx)])
+    assert np.array_equal(ladder.block(op, idx).toarray(), op.toarray()[np.ix_(idx, idx)])
+    assert np.array_equal(ladder.block(op.toarray(), idx).toarray(), op.toarray()[np.ix_(idx, idx)])
+
+
+def _components(*shapes, seed=0):
+    """Random complex blocks of the given shapes on the diagonal, rows and columns shuffled."""
+    rng = np.random.default_rng(seed)
+    mat = scipy.linalg.block_diag(*[rng.normal(size=sh) + 1j * rng.normal(size=sh) for sh in shapes])
+    return mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])]
+
+
+def _stored_zeros():
+    """A 4 x 4 CSR block with three explicit zeros beside two nonzero entries."""
+    data = np.array([0.0, 2.0 - 1.0j, 0.0, 0.0, -3.0])
+    return scipy.sparse.csr_array((data, [0, 2, 3, 1, 0], [0, 2, 3, 4, 5]), shape=(4, 4))
+
+
+NORM_CASES = {
+    "all_zero": scipy.sparse.csr_array((6, 9), dtype=complex),
+    "stored_zeros": _stored_zeros(),
+    "empty": scipy.sparse.csr_array((0, 0), dtype=complex),
+    "permuted_diagonal": scipy.sparse.csr_array(_components(*[(1, 1)] * 12)),
+    "dense_30x30": scipy.sparse.csr_array(_components((30, 30))),
+    "equal_shapes": scipy.sparse.csr_array(_components(*[(2, 2)] * 20, *[(3, 2)] * 15)),
+    "mixed_shapes": scipy.sparse.csr_array(_components((1, 1), (1, 4), (5, 1), (2, 2), (4, 3), (2, 2), (3, 5))),
+}
+
+
+@pytest.mark.parametrize("case", NORM_CASES)
+def test_spectral_norm_of_csr_matches_the_dense_svd(case):
+    mat = NORM_CASES[case]
+    dense = mat.toarray()
+    want = float(np.linalg.norm(dense, 2)) if dense.size else 0.0
+    stored = mat.nnz
+    got = ladder.spectral_norm(mat)
+    assert abs(got - want) <= RTOL * want
+    assert mat.nnz == stored  # the input keeps its stored zeros
+
+
+def test_interior_scalar_fit_on_csr_matches_the_dense_blocks():
+    rng = np.random.default_rng(3)
+    blocks = []
+    for k in range(3):
+        noise = scipy.sparse.random_array((40, 40), density=0.05, rng=rng, dtype=complex)
+        blocks.append(scipy.sparse.csr_array(2.5 * scipy.sparse.eye_array(40) + 1e-3 * (k + 1) * noise))
+    value, deviation = ladder.interior_scalar_fit(blocks)
+    dense_value, dense_deviation = ladder.interior_scalar_fit([b.toarray() for b in blocks])
+    ref_value = float(np.mean([np.trace(b.toarray()).real / 40 for b in blocks]))
+    ref_deviation = max(float(np.linalg.norm(b.toarray() - ref_value * np.eye(40), 2)) for b in blocks)
+    for got in ((value, deviation), (dense_value, dense_deviation)):
+        assert abs(got[0] - ref_value) <= RTOL * abs(ref_value)
+        assert abs(got[1] - ref_deviation) <= RTOL * ref_deviation
 
 
 def test_operator_counts_its_csr_buffers_and_keeps_its_type():
@@ -295,6 +347,18 @@ def test_dims_three_levels_four_composite_stays_sparse():
         assert op.nnz <= 8 * comp.dim
 
 
+def test_dims_three_levels_five_composite_passes_every_ccr_fit():
+    # n = 15,625 with a margin-1 interior of 4,096: densifying each interior block
+    # would take about 45 dense 4,096 x 4,096 SVDs, so this size runs only on
+    # the per-component norms
+    cfg_a, cfg_b = RepConfig(mass=1.0, dims=3, levels=5), RepConfig(mass=2.0, dims=3, levels=5)
+    comp = tensor_rep(build_particle_rep(cfg_a), build_particle_rep(cfg_b))
+    assert comp.dim == 15625 and len(comp.interior_indices(1)) == 4096
+    recs = verify_ccr_composite(comp, margin=1, tol=1e-12)
+    assert [r.pair for r in recs] == ["x_com:p", "x_naive:p", "r:q", "r:p", "q:x_com"]
+    assert all(r.passed for r in recs)
+
+
 def dense_relative(n_max, mu, s_a, s_b, max_power=2) -> dict:
     """R, Q, L, S, the spin Casimir and the relative H, each np.kron(block(cube op, keep), Id_spin)."""
     levels = n_max + 1 + 2 * max_power
@@ -311,7 +375,7 @@ def dense_relative(n_max, mu, s_a, s_b, max_power=2) -> dict:
     spin_block = spin_a.dim * spin_b.dim
 
     def lift(op):
-        return np.kron(ladder.block(op, keep), np.eye(spin_block))
+        return np.kron(ladder.block(op, keep).toarray(), np.eye(spin_block))
 
     ell = {(i, j): lift(r[i - 1] @ q[j - 1] - q[i - 1] @ r[j - 1]) for i, j in J_PAIRS}
     eye_osc = np.eye(len(keep))
