@@ -5,8 +5,11 @@ same engine drives physical time evolution, the free-generator flow with its
 constant offset, rotations (generator J), and boosts (generator K).  Every
 Hamiltonian a system builds is a CSR `ladder.Operator`, and the flows take
 any generator as one (dense input is converted once).  Dense propagation
-densifies it once and uses the scaling-and-squaring exponential, one per
-distinct step of the time grid; the Krylov path uses scipy's expm_multiply
+splits it into its direct sum (`ladder.direct_sum`: the connected components
+of its stored entries, stacked by component size) and takes one batched
+scaling-and-squaring exponential per component size and distinct step of the
+time grid; the exponential of a direct sum is the direct sum of the block
+exponentials, so this is exact.  The Krylov path uses scipy's expm_multiply
 stepping on the CSR operator for larger systems.  Both are deterministic.
 
 Truncation makes long flows untrustworthy once amplitude reaches the top
@@ -78,8 +81,8 @@ def hamiltonian_physical(system, pot: PotentialSpec) -> ladder.Operator:
     relative kinetic terms P.P / 2m + Q.Q / 2mu plus V(R.R); the interaction
     must depend on the relative separation only, so kind "poly_x" is
     rejected there.  A RelativeModeRep drops the (decoupled, free) COM term.
-    The result is a CSR `ladder.Operator`; the dense propagator densifies it
-    once.
+    The result is a CSR `ladder.Operator`; the dense propagator exponentiates
+    it block by block.
     """
     return system.hamiltonian(pot)
 
@@ -142,18 +145,23 @@ def _expectation(op, psi) -> float:
 _SAME_STEP_RTOL = 1e-12
 
 
-def _step_propagator(steps: list, dt: float, hd: np.ndarray, hbar: float) -> np.ndarray:
-    """exp(-i dt H / hbar), reused for any earlier step within `_SAME_STEP_RTOL` of dt.
+def _block_exponentials(blocks: list, dt: float, hbar: float) -> list:
+    """exp(-i dt H / hbar) of the `ladder.direct_sum` blocks of H, one stacked exponential per size."""
+    return [scipy.linalg.expm(-1j * dt * stack / hbar) for _, stack in blocks]
+
+
+def _step_propagator(steps: list, dt: float, blocks: list, hbar: float) -> list:
+    """The block exponentials of dt, reused for any earlier step within `_SAME_STEP_RTOL` of dt.
 
     A uniform grid's steps differ only by rounding, so it takes one
-    exponential; every genuinely new step gets its own.
+    exponential per block size; every genuinely new step gets its own.
     """
-    for known, prop in reversed(steps):
+    for known, props in reversed(steps):
         if abs(known - dt) <= _SAME_STEP_RTOL * max(abs(known), abs(dt)):
-            return prop
-    prop = scipy.linalg.expm(-1j * dt * hd / hbar)
-    steps.append((dt, prop))
-    return prop
+            return props
+    props = _block_exponentials(blocks, dt, hbar)
+    steps.append((dt, props))
+    return props
 
 
 def evolve_state(
@@ -167,10 +175,11 @@ def evolve_state(
 ) -> FlowResult:
     """Propagate psi0 along exp(-i t H / hbar) over the time grid.
 
-    Spaces up to `_DENSE_LIMIT` take dense step propagators, larger ones
-    Krylov steps.  `boundary_weight` is an optional callable(state) ->
-    probability near the truncation boundary; if the worst value along the
-    flow exceeds `leakage_threshold` the result is flagged unreliable.
+    Spaces up to `_DENSE_LIMIT` take dense step propagators, block by block
+    over the direct sum of H, larger ones Krylov steps.  `boundary_weight` is
+    an optional callable(state) -> probability near the truncation boundary;
+    if the worst value along the flow exceeds `leakage_threshold` the result
+    is flagged unreliable.
     """
     t = _check_times(times)
     H = ladder.Operator(H)
@@ -182,11 +191,14 @@ def evolve_state(
 
     dim = H.shape[0]
     if dim <= _DENSE_LIMIT:
-        hd = H.toarray()
-        steps: list = []  # (dt, propagator), one per distinct step
+        blocks = ladder.direct_sum(H)
+        steps: list = []  # (dt, block propagators), one per distinct step
 
         def advance(psi, dt):
-            return _step_propagator(steps, dt, hd, hbar) @ psi
+            out = np.empty_like(psi)
+            for (idx, _), prop in zip(blocks, _step_propagator(steps, dt, blocks, hbar)):
+                out[idx] = np.matmul(prop, psi[idx][..., None])[..., 0]
+            return out
     else:
         def advance(psi, dt):
             return scipy.sparse.linalg.expm_multiply(-1j * dt * H / hbar, psi)
@@ -224,10 +236,16 @@ def evolve_state(
 
 
 def evolve_observable(H, A, t: float, hbar: float = 1.0) -> np.ndarray:
-    """Heisenberg-picture conjugation exp(+i t H / hbar) A exp(-i t H / hbar)."""
+    """Heisenberg-picture conjugation exp(+i t H / hbar) A exp(-i t H / hbar).
+
+    exp(+i t H / hbar) is exponentiated block by block over the direct sum of H.
+    """
     H = ladder.Operator(H)
     _check_hermitian(H)
-    u = scipy.linalg.expm(1j * t * H.toarray() / hbar)
+    blocks = ladder.direct_sum(H)
+    u = np.zeros(H.shape, dtype=complex)
+    for (idx, _), prop in zip(blocks, _block_exponentials(blocks, -t, hbar)):
+        u[idx[:, :, None], idx[:, None, :]] = prop
     out = u @ A @ u.conj().T
     herm_err = float(np.max(np.abs(out - out.conj().T)))
     if herm_err > 1e-12 * max(1.0, float(np.max(np.abs(out)))):

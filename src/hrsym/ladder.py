@@ -5,8 +5,11 @@ array built by one sparse Kron embedding.  Ladder generators are
 two-diagonal, so products and commutators stay banded and cheap.  Interior
 restrictions stay CSR too (`block`): the exact spectral norm is taken per
 connected component of a block's row-column bipartite graph, and the scalar
-fit subtracts a sparse identity.  The dense propagator densifies its
-Hamiltonian once.
+fit subtracts a sparse identity.  `direct_sum` splits a square operator
+over the connected components of its stored entries, with the dense blocks
+stacked by component size, so the dense propagator exponentiates a
+Hamiltonian block by block.  Both splits scatter their blocks straight from
+CSR through one stacking helper.
 """
 
 from __future__ import annotations
@@ -177,6 +180,66 @@ def _positions(comp: np.ndarray, n_comp: int) -> tuple:
     return pos, sizes
 
 
+def _canonical(mat) -> tuple:
+    """A CSR copy of `mat` with duplicates summed and stored zeros dropped, and each entry's row."""
+    a = scipy.sparse.csr_array(mat, copy=True)
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    return a, np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+
+
+def _components(a, offset: int) -> tuple:
+    """Connected components of the graph with an edge i -- offset + j per stored entry (i, j).
+
+    The edges come from the stored pattern alone, never from the values.
+    """
+    n = max(a.shape[0], offset + a.shape[1])
+    indptr = np.concatenate((a.indptr, np.full(n - a.shape[0], a.nnz)))
+    graph = scipy.sparse.csr_array((np.ones(a.nnz), a.indices + offset, indptr), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
+def _stacks(row_label, col_label, n_comp: int, rows, cols, data, vectors: bool = True) -> list:
+    """Scatter the entries (rows, cols, data) into dense blocks, one stack per component shape.
+
+    Row i lies in component row_label[i] and column j in col_label[j].  The
+    components are grouped by shape r x c (those with one row or one column
+    only if `vectors`), and each group gives (members, index, stack): its
+    component labels (k,), the rows of each member in block order (k, r) and
+    the (k, r, c) blocks.
+    """
+    row_pos, r = _positions(row_label, n_comp)
+    col_pos, c = _positions(col_label, n_comp)
+    comp = row_label[rows]
+    shape_of = np.where(vectors | ((r > 1) & (c > 1)), r * (c.max(initial=0) + 1) + c, -1)
+    out = []
+    for key in np.unique(shape_of[shape_of >= 0]):
+        members = np.flatnonzero(shape_of == key)
+        slot = np.full(n_comp, -1)
+        slot[members] = np.arange(len(members))
+        sel = slot[comp] >= 0
+        stack = np.zeros((len(members), r[members[0]], c[members[0]]), dtype=data.dtype)
+        stack[slot[comp[sel]], row_pos[rows[sel]], col_pos[cols[sel]]] = data[sel]
+        on = np.flatnonzero(slot[row_label] >= 0)
+        index = np.empty(stack.shape[:2], dtype=np.intp)
+        index[slot[row_label[on]], row_pos[on]] = on
+        out.append((members, index, stack))
+    return out
+
+
+def direct_sum(op) -> list:
+    """Split square `op` (sparse or dense) into its direct sum: [(idx, stack)] by block size.
+
+    The blocks are the connected components of the graph of stored entries.
+    Each distinct size s gives a (k, s) index array `idx` and the (k, s, s)
+    dense blocks `stack`, stack[j] = op[idx[j]][:, idx[j]]; every index lies
+    in exactly one row of one `idx`, and no entry falls outside the blocks.
+    """
+    a, rows = _canonical(op)
+    n_comp, label = _components(a, 0)
+    return [(idx, stack) for _, idx, stack in _stacks(label, label, n_comp, rows, a.indices, a.data)]
+
+
 def spectral_norm(mat) -> float:
     """Exact 2-norm of `mat` (sparse or dense); NaN if a stored entry is not finite.
 
@@ -185,36 +248,20 @@ def spectral_norm(mat) -> float:
     Components of shape 1 x c or r x 1 take the vector 2-norm; the others
     take one stacked SVD per distinct component shape.
     """
-    a = scipy.sparse.csr_array(mat, copy=True)
-    a.sum_duplicates()
-    a.eliminate_zeros()
+    a, rows = _canonical(mat)
     if not np.isfinite(a.data).all():
         return math.nan
     if a.nnz == 0:
         return 0.0
-    # vertices: rows 0..n_r-1, then columns; an edge per stored entry
-    n_r, n_c = a.shape
-    graph = scipy.sparse.csr_array(
-        (np.ones(a.nnz), a.indices + n_r, np.concatenate((a.indptr, np.full(n_c, a.nnz)))),
-        shape=(n_r + n_c,) * 2,
-    )
-    n_comp, label = connected_components(graph, directed=False)
-    row_pos, r = _positions(label[:n_r], n_comp)
-    col_pos, c = _positions(label[n_r:], n_comp)
-    row_of, col_of = np.repeat(np.arange(n_r), np.diff(a.indptr)), a.indices
-    comp = label[row_of]
+    # vertices: rows 0..n_r-1, then columns
+    n_r = a.shape[0]
+    n_comp, label = _components(a, n_r)
+    row_label, col_label = label[:n_r], label[n_r:]
     # a power-of-two scale keeps the sums of squares finite and is exact
     scale = np.ldexp(1.0, int(np.frexp(np.abs(a.data).max())[1]))
     data = a.data / scale
-    norms = np.sqrt(np.bincount(comp, weights=np.abs(data) ** 2, minlength=n_comp))
-    shape_of = np.where((r > 1) & (c > 1), r * (c.max() + 1) + c, -1)
-    for key in np.unique(shape_of[shape_of >= 0]):
-        members = np.flatnonzero(shape_of == key)
-        slot = np.full(n_comp, -1)
-        slot[members] = np.arange(len(members))
-        sel = slot[comp] >= 0
-        stack = np.zeros((len(members), r[members[0]], c[members[0]]), dtype=data.dtype)
-        stack[slot[comp[sel]], row_pos[row_of[sel]], col_pos[col_of[sel]]] = data[sel]
+    norms = np.sqrt(np.bincount(row_label[rows], weights=np.abs(data) ** 2, minlength=n_comp))
+    for members, _, stack in _stacks(row_label, col_label, n_comp, rows, a.indices, data, vectors=False):
         norms[members] = np.linalg.svd(stack, compute_uv=False)[:, 0]
     return float(norms.max() * scale)
 

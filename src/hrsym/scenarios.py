@@ -205,18 +205,19 @@ class RunReport:
         }
 
     def render(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+        return json.dumps(self.to_json(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _jsonable(value):
+    """Plain JSON values; a non-finite float becomes "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(value, (np.ndarray, np.floating, np.integer)):
+        value = value.tolist()
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
     return value
 
 
@@ -1055,7 +1056,7 @@ class SuiteReport:
         }
 
     def render(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+        return json.dumps(self.to_json(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def run_suite(name: str, tolerances: dict | None = None) -> SuiteReport:

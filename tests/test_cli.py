@@ -5,10 +5,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hrsym import ANCHOR_REGISTRY, build_algebra
-from hrsym.scenarios import ScenarioError, load_scenario, run_scenario, scenario_from_dict
+from hrsym.scenarios import ScenarioError, _jsonable, load_scenario, run_scenario, scenario_from_dict
 
 
 def run_cli(*args, **kwargs):
@@ -151,7 +152,25 @@ class TestExitCodes:
         assert proc.returncode == 1, proc.stderr
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
         assert checks["homomorphism:h3"]["status"] == "fail"
-        assert not math.isfinite(checks["homomorphism:h3"]["metrics"]["worst_defect"])
+        assert not math.isfinite(float(checks["homomorphism:h3"]["metrics"]["worst_defect"]))
+
+    def test_report_with_a_non_finite_metric_is_strict_json(self, tmp_path):
+        path = tmp_path / "huge_mass.json"
+        path.write_text(json.dumps({"kind": "single_rep",
+                                    "payload": {"mass": 1e300, "dims": 1, "levels": 4}}))
+        proc = run_cli("verify", "rep", str(path))
+        assert proc.returncode == 1, proc.stderr
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads(proc.stdout, parse_constant=reject)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["homomorphism:h3"]["metrics"]["worst_defect"] == "NaN"
+
+    def test_non_finite_metrics_map_to_strings(self):
+        got = _jsonable({"a": np.float64(np.inf), "b": [-math.inf, math.nan, 2.5], "c": np.array([1.0, np.nan])})
+        assert got == {"a": "Infinity", "b": ["-Infinity", "NaN", 2.5], "c": [1.0, "NaN"]}
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_calV_or_zeta_is_a_scenario_error(self, value):

@@ -419,13 +419,70 @@ class TestComDecoupling:
         assert result.max_residual <= 1e-5
 
 
+def _diagonal_with_stored_zeros(n: int) -> ladder.Operator:
+    """diag(0, 1, ..., n-1) with stored zeros at (0, n-1) and (n-1, 0), which must not couple."""
+    rows = np.concatenate((np.arange(n), [0, n - 1]))
+    cols = np.concatenate((np.arange(n), [n - 1, 0]))
+    vals = np.concatenate((np.arange(n, dtype=float), [0.0, 0.0]))
+    return ladder.Operator((vals, (rows, cols)), shape=(n, n), dtype=complex)
+
+
+@pytest.fixture(scope="module")
+def rep_2d():
+    return build_particle_rep(RepConfig(mass=1.3, dims=2, levels=6))
+
+
+# generator -> the (count, size) of its direct-sum blocks on rep_2d (dim 36)
+SPLIT_CASES = {
+    # omega^2 = 4 / 1.3 away from the oscillator frequency: X^2 and P^2 keep
+    # a^2 terms, which couple levels of equal parity in each dimension
+    "parity_harmonic": (lambda rep: hamiltonian_physical(rep, PotentialSpec("poly_x", (0.0, 0.0, 2.0))), [(4, 9)]),
+    "diagonal": (lambda rep: _diagonal_with_stored_zeros(rep.dim), [(36, 1)]),
+    "linear_term": (lambda rep: hamiltonian_physical(rep, PotentialSpec("poly_x", (0.0, 0.3, 0.5))), [(1, 36)]),
+    # P is purely imaginary; K = m X is real; both leave the other factor's level fixed
+    "momentum": (lambda rep: rep.P[0], [(6, 6)]),
+    "boost": (lambda rep: rep.K[0], [(6, 6)]),
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+class TestDirectSum:
+    def test_blocks_scatter_back_to_the_operator_exactly(self, rep_2d, case):
+        build, sizes = SPLIT_CASES[case]
+        op = build(rep_2d)
+        split = ladder.direct_sum(op)
+        assert [idx.shape for idx, _ in split] == sizes
+        assert np.array_equal(np.sort(np.concatenate([idx.ravel() for idx, _ in split])), np.arange(rep_2d.dim))
+        back = np.zeros(op.shape, dtype=complex)
+        for idx, stack in split:
+            assert stack.shape == idx.shape + idx.shape[1:]
+            back[idx[:, :, None], idx[:, None, :]] = stack
+        assert np.array_equal(back, op.toarray())
+
+    def test_flows_agree_with_the_dense_exponential(self, rep_2d, case):
+        h = SPLIT_CASES[case][0](rep_2d)
+        dense = h.toarray()
+        rng = np.random.default_rng(11)
+        psi0 = rng.normal(size=rep_2d.dim) + 1j * rng.normal(size=rep_2d.dim)
+        psi0 /= np.linalg.norm(psi0)
+        times = [0.0, 0.3, 0.7, 1.0]
+        flow = evolve_state(h, psi0, times, hbar=0.8)
+        for t, state in zip(times, flow.states):
+            assert np.max(np.abs(state - scipy.linalg.expm(-1j * t * dense / 0.8) @ psi0)) <= 1e-12
+        a = rep_2d.X[1]
+        u = scipy.linalg.expm(0.9j * dense / 0.8)
+        want = u @ a.toarray() @ u.conj().T
+        got = evolve_observable(h, a, 0.9, hbar=0.8)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 class TestPropagationCount:
     def test_com_decoupling_scenario_propagates_once(self, monkeypatch):
         raw = next(r for r in SUITES["paper-full"]() if r["payload"].get("check") == "com_decoupling")
         calls = count_expm(monkeypatch)
         report = run_scenario(scenario_from_dict(raw))
         assert report.passed
-        assert calls == [(784, 784)]
+        assert calls == [(2, 392, 392)]  # both parity blocks of the 784-dim H in one call
 
     def test_uniform_grid_takes_one_exponential(self, rep32, monkeypatch):
         h = hamiltonian_physical(rep32, PotentialSpec("poly_x", (0.0, 0.0, 0.5)))
