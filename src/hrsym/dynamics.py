@@ -338,7 +338,8 @@ def extra_casimir_check(
     h = hamiltonian if hamiltonian is not None else hamiltonian_galilei(rep, calV)
     g = 2.0 * rep.M @ h - ladder.square_sum(rep.P)
     idx = rep.interior_indices(margin)
-    fitted, deviation = ladder.interior_scalar_fit([ladder.block(g, idx)])
+    values, norms = ladder.interior_scalar_fit(ladder.block(g, idx), len(idx))
+    fitted, deviation = float(values[0]), float(norms[0])
     expected = 2.0 * rep.mass * calV
     value_err = abs(fitted - expected)
     report = VerificationReport(f"extra_casimir[m={rep.mass}, calV={calV}]")

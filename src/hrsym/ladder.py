@@ -5,11 +5,16 @@ array built by one sparse Kron embedding.  Ladder generators are
 two-diagonal, so products and commutators stay banded and cheap.  Interior
 restrictions stay CSR too (`block`): the exact spectral norm is taken per
 connected component of a block's row-column bipartite graph, and the scalar
-fit subtracts a sparse identity.  `direct_sum` splits a square operator
-over the connected components of its stored entries, with the dense blocks
-stacked by component size, so the dense propagator exponentiates a
-Hamiltonian block by block.  Both splits scatter their blocks straight from
-CSR through one stacking helper.
+fit subtracts a sparse diagonal.  A table of brackets is checked as one
+operator: `block_diag` puts its operands down one diagonal by concatenating
+CSR buffers, so the whole table is one sparse product and one restriction,
+and `block_norms` takes the exact 2-norm of every diagonal block in one
+pass (the 2-norm of a direct sum is the largest of its blocks'), through
+the component-norm body that `spectral_norm` uses too.  `direct_sum` splits
+a square operator over the connected components of its stored entries,
+with the dense blocks stacked by component size, so the dense propagator
+exponentiates a Hamiltonian block by block.  Both splits scatter their
+blocks straight from CSR through one stacking helper.
 """
 
 from __future__ import annotations
@@ -95,6 +100,24 @@ def embed(op, slot: int, factor_dims) -> Operator:
 def block(op, idx) -> Operator:
     """CSR restriction of `op` (sparse or dense) to the rows and columns `idx`."""
     return Operator(op)[idx][:, idx]
+
+
+def block_diag(ops) -> Operator:
+    """The square operators `ops` (sparse or dense) down the diagonal, as one CSR `Operator`.
+
+    Their CSR buffers are concatenated, the column indices and row pointers
+    shifted past the blocks before, so no block is converted entry by entry.
+    """
+    mats = [op if isinstance(op, scipy.sparse.csr_array) else scipy.sparse.csr_array(op) for op in ops]
+    nnz = [int(m.indptr[-1]) for m in mats]
+    starts = np.cumsum([0] + [m.shape[0] for m in mats])
+    ends = np.cumsum([0] + nnz)
+    n = int(starts[-1])
+    index = np.int32 if max(n, ends[-1]) <= np.iinfo(np.int32).max else np.int64
+    data = np.concatenate([np.empty(0, complex)] + [m.data[:k] for m, k in zip(mats, nnz)])
+    cols = np.concatenate([np.empty(0, index)] + [m.indices[:k] + s for m, k, s in zip(mats, nnz, starts)])
+    indptr = np.concatenate([[0]] + [m.indptr[1:] + e for m, e in zip(mats, ends)])
+    return Operator((data, cols.astype(index), indptr.astype(index)), shape=(n, n))
 
 
 def occupations(levels: int, dims: int) -> np.ndarray:
@@ -240,43 +263,80 @@ def direct_sum(op) -> list:
     return [(idx, stack) for _, idx, stack in _stacks(label, label, n_comp, rows, a.indices, a.data)]
 
 
-def spectral_norm(mat) -> float:
-    """Exact 2-norm of `mat` (sparse or dense); NaN if a stored entry is not finite.
+def _group_norms(a, rows, row_group, n_groups: int) -> np.ndarray:
+    """Exact 2-norm of each group of rows of canonical CSR `a`, whose entry i lies in row rows[i].
 
-    The 2-norm of a matrix is the largest 2-norm of the connected components
-    of its row-column bipartite graph (a direct sum, up to permutations).
-    Components of shape 1 x c or r x 1 take the vector 2-norm; the others
-    take one stacked SVD per distinct component shape.
+    Row i lies in group row_group[i], nondecreasing in i, and no connected
+    component of the row-column bipartite graph may span two groups: the
+    2-norm of a matrix is the largest 2-norm of those components (a direct
+    sum, up to permutations).  Components of shape 1 x c or r x 1 take the
+    vector 2-norm; the others take one stacked SVD per distinct component
+    shape.  A group without entries gets 0, one with a non-finite entry NaN.
     """
-    a, rows = _canonical(mat)
-    if not np.isfinite(a.data).all():
-        return math.nan
+    out = np.zeros(n_groups)
     if a.nnz == 0:
-        return 0.0
+        return out
+    group = row_group[rows]
+    finite = np.isfinite(a.data)
+    data = np.where(finite, a.data, 0.0)
+    # a power-of-two scale per group keeps the sums of squares finite and is exact
+    first = np.flatnonzero(np.diff(group, prepend=-1))
+    peak = np.zeros(n_groups)
+    peak[group[first]] = np.maximum.reduceat(np.abs(data), first)
+    scale = np.ldexp(1.0, np.frexp(peak)[1])
+    data = data / scale[group]
     # vertices: rows 0..n_r-1, then columns
     n_r = a.shape[0]
     n_comp, label = _components(a, n_r)
     row_label, col_label = label[:n_r], label[n_r:]
-    # a power-of-two scale keeps the sums of squares finite and is exact
-    scale = np.ldexp(1.0, int(np.frexp(np.abs(a.data).max())[1]))
-    data = a.data / scale
     norms = np.sqrt(np.bincount(row_label[rows], weights=np.abs(data) ** 2, minlength=n_comp))
     for members, _, stack in _stacks(row_label, col_label, n_comp, rows, a.indices, data, vectors=False):
         norms[members] = np.linalg.svd(stack, compute_uv=False)[:, 0]
-    return float(norms.max() * scale)
+    comp_group = np.zeros(n_comp, dtype=np.intp)
+    comp_group[row_label[rows]] = group
+    np.maximum.at(out, comp_group, norms * scale[comp_group])
+    out[group[~finite]] = math.nan
+    return out
 
 
-def interior_scalar_fit(blocks) -> tuple:
-    """Fit value * Id to square interior blocks (CSR or dense) of equal rank.
+def spectral_norm(mat) -> float:
+    """Exact 2-norm of `mat` (sparse or dense); NaN if a stored entry is not finite."""
+    a, rows = _canonical(mat)
+    return float(_group_norms(a, rows, np.zeros(a.shape[0], dtype=np.intp), 1)[0])
 
-    Returns the mean of trace / rank over the blocks and the largest
-    spectral norm of block - value * Id, with Id a sparse identity.
+
+def block_norms(mat, sizes) -> np.ndarray:
+    """Exact 2-norm of each square diagonal block of block-diagonal `mat` (sparse or dense).
+
+    Block k spans the `sizes[k]` rows and columns after those of blocks
+    0..k-1.  A block without a stored nonzero gets 0 and a block with a
+    non-finite entry NaN; the other blocks keep their norms.
     """
-    rank = blocks[0].shape[0]
-    value = float(np.mean([blk.trace().real / rank for blk in blocks]))
-    eye = identity(rank)
-    deviation = float(np.max([spectral_norm(blk - value * eye) for blk in blocks]))
-    return value, deviation
+    a, rows = _canonical(mat)
+    row_block = np.repeat(np.arange(len(sizes)), sizes)
+    if a.shape != (len(row_block),) * 2 or (row_block[a.indices] != row_block[rows]).any():
+        raise ValueError(f"a {a.shape} matrix is not block-diagonal in blocks of {len(row_block)} rows in all")
+    return _group_norms(a, rows, row_block, len(sizes))
+
+
+def interior_scalar_fit(stack, rank: int, groups=None) -> tuple:
+    """Fit value * Id to groups of the rank x rank diagonal blocks of block-diagonal `stack`.
+
+    `stack` (CSR or dense) holds its blocks down the diagonal; `groups` is
+    a (g, k) array of block numbers, one row per fitted group (by default
+    one group of every block), and a block in no group is taken as it is.
+    A group's value is the mean of trace / rank over its blocks.  Returns
+    the values by group and the exact 2-norm of every block less its
+    group's value * Id.
+    """
+    stack = Operator(stack)
+    count = stack.shape[0] // rank
+    groups = np.arange(count)[None] if groups is None else np.asarray(groups, dtype=np.intp)
+    traces = stack.diagonal().reshape(count, rank).sum(axis=1).real / rank
+    values = traces[groups].mean(axis=1)
+    shift = np.zeros(count)
+    shift[groups] = values[:, None]
+    return values, block_norms(stack - scipy.sparse.diags_array(np.repeat(shift, rank)), [rank] * count)
 
 
 def square_sum(ops) -> Operator:

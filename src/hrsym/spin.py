@@ -148,7 +148,8 @@ def casimir_spin_value(rep, margin: int = 1, tol: float = 1e-8) -> SpinCasimirVa
 def _spin_of_tensor(rep, t: dict, margin: int, tol: float) -> SpinCasimirValue:
     c_op = sum(t[p] @ t[p] for p in J_PAIRS) / rep.mass**2
     idx = rep.interior_indices(margin)
-    fitted, deviation = ladder.interior_scalar_fit([ladder.block(c_op, idx)])
+    values, norms = ladder.interior_scalar_fit(ladder.block(c_op, idx), len(idx))
+    fitted, deviation = float(values[0]), float(norms[0])
     if deviation > tol * max(1.0, abs(fitted)):
         raise NonScalarCasimirError(fitted, deviation)
     s_val, _, _ = spin_from_casimir(fitted, rep.units.hbar)

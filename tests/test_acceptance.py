@@ -5,9 +5,11 @@ pass/fail line per criterion.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -292,11 +294,14 @@ def test_criterion_09_dynamics_conservation_across_suite():
 
 
 def test_criterion_10_cli_contract(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "hrsym", "suite", "paper-core"],
         capture_output=True,
         text=True,
+        env=env,
     )
     elapsed = time.perf_counter() - start
     core_ok = proc.returncode == 0 and elapsed <= 10.0
@@ -314,6 +319,7 @@ def test_criterion_10_cli_contract(tmp_path):
         [sys.executable, "-m", "hrsym", "verify", "algebra", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     mut_ok = mut.returncode == 1 and "jacobi:hr3_flipped" in mut.stderr
 

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,21 @@ from hrsym import ANCHOR_REGISTRY, build_algebra
 from hrsym.scenarios import ScenarioError, _jsonable, load_scenario, run_scenario, scenario_from_dict
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env(**extra) -> dict:
+    """This environment with the checkout's `src` first on PYTHONPATH, for `python -m hrsym`."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "hrsym", *args],
         capture_output=True,
         text=True,
+        env=cli_env(),
         **kwargs,
     )
 
@@ -53,6 +65,38 @@ COM_DECOUPLING = {"check": "com_decoupling",
                   "particleB": {"mass": 2.0, "dims": 1, "levels": 18},
                   "coefficients": [0.0, 0.05], "alpha_a": [0.3, 0.2], "alpha_b": [-0.2, 0.1],
                   "t_max": 1.0, "steps": 10}
+
+
+PAIR = {"particleA": {"mass": 1.0, "dims": 1, "levels": 4}, "particleB": {"mass": 2.0, "dims": 1, "levels": 4}}
+FLOW = {"check": "flow_compare", "levels": 8, "calV": 1.0, "t_max": 0.5, "steps": 4}
+
+# (kind, payload, field): each payload carries one integer field that is a
+# bool, a non-integral number or a string, and must be refused naming it
+INTEGER_FIELDS = [
+    ("single_rep", {"mass": 1.0, "dims": 1, "levels": 2.5}, "levels"),
+    ("single_rep", {"mass": 1.0, "dims": 1, "levels": True}, "levels"),
+    ("single_rep", {"mass": 1.0, "dims": 1.5, "levels": 4}, "dims"),
+    ("single_rep", {"mass": 1.0, "dims": "1", "levels": 4}, "dims"),
+    ("single_rep", {"mass": 1.0, "dims": 1, "levels": 4, "margin": 1.5}, "margin"),
+    ("single_rep", {"mass": 1.0, "dims": 1, "levels": 4, "margin": True}, "margin"),
+    ("single_rep", {"mass": 1.0, "dims": 1, "levels": 4, "margin": "2"}, "margin"),
+    ("single_rep", {"mass": 1.0, "dims": 1, "levels": 4, "zeta": 2.0, "zeta_margin": 1.5}, "zeta_margin"),
+    ("composite", {**PAIR, "margin": 1.5}, "margin"),
+    ("composite", {**PAIR, "margin": False, "ccr": False, "reducibility": True}, "margin"),
+    ("composite", {**PAIR, "particleB": {"mass": 2.0, "dims": 1, "levels": 4.5}}, "levels"),
+    ("spectrum", {"n_max": 2.9}, "n_max"),
+    ("spectrum", {"n_max": "2"}, "n_max"),
+    ("dynamics", {**FLOW, "steps": 20.7}, "steps"),
+    ("dynamics", {**FLOW, "steps": "4"}, "steps"),
+    ("dynamics", {**FLOW, "dims": 1.5}, "dims"),
+    ("dynamics", {**FLOW, "levels": 8.5}, "levels"),
+    ("dynamics", {"check": "extra_casimir", "levels": 6, "calV": 1.0, "margin": 1.5}, "margin"),
+    ("dynamics", {"check": "relative_conservation", "n_max": 2.5, "t_max": 0.5, "steps": 2}, "n_max"),
+]
+
+
+def _bad_value(payload, field):
+    return payload[field] if field in payload else payload["particleB"][field]
 
 
 def dynamics_checks(payload, tolerances=None, suite_tolerances=None) -> dict:
@@ -243,6 +287,31 @@ class TestExitCodes:
         with pytest.raises(ScenarioError, match="largest spin"):
             run_scenario(sc)
 
+    @pytest.mark.parametrize("kind, payload, field", INTEGER_FIELDS, ids=[
+        f"{kind}:{field}={_bad_value(payload, field)!r}" for kind, payload, field in INTEGER_FIELDS])
+    def test_non_integral_integer_field_is_a_scenario_error_naming_it(self, kind, payload, field):
+        sc = scenario_from_dict({"kind": kind, "payload": payload})
+        with pytest.raises(ScenarioError, match=f"{field} must be an integer"):
+            run_scenario(sc)
+
+    @pytest.mark.parametrize("value", [2.5, True, "4"])
+    def test_non_integral_levels_exits_two_with_one_line_naming_it(self, tmp_path, value):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({"kind": "single_rep", "payload": {"mass": 1.0, "dims": 1, "levels": value}}))
+        proc = run_cli("verify", "rep", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "levels must be an integer" in proc.stderr
+
+    def test_integral_float_fields_are_accepted(self):
+        as_float = scenario_from_dict({"kind": "single_rep", "payload": {
+            "mass": 1.0, "dims": 1.0, "levels": 4.0, "margin": 1.0, "zeta": 2.0, "zeta_margin": 1.0}})
+        as_int = scenario_from_dict({"kind": "single_rep", "payload": {
+            "mass": 1.0, "dims": 1, "levels": 4, "margin": 1, "zeta": 2.0, "zeta_margin": 1}})
+        got, want = run_scenario(as_float), run_scenario(as_int)
+        assert got.passed
+        assert [(c.name, c.metrics) for c in got.checks] == [(c.name, c.metrics) for c in want.checks]
+
     def test_unknown_dynamics_check_exits_two_and_names_it(self, tmp_path):
         path = tmp_path / "dyn.json"
         path.write_text(json.dumps({"kind": "dynamics", "payload": {"check": "free_fall"}}))
@@ -410,9 +479,7 @@ class TestSuites:
     def test_suite_thread_env_variable(self, tmp_path):
         # the suite runs its scenarios in order; a leftover worker-count
         # setting, even a malformed one, is ignored
-        import os
-
-        env = dict(os.environ, HRSYM_THREADS="abc")
+        env = cli_env(HRSYM_THREADS="abc")
         proc = subprocess.run(
             [sys.executable, "-m", "hrsym", "suite", "paper-core"],
             capture_output=True, text=True, env=env,

@@ -18,6 +18,7 @@ from hrsym import (
     tensor_rep,
     verify_ccr_composite,
 )
+from hrsym import ladder
 
 
 def norm2(m):
@@ -200,6 +201,71 @@ class TestCcrCoefficients:
         comp = desk_pair(1.0, 2.0, levels=4)
         with pytest.raises(ValueError):
             verify_ccr_composite(comp, margin=0)
+
+
+def per_pair_ccr(comp, margin=1) -> dict:
+    """The per-pair fits: {pair: (coefficient, residual, off-diagonal norm)}, with dense 2-norms."""
+    idx = comp.interior_indices(margin)
+    rank = len(idx)
+    pairs = {
+        "x_com:p": (comp.X, comp.P),
+        "x_naive:p": (naive_position_sum(comp), comp.P),
+        "r:q": (comp.R, comp.Q),
+        "r:p": (comp.R, comp.P),
+        "q:x_com": (comp.Q, comp.X),
+    }
+    out = {}
+    for label, (ops_a, ops_b) in pairs.items():
+        d = len(ops_a)
+        comm = [[ladder.block(ops_a[i] @ ops_b[j] - ops_b[j] @ ops_a[i], idx).toarray() for j in range(d)]
+                for i in range(d)]
+        diag = [-1j * comm[i][i] for i in range(d)]
+        coeff = float(np.mean([np.trace(blk).real / rank for blk in diag]))
+        residual = max(norm2(blk - coeff * np.eye(rank)) for blk in diag)
+        off = max((norm2(comm[i][j]) for i in range(d) for j in range(d) if i != j), default=0.0)
+        out[label] = (coeff, residual, off)
+    return out
+
+
+# (levels, dims, margin)
+BATCHED = {"d1": (8, 1, 1), "d1_margin_2": (10, 1, 2), "d2": (4, 2, 1), "d3": (3, 3, 1)}
+
+
+class TestBatchedCcr:
+    @pytest.mark.parametrize("case", BATCHED)
+    def test_batched_fits_equal_the_per_pair_loop(self, case):
+        levels, dims, margin = BATCHED[case]
+        comp = desk_pair(1.0, 2.0, levels=levels, dims=dims)
+        want = per_pair_ccr(comp, margin)
+        reports = verify_ccr_composite(comp, margin=margin, tol=1e-12)
+        assert [r.pair for r in reports] == list(want)
+        for rec in reports:
+            coeff, residual, off = want[rec.pair]
+            assert abs(rec.coefficient - coeff) <= 1e-14 * max(1.0, abs(coeff)), rec.pair
+            assert abs(rec.residual_norm - residual) <= 1e-12 * residual, rec.pair
+            assert abs(rec.offdiag_norm - off) <= 1e-12 * off, rec.pair
+            assert rec.passed
+
+    def test_hbar_scales_the_batched_coefficients(self):
+        units = GlobalUnits(hbar=0.7, omega_ref=1.3)
+        a = build_particle_rep(RepConfig(mass=1.0, dims=2, levels=4, units=units))
+        b = build_particle_rep(RepConfig(mass=2.0, dims=2, levels=4, units=units))
+        comp = tensor_rep(a, b)
+        want = per_pair_ccr(comp)
+        for rec in verify_ccr_composite(comp, margin=1, tol=1e-12):
+            assert abs(rec.coefficient - want[rec.pair][0]) <= 1e-14
+            assert abs(rec.coefficient - rec.expected) <= 1e-12
+
+    def test_one_block_norms_call_and_no_spectral_norm_call(self, monkeypatch):
+        calls = []
+        for name in ("block_norms", "spectral_norm"):
+            def counted(*args, _fn=getattr(ladder, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(ladder, name, counted)
+        assert len(verify_ccr_composite(desk_pair(1.0, 2.0, levels=3, dims=3))) == 5
+        assert calls == ["block_norms"]
 
 
 class TestSpinfulComposite:

@@ -314,13 +314,105 @@ def test_interior_scalar_fit_on_csr_matches_the_dense_blocks():
     for k in range(3):
         noise = scipy.sparse.random_array((40, 40), density=0.05, rng=rng, dtype=complex)
         blocks.append(scipy.sparse.csr_array(2.5 * scipy.sparse.eye_array(40) + 1e-3 * (k + 1) * noise))
-    value, deviation = ladder.interior_scalar_fit(blocks)
-    dense_value, dense_deviation = ladder.interior_scalar_fit([b.toarray() for b in blocks])
+    (value,), norms = ladder.interior_scalar_fit(ladder.block_diag(blocks), 40)
+    (dense_value,), dense_norms = ladder.interior_scalar_fit(scipy.linalg.block_diag(*[b.toarray() for b in blocks]), 40)
+    deviation, dense_deviation = norms.max(), dense_norms.max()
     ref_value = float(np.mean([np.trace(b.toarray()).real / 40 for b in blocks]))
     ref_deviation = max(float(np.linalg.norm(b.toarray() - ref_value * np.eye(40), 2)) for b in blocks)
     for got in ((value, deviation), (dense_value, dense_deviation)):
         assert abs(got[0] - ref_value) <= RTOL * abs(ref_value)
         assert abs(got[1] - ref_deviation) <= RTOL * ref_deviation
+
+
+def test_block_diag_matches_the_dense_block_diagonal():
+    rng = np.random.default_rng(5)
+    noise = scipy.sparse.random_array((6, 6), density=0.3, rng=rng, dtype=complex)
+    unsorted = scipy.sparse.csr_array(([2.0, 1.0j], [3, 0], [0, 2, 2, 2, 2]), shape=(4, 4))
+    ops = [build_particle_rep(RepConfig(mass=1.0, dims=1, levels=5)).X[0], rng.normal(size=(3, 3)),
+           scipy.sparse.csr_array(noise), scipy.sparse.csr_array((2, 2), dtype=complex), unsorted, np.eye(1)]
+    got = ladder.block_diag(ops)
+    want = scipy.linalg.block_diag(*[op.toarray() if scipy.sparse.issparse(op) else op for op in ops])
+    assert isinstance(got, ladder.Operator) and got.dtype == complex
+    assert np.array_equal(got.toarray(), want)
+    assert ladder.block_diag([]).shape == (0, 0)
+
+
+def _one_row():
+    """A 5 x 5 block whose entries all sit in row 2."""
+    mat = np.zeros((5, 5), dtype=complex)
+    mat[2] = [1.0, -2.0j, 0.5, 0.0, 3.0 + 1.0j]
+    return mat
+
+
+def _non_finite(value):
+    mat = _components((3, 3), seed=7)
+    mat[1, 2] = value
+    return mat
+
+
+# blocks of unequal sizes: an empty one, one of size 0, stored zeros, a
+# one-row block, components of several shapes and scales 1e-200 to 1e200
+BLOCKS = [
+    _components((4, 4), (1, 1), seed=1),
+    np.zeros((3, 3)),
+    np.zeros((0, 0)),
+    _stored_zeros(),
+    _one_row(),
+    _components((1, 1), (1, 3), (3, 1), (2, 2), seed=2),
+    1e-200 * _components((2, 2), (1, 1), seed=3),
+    1e200 * _components((3, 3), seed=4),
+    _components((7, 7), seed=5),
+]
+
+
+def _dense(block):
+    return block.toarray() if scipy.sparse.issparse(block) else np.asarray(block)
+
+
+def _dense_norm(block) -> float:
+    dense = _dense(block)
+    return float(np.linalg.norm(dense, 2)) if dense.size else 0.0
+
+
+def test_block_norms_match_the_dense_norm_of_each_block():
+    stacked = ladder.block_diag(BLOCKS)
+    stored = stacked.nnz
+    got = ladder.block_norms(stacked, [b.shape[0] for b in BLOCKS])
+    want = np.array([_dense_norm(b) for b in BLOCKS])
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= RTOL * want)
+    assert got[1] == got[2] == 0.0
+    assert stacked.nnz == stored  # the input keeps its stored zeros
+
+
+def test_block_norms_of_a_dense_matrix_match_those_of_its_csr():
+    sizes = [b.shape[0] for b in BLOCKS]
+    dense = scipy.linalg.block_diag(*[_dense(b) for b in BLOCKS])
+    assert np.array_equal(ladder.block_norms(dense, sizes), ladder.block_norms(ladder.block_diag(BLOCKS), sizes))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+def test_a_non_finite_entry_makes_only_its_block_nan(value):
+    blocks = [*BLOCKS[:4], _non_finite(value), *BLOCKS[4:]]
+    got = ladder.block_norms(ladder.block_diag(blocks), [b.shape[0] for b in blocks])
+    assert np.isnan(got[4])
+    rest = np.delete(got, 4)
+    want = np.array([_dense_norm(b) for b in BLOCKS])
+    assert np.all(np.abs(rest - want) <= RTOL * want)
+
+
+def test_spectral_norm_is_the_largest_block_norm():
+    stacked = ladder.block_diag(BLOCKS[:6])
+    assert ladder.spectral_norm(stacked) == ladder.block_norms(stacked, [b.shape[0] for b in BLOCKS[:6]]).max()
+
+
+def test_block_norms_refuse_an_entry_off_the_blocks():
+    mat = np.eye(4)
+    mat[0, 3] = 1.0
+    with pytest.raises(ValueError, match="block-diagonal"):
+        ladder.block_norms(mat, [2, 2])
+    with pytest.raises(ValueError, match="block-diagonal"):
+        ladder.block_norms(np.eye(4), [2, 1])
 
 
 def test_operator_counts_its_csr_buffers_and_keeps_its_type():

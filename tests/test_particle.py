@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hrsym import (
     GlobalUnits,
     RepConfig,
+    build_algebra,
     build_particle_rep,
     build_zeta_rep,
     rep_config_from_json,
@@ -176,6 +177,92 @@ class TestHomomorphism:
         hr3 = metrics({"mass": 1.0, "dims": 1, "levels": 6, "algebra": "hr3", "margin": 1})
         assert hr3["pairs"] == 3 and hr3["skipped"] == 42
         assert "[J12,K1]" in hr3["skipped_pairs"] and "[K2,P2]" in hr3["skipped_pairs"]
+
+
+_DEGREE = {"J": 2, "K": 1, "P": 1, "X": 1, "M": 0, "I": 0, "H": 2}
+
+
+def per_pair_homomorphism(rep, alg, margin=None) -> tuple:
+    """The per-pair loop: one commutator, restriction and dense 2-norm per pair.
+
+    Returns ({pair: (defect norm, margin)}, skipped pairs); a pair whose
+    restricted defect holds a non-finite entry gets NaN.
+    """
+    alg = build_algebra(alg)
+    hbar = rep.config.units.hbar
+    realized = rep.realized_generators(alg)
+    names = [g.name for g in alg.generators]
+    norms, skipped = {}, []
+    for ia, na in enumerate(names):
+        for nb in names[ia + 1:]:
+            targets = alg.constants.terms(alg.index(na), alg.index(nb))
+            target_names = [alg.generators[k].name for k, _ in targets]
+            if any(t not in realized for t in (na, nb, *target_names)):
+                skipped.append(f"[{na},{nb}]")
+                continue
+            ga, gb = realized[na], realized[nb]
+            expected = sum((float(f) * realized[t] for (_, f), t in zip(targets, target_names)),
+                           ladder.Operator(ga.shape, dtype=complex))
+            pair_margin = margin if margin is not None else min(
+                _DEGREE[na[0]] + _DEGREE[nb[0]], rep.config.levels - 1)
+            blk = ladder.block(ga @ gb - gb @ ga - 1j * hbar * expected, rep.interior_indices(pair_margin)).toarray()
+            norm = float(np.linalg.norm(blk, 2)) if np.isfinite(blk).all() else math.nan
+            norms[f"[{na},{nb}]"] = (norm, pair_margin)
+    return norms, skipped
+
+
+BATCHED = {
+    "d1": (RepConfig(mass=1.3, dims=1, levels=8), "h3", None),
+    "d2": (RepConfig(mass=0.7, dims=2, levels=5), "h3", None),
+    "d3": (RepConfig(mass=2.0, dims=3, levels=4), "hr3", None),
+    "d3_spin_half": (RepConfig(mass=1.5, dims=3, levels=3, spin=0.5), "hr3", None),
+    "d2_margin_2": (RepConfig(mass=1.1, dims=2, levels=6), "h3", 2),
+    "d3_margin_0": (RepConfig(mass=1.0, dims=3, levels=3), "hr3", 0),
+    "d3_g3tilde": (RepConfig(mass=1.0, dims=3, levels=4), "g3tilde", 1),
+    "d1_mass_1e300": (RepConfig(mass=1e300, dims=1, levels=4), "h3", None),
+}
+
+
+class TestBatchedHomomorphism:
+    @pytest.mark.parametrize("case", BATCHED)
+    def test_batched_table_equals_the_per_pair_loop(self, case):
+        cfg, alg, margin = BATCHED[case]
+        rep = build_particle_rep(cfg)
+        report = verify_homomorphism(rep, alg, margin=margin, tol=1e-10)
+        want, skipped = per_pair_homomorphism(rep, alg, margin)
+        assert report.skipped == skipped
+        assert [c.name for c in report.checks] == list(want)
+        for check in report.checks:
+            norm, pair_margin = want[check.name]
+            got = check.metrics["defect_norm"]
+            assert check.metrics["margin"] == pair_margin and check.metrics["tol"] == 1e-10
+            assert math.isnan(got) == math.isnan(norm), check.name
+            assert math.isnan(norm) or abs(got - norm) <= 1e-12 * norm, check.name
+            assert check.passed == (got <= 1e-10)
+
+    def test_overflowing_pairs_are_the_only_nan_ones(self):
+        rep = build_particle_rep(RepConfig(mass=1e300, dims=1, levels=4))
+        report = verify_homomorphism(rep, "h3")
+        nan = [c.name for c in report.checks if math.isnan(c.metrics["defect_norm"])]
+        assert nan == ["[K1,M]", "[P1,M]"]
+        assert all(math.isfinite(c.metrics["defect_norm"]) for c in report.checks if c.name not in nan)
+
+    def test_one_block_norms_call_and_no_spectral_norm_call(self, monkeypatch):
+        calls = []
+        for name in ("block_norms", "spectral_norm"):
+            def counted(*args, _fn=getattr(ladder, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(ladder, name, counted)
+        report = verify_homomorphism(build_particle_rep(RepConfig(mass=1.0, dims=3, levels=4, spin=0.5)), "hr3")
+        assert len(report.checks) == 45
+        assert calls == ["block_norms"]
+
+    def test_no_realized_pair_gives_an_empty_table(self):
+        rep = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=4))
+        report = verify_homomorphism(rep, "so3")
+        assert report.checks == [] and len(report.skipped) == 3
 
 
 class TestZetaFamily:
