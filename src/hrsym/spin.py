@@ -271,13 +271,18 @@ def brute_force_addition(s_a, s_b) -> tuple:
     """Total-spin content by diagonalizing the coupled Casimir on the product space.
 
     Returns (spins, unmatched): each total spin repeated by its multiplicity,
-    and the eigenvalues that match no s (s + 1).
+    and the eigenvalues that match no s (s + 1).  The product space has at
+    most a few dozen states, so the three total components are dense
+    Kronecker sums S_a x 1 + 1 x S_b, formed together by broadcasting.
     """
     ra, rb = spin_matrices(s_a), spin_matrices(s_b)
-    no_orbital = ladder.Operator((ra.dim * rb.dim,) * 2, dtype=complex)
-    total = _add_spins({p: no_orbital for p in J_PAIRS}, ra, rb)
+    a = np.stack([ra.components[p] for p in J_PAIRS])[:, :, None, :, None]
+    b = np.stack([rb.components[p] for p in J_PAIRS])[:, None, :, None, :]
+    eye_a, eye_b = np.eye(ra.dim)[:, None, :, None], np.eye(rb.dim)[None, :, None, :]
+    n = ra.dim * rb.dim
+    total = (a * eye_b + eye_a * b).reshape(len(J_PAIRS), n, n)
     found, unmatched = {}, []
-    for lam in np.linalg.eigvalsh(ladder.square_sum(total.values()).toarray()):
+    for lam in np.linalg.eigvalsh((total @ total).sum(axis=0)):
         _, s, ok = spin_from_casimir(lam)
         if not ok:
             unmatched.append(float(lam))

@@ -282,6 +282,10 @@ class TestSpinAddition:
             assert found[s] % dim == 0
             brute.extend([(float(s), 1)] * (found[s] // dim))
         assert decompose_product_spins(s_a, s_b) == brute
+        assert hrsym.spin.brute_force_addition(s_a, s_b) == ([s for s, _ in brute], [])
+
+    def test_addition_scan_finds_no_mismatch(self):
+        assert hrsym.spin.spin_addition_mismatches(3) == (49, [])
 
     @settings(max_examples=30, deadline=None)
     @given(two_sa=st.integers(0, 6), two_sb=st.integers(0, 6))
