@@ -267,15 +267,14 @@ def decompose_product_spins(s_a, s_b) -> list:
     return out
 
 
-def brute_force_addition(s_a, s_b) -> tuple:
-    """Total-spin content by diagonalizing the coupled Casimir on the product space.
+def brute_force_addition(ra: SpinRep, rb: SpinRep) -> tuple:
+    """Total-spin content of ra x rb by diagonalizing the coupled Casimir on the product space.
 
     Returns (spins, unmatched): each total spin repeated by its multiplicity,
     and the eigenvalues that match no s (s + 1).  The product space has at
     most a few dozen states, so the three total components are dense
     Kronecker sums S_a x 1 + 1 x S_b, formed together by broadcasting.
     """
-    ra, rb = spin_matrices(s_a), spin_matrices(s_b)
     a = np.stack([ra.components[p] for p in J_PAIRS])[:, :, None, :, None]
     b = np.stack([rb.components[p] for p in J_PAIRS])[:, None, :, None, :]
     eye_a, eye_b = np.eye(ra.dim)[:, None, :, None], np.eye(rb.dim)[None, :, None, :]
@@ -305,11 +304,12 @@ def spin_addition_mismatches(top) -> tuple:
     if not 0 <= top < math.inf:
         raise ValueError(f"the largest spin must be nonnegative and finite, got {top}")
     spins = [k / 2 for k in range(math.floor(2 * top) + 1)]
+    reps = [spin_matrices(s) for s in spins]
     mismatches = []
-    for sa in spins:
-        for sb in spins:
+    for sa, ra in zip(spins, reps):
+        for sb, rb in zip(spins, reps):
             expected = [s for s, _ in decompose_product_spins(sa, sb)]
-            got, unmatched = brute_force_addition(sa, sb)
+            got, unmatched = brute_force_addition(ra, rb)
             if expected != got or unmatched:
                 mismatches.append({"s_a": sa, "s_b": sb, "expected": expected, "got": got,
                                    "unmatched": unmatched})

@@ -282,7 +282,8 @@ class TestSpinAddition:
             assert found[s] % dim == 0
             brute.extend([(float(s), 1)] * (found[s] // dim))
         assert decompose_product_spins(s_a, s_b) == brute
-        assert hrsym.spin.brute_force_addition(s_a, s_b) == ([s for s, _ in brute], [])
+        got = hrsym.spin.brute_force_addition(spin_matrices(s_a), spin_matrices(s_b))
+        assert got == ([s for s, _ in brute], [])
 
     def test_addition_scan_finds_no_mismatch(self):
         assert hrsym.spin.spin_addition_mismatches(3) == (49, [])
