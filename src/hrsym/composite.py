@@ -58,6 +58,8 @@ class CompositeRep(ladder.OperatorSystem):
         self.M = self.lift_a(rep_a.M) + self.lift_b(rep_b.M)
         self.J = {pair: self.lift_a(rep_a.J[pair]) + self.lift_b(rep_b.J[pair]) for pair in rep_a.J}
         self.X = [op / self.mass for op in self.K]
+        # the additive sum X_a (x) I + I (x) X_b, kept for the CCR failure witness
+        self.X_naive = [a + b for a, b in zip(xa, xb)]
         self.R = [a - b for a, b in zip(xa, xb)]
         self.Q = [(cb.mass * a - ca.mass * b) / self.mass for a, b in zip(pa, pb)]
 
@@ -96,7 +98,7 @@ def com_position(comp: CompositeRep) -> list:
 
 def naive_position_sum(comp: CompositeRep) -> list:
     """The additive position sum; non-physical, kept as a failure witness."""
-    return [comp.lift_a(xa) + comp.lift_b(xb) for xa, xb in zip(comp.rep_a.X, comp.rep_b.X)]
+    return list(comp.X_naive)
 
 
 def relative_ops(comp: CompositeRep):
@@ -130,10 +132,9 @@ def verify_ccr_composite(comp: CompositeRep, margin: int = 1, tol: float = 1e-12
         raise ValueError("margin must be at least 1 for commutator fits")
     hbar = comp.units.hbar
     idx = comp.interior_indices(margin)
-    naive = naive_position_sum(comp)
     pairs = [
         ("x_com:p", comp.X, comp.P, hbar, False),
-        ("x_naive:p", naive, comp.P, 2.0 * hbar, True),
+        ("x_naive:p", comp.X_naive, comp.P, 2.0 * hbar, True),
         ("r:q", comp.R, comp.Q, hbar, False),
         ("r:p", comp.R, comp.P, 0.0, False),
         ("q:x_com", comp.Q, comp.X, 0.0, False),

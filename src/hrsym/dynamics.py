@@ -4,13 +4,17 @@ Any Hermitian matrix generates a one-parameter unitary group here, so the
 same engine drives physical time evolution, the free-generator flow with its
 constant offset, rotations (generator J), and boosts (generator K).  Every
 Hamiltonian a system builds is a CSR `ladder.Operator`, and the flows take
-any generator as one (dense input is converted once).  Dense propagation
-splits it into its direct sum (`ladder.direct_sum`: the connected components
-of its stored entries, stacked by component size) and takes one batched
-scaling-and-squaring exponential per component size and distinct step of the
-time grid; the exponential of a direct sum is the direct sum of the block
-exponentials, so this is exact.  The Krylov path uses scipy's expm_multiply
-stepping on the CSR operator for larger systems.  Both are deterministic.
+any generator as one (dense input is converted once).  A state flow first
+splits H into its direct sum (`ladder.direct_sum`: the connected components
+of its stored entries, stacked by component size).  When no block is larger
+than `_DENSE_LIMIT`, it takes one batched scaling-and-squaring exponential
+per component size and distinct step of the time grid; the exponential of a
+direct sum is the direct sum of the block exponentials, so this is exact.  A
+flow with a larger block takes the sparse action of the exponential on the
+state instead (scipy's `expm_multiply`, Al-Mohy & Higham 2011): one call
+over the whole of a uniform grid, one per step otherwise, without forming
+the propagator.  Every trace (norm, energy, observables, boundary weight) is
+one product over the stack of states.  Both paths are deterministic.
 
 Truncation makes long flows untrustworthy once amplitude reaches the top
 Fock levels, so every flow records the boundary occupation of the evolving
@@ -44,7 +48,7 @@ __all__ = [
 
 _POT_KINDS = ("none", "poly_x", "poly_r2")
 _MAX_POLY_DEGREE = 4
-_DENSE_LIMIT = 4096
+_DENSE_LIMIT = 256  # largest direct-sum block that takes dense exponentials
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,8 @@ def hamiltonian_physical(system, pot: PotentialSpec) -> ladder.Operator:
     relative kinetic terms P.P / 2m + Q.Q / 2mu plus V(R.R); the interaction
     must depend on the relative separation only, so kind "poly_x" is
     rejected there.  A RelativeModeRep drops the (decoupled, free) COM term.
-    The result is a CSR `ladder.Operator`; the dense propagator exponentiates
-    it block by block.
+    The result is a CSR `ladder.Operator`; a flow exponentiates it block by
+    block, or applies its sparse action when a block is large.
     """
     return system.hamiltonian(pot)
 
@@ -138,11 +142,16 @@ def _check_hermitian(h: ladder.Operator, what="H"):
         raise ValueError(f"{what} is not a finite Hermitian matrix (max deviation {err:.3g})")
 
 
-def _expectation(op, psi) -> float:
-    return float(np.vdot(psi, op @ psi).real)
+def _expectations(op, states: np.ndarray) -> np.ndarray:
+    """<psi|op|psi> for every row psi of `states`, in one product over the stack."""
+    return np.einsum("ki,ik->k", states.conj(), op @ states.T).real
 
 
 _SAME_STEP_RTOL = 1e-12
+
+
+def _same_step(a: float, b: float) -> bool:
+    return abs(a - b) <= _SAME_STEP_RTOL * max(abs(a), abs(b))
 
 
 def _block_exponentials(blocks: list, dt: float, hbar: float) -> list:
@@ -157,11 +166,55 @@ def _step_propagator(steps: list, dt: float, blocks: list, hbar: float) -> list:
     exponential per block size; every genuinely new step gets its own.
     """
     for known, props in reversed(steps):
-        if abs(known - dt) <= _SAME_STEP_RTOL * max(abs(known), abs(dt)):
+        if _same_step(known, dt):
             return props
     props = _block_exponentials(blocks, dt, hbar)
     steps.append((dt, props))
     return props
+
+
+def _stepped(advance, psi0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """psi0 at every time of `t`, carried from each grid time to the next by advance(psi, dt)."""
+    states = np.empty((len(t), len(psi0)), dtype=complex)
+    psi = psi0
+    for k, dt in enumerate(np.diff(t, prepend=0.0)):
+        if dt != 0.0:
+            psi = advance(psi, dt)
+        states[k] = psi
+    return states
+
+
+def _dense_states(blocks: list, psi0: np.ndarray, t: np.ndarray, hbar: float) -> np.ndarray:
+    """psi0 at every time of `t`, stepped by the block exponentials of each distinct step."""
+    steps: list = []  # (dt, block propagators), one per distinct step
+
+    def advance(psi, dt):
+        out = np.empty_like(psi)
+        for (idx, _), prop in zip(blocks, _step_propagator(steps, dt, blocks, hbar)):
+            out[idx] = np.matmul(prop, psi[idx][..., None])[..., 0]
+        return out
+
+    return _stepped(advance, psi0, t)
+
+
+def _sparse_states(H: ladder.Operator, psi0: np.ndarray, t: np.ndarray, hbar: float) -> np.ndarray:
+    """psi0 at every time of `t` by the sparse action of exp(-i t H / hbar).
+
+    A grid whose steps agree within `_SAME_STEP_RTOL` takes one
+    `expm_multiply` over the whole interval; any other grid one per step.
+    """
+    gen = -1j * H / hbar
+
+    def advance(psi, dt):
+        return scipy.sparse.linalg.expm_multiply(dt * gen, psi)
+
+    steps = np.diff(t)
+    if len(t) < 2 or not _same_step(steps.min(), steps.max()):
+        return _stepped(advance, psi0, t)
+    # scipy sizes the Taylor steps of an interval by its length, not by its
+    # start, so a grid that starts late first reaches t[0] in a step of its own
+    psi = psi0 if t[0] == 0.0 else advance(psi0, t[0])
+    return scipy.sparse.linalg.expm_multiply(gen, psi, start=0.0, stop=t[-1] - t[0], num=len(t), endpoint=True)
 
 
 def evolve_state(
@@ -175,11 +228,13 @@ def evolve_state(
 ) -> FlowResult:
     """Propagate psi0 along exp(-i t H / hbar) over the time grid.
 
-    Spaces up to `_DENSE_LIMIT` take dense step propagators, block by block
-    over the direct sum of H, larger ones Krylov steps.  `boundary_weight` is
-    an optional callable(state) -> probability near the truncation boundary;
-    if the worst value along the flow exceeds `leakage_threshold` the result
-    is flagged unreliable.
+    When the largest block of the direct sum of H is at most `_DENSE_LIMIT`,
+    the flow takes dense step propagators block by block; a larger block
+    takes the sparse action of the exponential, in one call over a uniform
+    grid.  `boundary_weight` is an optional callable(states) -> probability
+    near the truncation boundary of each row of a stack of states; if the
+    worst value along the flow exceeds `leakage_threshold` the result is
+    flagged unreliable.
     """
     t = _check_times(times)
     H = ladder.Operator(H)
@@ -189,47 +244,23 @@ def evolve_state(
     if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"initial state must be normalized (|psi| = {nrm:.12g})")
 
-    dim = H.shape[0]
-    if dim <= _DENSE_LIMIT:
-        blocks = ladder.direct_sum(H)
-        steps: list = []  # (dt, block propagators), one per distinct step
-
-        def advance(psi, dt):
-            out = np.empty_like(psi)
-            for (idx, _), prop in zip(blocks, _step_propagator(steps, dt, blocks, hbar)):
-                out[idx] = np.matmul(prop, psi[idx][..., None])[..., 0]
-            return out
+    blocks = ladder.direct_sum(H)
+    if max(idx.shape[1] for idx, _ in blocks) <= _DENSE_LIMIT:
+        states = _dense_states(blocks, psi0, t, hbar)
     else:
-        def advance(psi, dt):
-            return scipy.sparse.linalg.expm_multiply(-1j * dt * H / hbar, psi)
-
-    states = np.empty((len(t), dim), dtype=complex)
-    psi = psi0
-    prev = None
-    for k, tk in enumerate(t):
-        dt = tk if prev is None else tk - prev
-        if dt != 0.0:
-            psi = advance(psi, dt)
-        prev = tk
-        states[k] = psi
-
-    norm_trace = np.linalg.norm(states, axis=1)
-    energy_trace = np.array([_expectation(H, s) for s in states])
-    obs_traces = {}
-    for name, op in (observables or {}).items():
-        obs_traces[name] = np.array([_expectation(op, s) for s in states])
+        states = _sparse_states(H, psi0, t, hbar)
 
     max_bw = 0.0
     reliable = True
     if boundary_weight is not None:
-        max_bw = float(np.max([boundary_weight(s) for s in states]))
+        max_bw = float(np.max(boundary_weight(states)))
         reliable = max_bw <= leakage_threshold
     return FlowResult(
         times=t,
         states=states,
-        norm_trace=norm_trace,
-        energy_trace=energy_trace,
-        observable_traces=obs_traces,
+        norm_trace=np.linalg.norm(states, axis=1),
+        energy_trace=_expectations(H, states),
+        observable_traces={name: _expectations(op, states) for name, op in (observables or {}).items()},
         max_boundary_weight=max_bw,
         reliable=reliable,
     )
@@ -271,7 +302,7 @@ def compare_flows(H1, H2, psi0, times, hbar: float = 1.0) -> FlowComparison:
         raise ValueError("flow comparison needs operators on the same space")
     f1 = evolve_state(H1, psi0, times, hbar=hbar)
     f2 = evolve_state(H2, psi0, times, hbar=hbar)
-    overlaps = np.array([np.vdot(s2, s1) for s1, s2 in zip(f1.states, f2.states)])
+    overlaps = np.einsum("ki,ki->k", f2.states.conj(), f1.states)
     return FlowComparison(times=f1.times, fidelity=np.abs(overlaps), phase=np.angle(overlaps))
 
 

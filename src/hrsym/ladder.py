@@ -12,8 +12,9 @@ and `block_norms` takes the exact 2-norm of every diagonal block in one
 pass (the 2-norm of a direct sum is the largest of its blocks'), through
 the component-norm body that `spectral_norm` uses too.  `direct_sum` splits
 a square operator over the connected components of its stored entries,
-with the dense blocks stacked by component size, so the dense propagator
-exponentiates a Hamiltonian block by block.  Both splits scatter their
+with the dense blocks stacked by component size: a flow picks its
+propagator by the largest block, and the dense propagator exponentiates a
+Hamiltonian block by block.  Both splits scatter their
 blocks straight from CSR through one stacking helper.
 """
 
@@ -166,10 +167,13 @@ class OperatorSystem:
             pass
         return np.flatnonzero(outside)
 
-    def boundary_weight(self, state: np.ndarray) -> float:
-        """Probability on the truncation boundary, summed there to relative rounding."""
-        edge = state[self.boundary_indices]
-        return float(np.vdot(edge, edge).real)
+    def boundary_weight(self, states: np.ndarray) -> np.ndarray:
+        """Probability on the truncation boundary of each state of a (..., dim) stack.
+
+        Summed over the boundary indices alone, so it is exact to relative rounding.
+        """
+        edge = states[..., self.boundary_indices]
+        return np.einsum("...i,...i->...", edge.conj(), edge).real
 
 
 def coherent_state(levels: int, alpha: complex) -> np.ndarray:

@@ -85,6 +85,21 @@ class RepConfig:
         return self.space_dim * self.spin_multiplicity
 
 
+def integer_field(payload: dict, key: str, default=None):
+    """payload[key], or `default` when absent, as an int; None stays None when `default` is.
+
+    Integral numbers only: a bool, a non-integral or non-finite float, or a
+    string raises a ValueError naming the field, rather than being truncated
+    or passed on.
+    """
+    value = payload.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def rep_config_from_json(payload: dict) -> RepConfig:
     units = GlobalUnits(
         hbar=float(payload.get("hbar", 1.0)),
@@ -92,8 +107,8 @@ def rep_config_from_json(payload: dict) -> RepConfig:
     )
     return RepConfig(
         mass=float(payload["mass"]),
-        dims=int(payload.get("dims", 1)),
-        levels=int(payload.get("levels", 8)),
+        dims=integer_field(payload, "dims", 1),
+        levels=integer_field(payload, "levels", 8),
         spin=float(payload.get("spin", 0.0)),
         units=units,
     )

@@ -50,6 +50,7 @@ from .particle import (
     GlobalUnits,
     build_particle_rep,
     build_zeta_rep,
+    integer_field,
     rep_config_from_json,
     verify_homomorphism,
 )
@@ -221,27 +222,6 @@ def _jsonable(value):
     return value
 
 
-def _integer(payload: dict, key: str, default=None):
-    """payload[key], or `default` when absent, as an int; None stays None when `default` is.
-
-    Integral numbers only: a bool, a non-integral or non-finite float, or a
-    string raises a ScenarioError naming the field, rather than being
-    truncated or passed on.
-    """
-    value = payload.get(key, default)
-    if value is None and default is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise ScenarioError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _rep_config(payload: dict):
-    """rep_config_from_json, with `dims` and `levels` read as integers."""
-    ints = {key: _integer(payload, key) for key in ("dims", "levels") if key in payload}
-    return rep_config_from_json({**payload, **ints})
-
-
 def _as_object(value, what) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{what} must be a JSON object, got {type(value).__name__}")
@@ -375,7 +355,7 @@ def _run_uea(sc: Scenario, tols) -> list:
 def _run_single_rep(sc: Scenario, tols) -> list:
     payload = dict(sc.payload)
     try:
-        config = _rep_config(payload)
+        config = rep_config_from_json(payload)
     except (KeyError, ValueError) as exc:
         raise ScenarioError(f"bad representation config: {exc}") from None
     rep = build_particle_rep(config)
@@ -393,7 +373,7 @@ def _run_single_rep(sc: Scenario, tols) -> list:
     )
 
     alg_name = payload.get("algebra", "hr3" if config.dims == 3 else "h3")
-    margin = _integer(payload, "margin")
+    margin = integer_field(payload, "margin")
     tol = _tol(sc, tols, "homomorphism")
     hom = verify_homomorphism(rep, alg_name, margin=margin, tol=tol)
     worst = float(np.max([c.metrics["defect_norm"] for c in hom.checks], initial=0.0))
@@ -423,7 +403,7 @@ def _run_single_rep(sc: Scenario, tols) -> list:
 
     if payload.get("zeta") is not None:
         zrep = build_zeta_rep(float(payload["zeta"]), rep)
-        idx = rep.interior_indices(max(1, _integer(payload, "zeta_margin", 1)))
+        idx = rep.interior_indices(max(1, integer_field(payload, "zeta_margin", 1)))
         tol_z = _tol(sc, tols, "zeta_ccr")
         worst_z = zrep.defect(idx)
         checks.append(
@@ -453,8 +433,8 @@ def _run_single_rep(sc: Scenario, tols) -> list:
 def _particle_pair(payload, what):
     """The two particle configs of a composite payload and their product representation."""
     try:
-        cfg_a = _rep_config(_as_object(payload["particleA"], "particleA"))
-        cfg_b = _rep_config(_as_object(payload["particleB"], "particleB"))
+        cfg_a = rep_config_from_json(_as_object(payload["particleA"], "particleA"))
+        cfg_b = rep_config_from_json(_as_object(payload["particleB"], "particleB"))
     except KeyError as exc:
         raise ScenarioError(f"{what} payload needs {exc}") from None
     except ValueError as exc:
@@ -479,7 +459,7 @@ def _run_composite(sc: Scenario, tols) -> list:
     )
 
     if payload.get("ccr", True):
-        margin = _integer(payload, "margin", 1)
+        margin = integer_field(payload, "margin", 1)
         tol = _tol(sc, tols, "ccr_coefficient")
         anchors = {
             "x_com:p": "com-position-coefficient",
@@ -500,7 +480,7 @@ def _run_composite(sc: Scenario, tols) -> list:
 
     if payload.get("reducibility"):
         try:
-            value = casimir_spin_value(comp, margin=_integer(payload, "margin", 1))
+            value = casimir_spin_value(comp, margin=integer_field(payload, "margin", 1))
             passed, metrics = False, {"unexpected_scalar": value.value}
         except NonScalarCasimirError as exc:
             passed, metrics = True, {"fitted": exc.fitted, "deviation_norm": exc.deviation}
@@ -523,7 +503,7 @@ def _run_spectrum(sc: Scenario, tols) -> list:
     tol_match = _tol(sc, tols, "spectrum_match")
 
     if "n_max" in payload:
-        n_max = _integer(payload, "n_max")
+        n_max = integer_field(payload, "n_max")
         s_a = payload.get("spin_a", 0)
         s_b = payload.get("spin_b", 0)
         spectrum = relative_spin_spectrum(n_max, s_a=s_a, s_b=s_b)
@@ -608,7 +588,7 @@ def _initial_state(payload, rep, default_alpha) -> np.ndarray:
 
 def _time_grid(payload) -> np.ndarray:
     t_max = float(payload.get("t_max", 1.0))
-    steps = _integer(payload, "steps", 20)
+    steps = integer_field(payload, "steps", 20)
     if steps < 1:
         raise ScenarioError(f"steps must be at least 1, got {steps}")
     if not 0 < t_max < math.inf:
@@ -620,8 +600,8 @@ def _single_system(payload):
     cfg = rep_config_from_json(
         {
             "mass": payload.get("mass", 1.0),
-            "dims": _integer(payload, "dims", 1),
-            "levels": _integer(payload, "levels", 32),
+            "dims": payload.get("dims", 1),
+            "levels": payload.get("levels", 32),
             "hbar": payload.get("hbar", 1.0),
             "omega_ref": payload.get("omega_ref", 1.0),
         }
@@ -730,7 +710,7 @@ def _dyn_extra_casimir(sc: Scenario, tols) -> list:
     rep = _single_system(payload)
     calV = float(payload.get("calV", 0.0))
     tol = _tol(sc, tols, "extra_casimir")
-    report = extra_casimir_check(rep, calV, margin=_integer(payload, "margin", 1), tol=tol)
+    report = extra_casimir_check(rep, calV, margin=integer_field(payload, "margin", 1), tol=tol)
     checks = [
         CheckResult(
             name="extra_casimir_scalar",
@@ -743,7 +723,7 @@ def _dyn_extra_casimir(sc: Scenario, tols) -> list:
     if sub is not None:
         pot = PotentialSpec(kind="poly_x", coefficients=tuple(sub))
         h_phys = hamiltonian_physical(rep, pot)
-        rep2 = extra_casimir_check(rep, calV, margin=_integer(payload, "margin", 1),
+        rep2 = extra_casimir_check(rep, calV, margin=integer_field(payload, "margin", 1),
                                    tol=tol, hamiltonian=h_phys)
         deviation = rep2["scalar_on_interior"].metrics["deviation_norm"]
         checks.append(
@@ -790,7 +770,7 @@ def _dyn_com_decoupling(sc: Scenario, tols) -> list:
 
 def _dyn_relative_conservation(sc: Scenario, tols) -> list:
     payload = sc.payload
-    n_max = _integer(payload, "n_max", 6)
+    n_max = integer_field(payload, "n_max", 6)
     if n_max < 2:
         raise ScenarioError(f"relative_conservation needs n_max >= 2 for its two-quanta state, got {n_max}")
     mu = float(payload.get("mu", 0.5))

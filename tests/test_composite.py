@@ -197,6 +197,15 @@ class TestCcrCoefficients:
         reports = verify_ccr_composite(comp, margin=1, tol=1e-12)
         assert all(r.offdiag_norm <= 1e-12 for r in reports)
 
+    def test_fit_makes_no_embedding(self, monkeypatch):
+        comp = desk_pair(1.0, 2.0, levels=4, dims=2)
+        calls = []
+        real = ladder.embed
+        monkeypatch.setattr(ladder, "embed", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        reports = verify_ccr_composite(comp, margin=1, tol=1e-12)
+        assert all(r.passed for r in reports)
+        assert calls == []
+
     def test_margin_zero_rejected(self):
         comp = desk_pair(1.0, 2.0, levels=4)
         with pytest.raises(ValueError):

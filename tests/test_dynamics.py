@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from hrsym import (
     GlobalUnits,
@@ -32,17 +33,29 @@ def norm2(m):
     return np.linalg.norm(m, 2)
 
 
-def count_expm(monkeypatch) -> list:
-    """Record every scipy.linalg.expm call, as the flows reach it, in the returned list."""
+def count_calls(monkeypatch, module, name: str, record) -> list:
+    """Record record(*args, **kwargs) of every call of module.name, as the flows reach it."""
     calls = []
-    real = scipy.linalg.expm
+    real = getattr(module, name)
 
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return real(a, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_expm(monkeypatch) -> list:
+    """The shape of every scipy.linalg.expm argument."""
+    return count_calls(monkeypatch, scipy.linalg, "expm", lambda a, *args, **kwargs: a.shape)
+
+
+def count_expm_multiply(monkeypatch) -> list:
+    """The operator shape and the number of grid points (None for one step) of every expm_multiply call."""
+    return count_calls(
+        monkeypatch, scipy.sparse.linalg, "expm_multiply", lambda a, b, **kwargs: (a.shape, kwargs.get("num"))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -479,10 +492,14 @@ class TestDirectSum:
 class TestPropagationCount:
     def test_com_decoupling_scenario_propagates_once(self, monkeypatch):
         raw = next(r for r in SUITES["paper-full"]() if r["payload"].get("check") == "com_decoupling")
-        calls = count_expm(monkeypatch)
+        dense = count_expm(monkeypatch)
+        action = count_expm_multiply(monkeypatch)
         report = run_scenario(scenario_from_dict(raw))
         assert report.passed
-        assert calls == [(2, 392, 392)]  # both parity blocks of the 784-dim H in one call
+        # the parity blocks of the 784-dim H hold 392 states each, above the dense limit:
+        # the whole 41-point grid takes one sparse action and no dense exponential
+        assert dense == []
+        assert action == [((784, 784), 41)]
 
     def test_uniform_grid_takes_one_exponential(self, rep32, monkeypatch):
         h = hamiltonian_physical(rep32, PotentialSpec("poly_x", (0.0, 0.0, 0.5)))
@@ -501,6 +518,82 @@ class TestPropagationCount:
         assert len(calls) == 3  # steps 0.1, 0.2 and 0.05
         for state, expected in zip(flow.states, want):
             assert np.max(np.abs(state - expected)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def pair24():
+    """A 576-dim composite flow like com_decoupling, whose two parity blocks hold 288 states each."""
+    a = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=24))
+    b = build_particle_rep(RepConfig(mass=2.0, dims=1, levels=24))
+    comp = tensor_rep(a, b)
+    h = hamiltonian_physical(comp, PotentialSpec("poly_r2", (0.0, 0.1)))
+    assert [idx.shape for idx, _ in ladder.direct_sum(h)] == [(2, 288)]
+    assert 288 > hrsym.dynamics._DENSE_LIMIT
+    psi0 = np.kron(coherent_state(24, 0.4 + 0.2j), coherent_state(24, -0.3 + 0.1j))
+    return h, psi0
+
+
+class TestSparseAction:
+    @pytest.mark.parametrize("times, calls", [
+        (np.linspace(0.0, 1.0, 5), [((576, 576), 5)]),
+        # scipy sizes an interval's Taylor steps by its length, so a late start is reached first
+        (np.linspace(20.0, 21.0, 5), [((576, 576), None), ((576, 576), 5)]),
+        ([0.0, 0.1, 0.3, 0.35, 1.0], [((576, 576), None)] * 4),
+    ], ids=["uniform", "uniform_late_start", "non_uniform"])
+    def test_large_block_agrees_with_the_dense_exponential(self, pair24, monkeypatch, times, calls):
+        h, psi0 = pair24
+        with monkeypatch.context() as m:
+            m.setattr(hrsym.dynamics, "_DENSE_LIMIT", 288)
+            dense_calls = count_expm(m)
+            want = evolve_state(h, psi0, times, hbar=0.8).states
+            assert dense_calls  # the block exponentials of scipy.linalg.expm
+        dense = count_expm(monkeypatch)
+        action = count_expm_multiply(monkeypatch)
+        flow = evolve_state(h, psi0, times, hbar=0.8)
+        assert dense == [] and action == calls
+        assert np.max(np.abs(flow.states - want)) <= 1e-12
+
+    def test_sparse_action_ignores_the_global_random_state(self, pair24):
+        # ||t H / hbar||_1 above ~63 fails condition 3.13 of Al-Mohy & Higham, so
+        # expm_multiply estimates the norms of powers of H from random probe vectors
+        h, psi0 = pair24
+        times = np.linspace(0.0, 3.0, 4)
+        saved = np.random.get_state()
+        try:
+            states = []
+            for seed in (1, 2):
+                np.random.seed(seed)
+                fresh = np.random.get_state()[1].copy()
+                states.append(evolve_state(h, psi0, times, hbar=0.8).states)
+                assert not np.array_equal(np.random.get_state()[1], fresh)  # the probes drew
+        finally:
+            np.random.set_state(saved)
+        assert np.array_equal(states[0], states[1])
+
+    @pytest.mark.parametrize("limit", [256, 0], ids=["dense", "sparse_action"])
+    def test_stacked_traces_equal_the_per_state_products(self, monkeypatch, limit):
+        monkeypatch.setattr(hrsym.dynamics, "_DENSE_LIMIT", limit)
+        rep = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=12))
+        h = hamiltonian_physical(rep, PotentialSpec("poly_x", (0.0, 0.2, 0.5)))
+        h_gen = hamiltonian_galilei(rep, 1.5)
+        psi0 = coherent_state(12, 1.0 + 0.3j)
+        times = np.linspace(0.0, 2.0, 11)
+        obs = {"x": rep.X[0], "p": rep.P[0]}
+        flow = evolve_state(h, psi0, times, observables=obs, boundary_weight=rep.boundary_weight)
+        edge = rep.boundary_indices
+        weights = [np.vdot(s[edge], s[edge]).real for s in flow.states]
+        assert 0.0 < max(weights)
+        assert abs(flow.max_boundary_weight - max(weights)) <= 1e-14
+        assert np.max(np.abs(rep.boundary_weight(flow.states) - weights)) <= 1e-14
+        for k, state in enumerate(flow.states):
+            assert abs(flow.energy_trace[k] - np.vdot(state, h @ state).real) <= 1e-14
+            for name, op in obs.items():
+                assert abs(flow.observable_traces[name][k] - np.vdot(state, op @ state).real) <= 1e-14
+        cmp = compare_flows(h_gen, h, psi0, times)
+        other = evolve_state(h_gen, psi0, times)
+        overlaps = np.array([np.vdot(s2, s1) for s1, s2 in zip(other.states, flow.states)])
+        assert np.max(np.abs(cmp.fidelity - np.abs(overlaps))) <= 1e-14
+        assert np.max(np.abs(cmp.phase - np.angle(overlaps))) <= 1e-14
 
 
 class TestSparseAssembly:

@@ -49,6 +49,18 @@ class TestConfig:
         assert cfg.dim == 4**3 * 2
         assert cfg.units == GlobalUnits(hbar=2.0, omega_ref=0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("levels", 2.5), ("dims", True), ("dims", "2"), ("levels", math.inf), ("levels", math.nan),
+    ])
+    def test_json_refuses_a_non_integral_size(self, field, value):
+        payload = {"mass": 1.0, "dims": 1, "levels": 4, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            rep_config_from_json(payload)
+
+    def test_json_accepts_an_integral_float(self):
+        cfg = rep_config_from_json({"mass": 1.0, "dims": 2.0, "levels": 3.0})
+        assert (cfg.dims, cfg.levels) == (2, 3) and type(cfg.dims) is int and type(cfg.levels) is int
+
 
 class TestLadderMatrices:
     def test_two_level_matrices_literal(self):
