@@ -4,17 +4,24 @@ Any Hermitian matrix generates a one-parameter unitary group here, so the
 same engine drives physical time evolution, the free-generator flow with its
 constant offset, rotations (generator J), and boosts (generator K).  Every
 Hamiltonian a system builds is a CSR `ladder.Operator`, and the flows take
-any generator as one (dense input is converted once).  A state flow first
-splits H into its direct sum (`ladder.direct_sum`: the connected components
-of its stored entries, stacked by component size).  When no block is larger
-than `_DENSE_LIMIT`, it takes one batched scaling-and-squaring exponential
-per component size and distinct step of the time grid; the exponential of a
-direct sum is the direct sum of the block exponentials, so this is exact.  A
-flow with a larger block takes the sparse action of the exponential on the
-state instead (scipy's `expm_multiply`, Al-Mohy & Higham 2011): one call
-over the whole of a uniform grid, one per step otherwise, without forming
-the propagator.  Every trace (norm, energy, observables, boundary weight) is
-one product over the stack of states.  Both paths are deterministic.
+any generator as one (dense input is converted once).  A state flow picks
+its propagator from the sizes of the connected components of the stored
+entries of H (`ladder.component_sizes`).  When no block is larger than
+`_DENSE_LIMIT`, it splits H into its direct sum (`ladder.direct_sum`, the
+blocks stacked by size) and takes one batched scaling-and-squaring
+exponential per block size and distinct step of the time grid; the
+exponential of a direct sum is the direct sum of the block exponentials, so
+this is exact.  A flow with a larger block takes the sparse action of the
+exponential on the state instead (scipy's `expm_multiply`, Al-Mohy & Higham
+2011): one call over the whole of a uniform grid, one per step otherwise,
+without forming the propagator or any dense block.  The rounding of its
+Taylor steps grows with ||s H / hbar||_1 over the distance s the flow
+travels from t = 0, so a flow of at most `_DENSE_DIM` dimensions travelling
+past `_ACTION_SPAN` keeps the block exponentials.  Every trace (norm,
+energy, observables, boundary weight) is one product over the stack of
+states.  Both paths are deterministic: `expm_multiply` estimates the norms
+of the powers of a wide generator from random probes, which are drawn from
+a fixed seed, and the global `np.random` state is left as it was.
 
 Truncation makes long flows untrustworthy once amplitude reaches the top
 Fock levels, so every flow records the boundary occupation of the evolving
@@ -23,6 +30,7 @@ state and flags the result unreliable above a configurable threshold.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -48,7 +56,9 @@ __all__ = [
 
 _POT_KINDS = ("none", "poly_x", "poly_r2")
 _MAX_POLY_DEGREE = 4
-_DENSE_LIMIT = 256  # largest direct-sum block that takes dense exponentials
+_DENSE_LIMIT = 256  # largest direct-sum block that always takes dense exponentials
+_DENSE_DIM = 4096  # widest flow whose larger blocks may still take them
+_ACTION_SPAN = 300.0  # largest ||s H / hbar||_1 the sparse action travels below _DENSE_DIM
 
 
 @dataclass(frozen=True)
@@ -197,6 +207,38 @@ def _dense_states(blocks: list, psi0: np.ndarray, t: np.ndarray, hbar: float) ->
     return _stepped(advance, psi0, t)
 
 
+@contextlib.contextmanager
+def _fixed_probes():
+    """Seed numpy's global random state for the duration, then restore the caller's state.
+
+    `expm_multiply` draws the probe vectors of its norm estimates from that
+    state; a fixed draw keeps the sparse action deterministic.
+    """
+    saved = np.random.get_state()
+    np.random.seed(0)
+    try:
+        yield
+    finally:
+        np.random.set_state(saved)
+
+
+def _takes_sparse_action(H: ladder.Operator, t: np.ndarray, hbar: float) -> bool:
+    """Whether the flow of H over `t` takes the sparse action rather than the block exponentials.
+
+    Blocks of at most `_DENSE_LIMIT` states always take the exponentials.  A
+    larger block takes the sparse action when the flow travels at most
+    `_ACTION_SPAN` in ||s H / hbar||_1 (its Taylor steps then round to about
+    1e-12), or when H has more than `_DENSE_DIM` dimensions, whose dense
+    blocks need not fit in memory.
+    """
+    if ladder.component_sizes(H).max() <= _DENSE_LIMIT:
+        return False
+    if H.shape[0] > _DENSE_DIM:
+        return True
+    travel = abs(t[0]) + t[-1] - t[0]
+    return travel * abs(H).sum(axis=0).max() / hbar <= _ACTION_SPAN
+
+
 def _sparse_states(H: ladder.Operator, psi0: np.ndarray, t: np.ndarray, hbar: float) -> np.ndarray:
     """psi0 at every time of `t` by the sparse action of exp(-i t H / hbar).
 
@@ -209,12 +251,14 @@ def _sparse_states(H: ladder.Operator, psi0: np.ndarray, t: np.ndarray, hbar: fl
         return scipy.sparse.linalg.expm_multiply(dt * gen, psi)
 
     steps = np.diff(t)
-    if len(t) < 2 or not _same_step(steps.min(), steps.max()):
-        return _stepped(advance, psi0, t)
-    # scipy sizes the Taylor steps of an interval by its length, not by its
-    # start, so a grid that starts late first reaches t[0] in a step of its own
-    psi = psi0 if t[0] == 0.0 else advance(psi0, t[0])
-    return scipy.sparse.linalg.expm_multiply(gen, psi, start=0.0, stop=t[-1] - t[0], num=len(t), endpoint=True)
+    with _fixed_probes():
+        if len(t) < 2 or not _same_step(steps.min(), steps.max()):
+            return _stepped(advance, psi0, t)
+        # scipy sizes the Taylor steps of an interval by its length, not by its
+        # start, so a grid that starts late first reaches t[0] in a step of its own
+        psi = psi0 if t[0] == 0.0 else advance(psi0, t[0])
+        return scipy.sparse.linalg.expm_multiply(
+            gen, psi, start=0.0, stop=t[-1] - t[0], num=len(t), endpoint=True)
 
 
 def evolve_state(
@@ -231,10 +275,12 @@ def evolve_state(
     When the largest block of the direct sum of H is at most `_DENSE_LIMIT`,
     the flow takes dense step propagators block by block; a larger block
     takes the sparse action of the exponential, in one call over a uniform
-    grid.  `boundary_weight` is an optional callable(states) -> probability
-    near the truncation boundary of each row of a stack of states; if the
-    worst value along the flow exceeds `leakage_threshold` the result is
-    flagged unreliable.
+    grid, unless the flow travels past `_ACTION_SPAN` on at most
+    `_DENSE_DIM` dimensions (see `_takes_sparse_action`).
+    `boundary_weight` is an optional callable that takes the (len(times),
+    dim) stack of states and returns the probability near the truncation
+    boundary of each row, shape (len(times),); if the worst value along the
+    flow exceeds `leakage_threshold` the result is flagged unreliable.
     """
     t = _check_times(times)
     H = ladder.Operator(H)
@@ -244,16 +290,20 @@ def evolve_state(
     if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"initial state must be normalized (|psi| = {nrm:.12g})")
 
-    blocks = ladder.direct_sum(H)
-    if max(idx.shape[1] for idx, _ in blocks) <= _DENSE_LIMIT:
-        states = _dense_states(blocks, psi0, t, hbar)
-    else:
+    if _takes_sparse_action(H, t, hbar):
         states = _sparse_states(H, psi0, t, hbar)
+    else:
+        states = _dense_states(ladder.direct_sum(H), psi0, t, hbar)
 
     max_bw = 0.0
     reliable = True
     if boundary_weight is not None:
-        max_bw = float(np.max(boundary_weight(states)))
+        weights = np.asarray(boundary_weight(states), dtype=float)
+        if weights.shape != t.shape:
+            raise ValueError(
+                f"boundary_weight must return one weight per state, shape {t.shape}, got {weights.shape}"
+            )
+        max_bw = float(np.max(weights))
         reliable = max_bw <= leakage_threshold
     return FlowResult(
         times=t,

@@ -267,6 +267,16 @@ def direct_sum(op) -> list:
     return [(idx, stack) for _, idx, stack in _stacks(label, label, n_comp, rows, a.indices, a.data)]
 
 
+def component_sizes(op) -> np.ndarray:
+    """The size of every block of `direct_sum(op)`, read from the component labels alone.
+
+    No block is formed, so this costs memory in proportion to the stored entries.
+    """
+    a, _ = _canonical(op)
+    n_comp, label = _components(a, 0)
+    return np.bincount(label, minlength=n_comp)
+
+
 def _group_norms(a, rows, row_group, n_groups: int) -> np.ndarray:
     """Exact 2-norm of each group of rows of canonical CSR `a`, whose entry i lies in row rows[i].
 

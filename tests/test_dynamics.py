@@ -20,12 +20,13 @@ from hrsym import (
     hamiltonian_galilei,
     hamiltonian_physical,
     relative_mode_system,
+    rep_config_from_json,
     tensor_rep,
 )
 import hrsym.dynamics
 from hrsym import ladder
 from hrsym.ladder import coherent_state
-from hrsym.scenarios import SUITES, run_scenario, scenario_from_dict
+from hrsym.scenarios import DEFAULT_TOLERANCES, SUITES, run_scenario, scenario_from_dict
 from hrsym.spin import J_PAIRS
 
 
@@ -465,6 +466,7 @@ class TestDirectSum:
         op = build(rep_2d)
         split = ladder.direct_sum(op)
         assert [idx.shape for idx, _ in split] == sizes
+        assert sorted(ladder.component_sizes(op)) == sorted(s for k, s in sizes for _ in range(k))
         assert np.array_equal(np.sort(np.concatenate([idx.ravel() for idx, _ in split])), np.arange(rep_2d.dim))
         back = np.zeros(op.shape, dtype=complex)
         for idx, stack in split:
@@ -537,7 +539,7 @@ class TestSparseAction:
     @pytest.mark.parametrize("times, calls", [
         (np.linspace(0.0, 1.0, 5), [((576, 576), 5)]),
         # scipy sizes an interval's Taylor steps by its length, so a late start is reached first
-        (np.linspace(20.0, 21.0, 5), [((576, 576), None), ((576, 576), 5)]),
+        (np.linspace(3.0, 3.5, 5), [((576, 576), None), ((576, 576), 5)]),
         ([0.0, 0.1, 0.3, 0.35, 1.0], [((576, 576), None)] * 4),
     ], ids=["uniform", "uniform_late_start", "non_uniform"])
     def test_large_block_agrees_with_the_dense_exponential(self, pair24, monkeypatch, times, calls):
@@ -553,22 +555,71 @@ class TestSparseAction:
         assert dense == [] and action == calls
         assert np.max(np.abs(flow.states - want)) <= 1e-12
 
-    def test_sparse_action_ignores_the_global_random_state(self, pair24):
+    def test_sparse_action_is_deterministic_and_keeps_the_global_random_state(self, pair24, monkeypatch):
         # ||t H / hbar||_1 above ~63 fails condition 3.13 of Al-Mohy & Higham, so
         # expm_multiply estimates the norms of powers of H from random probe vectors
         h, psi0 = pair24
         times = np.linspace(0.0, 3.0, 4)
+        probes = count_calls(monkeypatch, np.random, "randint", lambda *args, **kwargs: None)
+        action = count_expm_multiply(monkeypatch)
         saved = np.random.get_state()
         try:
             states = []
             for seed in (1, 2):
                 np.random.seed(seed)
-                fresh = np.random.get_state()[1].copy()
+                before = np.random.get_state()
                 states.append(evolve_state(h, psi0, times, hbar=0.8).states)
-                assert not np.array_equal(np.random.get_state()[1], fresh)  # the probes drew
+                after = np.random.get_state()
+                assert before[0] == after[0] and before[2:] == after[2:]
+                assert np.array_equal(before[1], after[1])
         finally:
             np.random.set_state(saved)
+        assert len(action) == 2 and probes  # the sparse action ran, and its probes drew
         assert np.array_equal(states[0], states[1])
+
+    def test_sparse_action_forms_no_dense_block(self, pair24, monkeypatch):
+        h, psi0 = pair24
+        stacks = count_calls(monkeypatch, ladder, "_stacks", lambda *args, **kwargs: None)
+        action = count_expm_multiply(monkeypatch)
+        evolve_state(h, psi0, np.linspace(0.0, 1.0, 5), hbar=0.8)
+        assert len(action) == 1 and stacks == []
+        # a flow travelling past _ACTION_SPAN keeps the block exponentials up to _DENSE_DIM
+        # dimensions; above it, where dense blocks need not fit, it still takes the action
+        long_times = np.linspace(0.0, 10.0, 5)
+        assert 10.0 * abs(h).sum(axis=0).max() / 0.8 > hrsym.dynamics._ACTION_SPAN
+        evolve_state(h, psi0, long_times, hbar=0.8)
+        assert len(action) == 1 and len(stacks) == 1
+        monkeypatch.setattr(hrsym.dynamics, "_DENSE_DIM", 575)
+        evolve_state(h, psi0, long_times, hbar=0.8)
+        assert len(action) == 2 and len(stacks) == 1
+
+    @pytest.mark.parametrize("t_max, steps, sparse", [(0.9, 9, True), (300.0, 300, False)],
+                             ids=["short_sparse_action", "long_block_exponentials"])
+    def test_wide_spectrum_block_holds_the_dynamics_tolerances(self, monkeypatch, t_max, steps, sparse):
+        # one block of 300 levels with ||H||_1 = 245: the rounding of the sparse action's
+        # Taylor steps grows with ||t H / hbar||_1, so only the short flow takes it
+        rep = build_particle_rep(rep_config_from_json({"mass": 1.0, "dims": 1, "levels": 300, "hbar": 0.8}))
+        hbar = rep.units.hbar
+        h = hamiltonian_physical(rep, PotentialSpec("poly_x", (0.0, 0.3, 0.5)))
+        assert ladder.component_sizes(h).tolist() == [300]
+        psi0 = coherent_state(300, 0.6 + 0.4j)
+        times = np.linspace(0.0, t_max, steps + 1)
+        w, v = np.linalg.eigh(h.toarray())
+        want = (np.exp(-1j * np.outer(times, w) / hbar) * (v.conj().T @ psi0)) @ v.T
+        action = count_expm_multiply(monkeypatch)
+        flow = evolve_state(h, psi0, times, hbar=hbar)
+        assert bool(action) == sparse
+        # a tenth of the tightest tolerance of the conservation check
+        tol = DEFAULT_TOLERANCES["unitarity"] / 10
+        assert np.max(np.abs(flow.states - want)) <= tol
+        assert np.max(np.abs(flow.norm_trace - 1.0)) <= tol
+        assert np.max(np.abs(flow.energy_trace - flow.energy_trace[0])) <= tol
+
+    def test_boundary_weight_must_weigh_each_state(self, rep32):
+        h = hamiltonian_physical(rep32, PotentialSpec("poly_x", (0.0, 0.0, 0.5)))
+        per_state = lambda psi: abs(psi[-1]) ** 2  # one weight per state, not per row of a stack
+        with pytest.raises(ValueError, match="one weight per state"):
+            evolve_state(h, coherent_state(32, 0.5), [0.0, 0.5, 1.0], boundary_weight=per_state)
 
     @pytest.mark.parametrize("limit", [256, 0], ids=["dense", "sparse_action"])
     def test_stacked_traces_equal_the_per_state_products(self, monkeypatch, limit):
