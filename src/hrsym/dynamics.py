@@ -5,23 +5,18 @@ same engine drives physical time evolution, the free-generator flow with its
 constant offset, rotations (generator J), and boosts (generator K).  Every
 Hamiltonian a system builds is a CSR `ladder.Operator`, and the flows take
 any generator as one (dense input is converted once).  A state flow picks
-its propagator from the sizes of the connected components of the stored
-entries of H (`ladder.component_sizes`).  When no block is larger than
-`_DENSE_LIMIT`, it splits H into its direct sum (`ladder.direct_sum`, the
-blocks stacked by size) and takes one batched scaling-and-squaring
-exponential per block size and distinct step of the time grid; the
-exponential of a direct sum is the direct sum of the block exponentials, so
-this is exact.  A flow with a larger block takes the sparse action of the
-exponential on the state instead (scipy's `expm_multiply`, Al-Mohy & Higham
-2011): one call over the whole of a uniform grid, one per step otherwise,
-without forming the propagator or any dense block.  The rounding of its
-Taylor steps grows with ||s H / hbar||_1 over the distance s the flow
-travels from t = 0, so a flow of at most `_DENSE_DIM` dimensions travelling
-past `_ACTION_SPAN` keeps the block exponentials.  Every trace (norm,
-energy, observables, boundary weight) is one product over the stack of
-states.  Both paths are deterministic: `expm_multiply` estimates the norms
-of the powers of a wide generator from random probes, which are drawn from
-a fixed seed, and the global `np.random` state is left as it was.
+its propagator from the block sizes of the direct sum of H.  Blocks of at
+most `_DENSE_LIMIT` states take one batched scaling-and-squaring exponential
+per block size and distinct step of the time grid (`ladder.direct_sum`).  A
+larger block takes the Chebyshev expansion of exp(-i t H / hbar) (Tal-Ezer &
+Kosloff 1984): H is scaled into [-1, 1] by the Gershgorin enclosure of its
+spectrum, and each state of a stretch of the grid is a Bessel-weighted sum
+of one basis T_k(H) psi, built by sparse products alone.  Its cost grows
+with the time travelled, so a long flow on at most `_DENSE_DIM` dimensions
+keeps the block exponentials (`_takes_chebyshev`).  Both are deterministic,
+every trace (norm, energy, observables, boundary weight) is one product
+over the stack of states, and an observable flow conjugates by one `eigh`
+per stack of equal-sized blocks.
 
 Truncation makes long flows untrustworthy once amplitude reaches the top
 Fock levels, so every flow records the boundary occupation of the evolving
@@ -30,13 +25,11 @@ state and flags the result unreliable above a configurable threshold.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from . import ladder
 from .report import VerificationReport
@@ -56,9 +49,13 @@ __all__ = [
 
 _POT_KINDS = ("none", "poly_x", "poly_r2")
 _MAX_POLY_DEGREE = 4
-_DENSE_LIMIT = 256  # largest direct-sum block that always takes dense exponentials
+_DENSE_LIMIT = 64  # largest direct-sum block that always takes dense exponentials
 _DENSE_DIM = 4096  # widest flow whose larger blocks may still take them
-_ACTION_SPAN = 300.0  # largest ||s H / hbar||_1 the sparse action travels below _DENSE_DIM
+_SAME_STEP_RTOL = 1e-12  # steps this close share their block exponentials
+_ACTION_SPAN = 0.05  # largest Chebyshev order per squared state of the largest block below _DENSE_DIM
+_CHUNK = 32  # Chebyshev basis vectors held at once
+_TABLE = 1 << 16  # largest Bessel table (orders by grid points) of one Chebyshev segment
+_NEGLIGIBLE = 1e-150  # Bessel weights and state parts below it are set to 0
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ def hamiltonian_physical(system, pot: PotentialSpec) -> ladder.Operator:
     must depend on the relative separation only, so kind "poly_x" is
     rejected there.  A RelativeModeRep drops the (decoupled, free) COM term.
     The result is a CSR `ladder.Operator`; a flow exponentiates it block by
-    block, or applies its sparse action when a block is large.
+    block, or expands it in Chebyshev polynomials when a block is large.
     """
     return system.hamiltonian(pot)
 
@@ -157,108 +154,155 @@ def _expectations(op, states: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ik->k", states.conj(), op @ states.T).real
 
 
-_SAME_STEP_RTOL = 1e-12
-
-
-def _same_step(a: float, b: float) -> bool:
-    return abs(a - b) <= _SAME_STEP_RTOL * max(abs(a), abs(b))
-
-
-def _block_exponentials(blocks: list, dt: float, hbar: float) -> list:
-    """exp(-i dt H / hbar) of the `ladder.direct_sum` blocks of H, one stacked exponential per size."""
-    return [scipy.linalg.expm(-1j * dt * stack / hbar) for _, stack in blocks]
-
-
 def _step_propagator(steps: list, dt: float, blocks: list, hbar: float) -> list:
-    """The block exponentials of dt, reused for any earlier step within `_SAME_STEP_RTOL` of dt.
+    """exp(-i dt H / hbar) of the `ladder.direct_sum` blocks of H, one stacked exponential per size.
 
-    A uniform grid's steps differ only by rounding, so it takes one
-    exponential per block size; every genuinely new step gets its own.
+    They are reused for any earlier step within `_SAME_STEP_RTOL` of dt: a
+    uniform grid's steps differ only by rounding, so it takes one exponential
+    per block size; every genuinely new step gets its own.
     """
     for known, props in reversed(steps):
-        if _same_step(known, dt):
+        if abs(known - dt) <= _SAME_STEP_RTOL * max(abs(known), abs(dt)):
             return props
-    props = _block_exponentials(blocks, dt, hbar)
+    props = [scipy.linalg.expm(-1j * dt * stack / hbar) for _, stack in blocks]
     steps.append((dt, props))
     return props
-
-
-def _stepped(advance, psi0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """psi0 at every time of `t`, carried from each grid time to the next by advance(psi, dt)."""
-    states = np.empty((len(t), len(psi0)), dtype=complex)
-    psi = psi0
-    for k, dt in enumerate(np.diff(t, prepend=0.0)):
-        if dt != 0.0:
-            psi = advance(psi, dt)
-        states[k] = psi
-    return states
 
 
 def _dense_states(blocks: list, psi0: np.ndarray, t: np.ndarray, hbar: float) -> np.ndarray:
     """psi0 at every time of `t`, stepped by the block exponentials of each distinct step."""
     steps: list = []  # (dt, block propagators), one per distinct step
+    states = np.empty((len(t), len(psi0)), dtype=complex)
+    psi = psi0
+    for k, dt in enumerate(np.diff(t, prepend=0.0)):
+        if dt != 0.0:
+            psi = psi.copy()
+            for (idx, _), prop in zip(blocks, _step_propagator(steps, dt, blocks, hbar)):
+                psi[idx] = np.matmul(prop, psi[idx][..., None])[..., 0]
+        states[k] = psi
+    return states
 
-    def advance(psi, dt):
-        out = np.empty_like(psi)
-        for (idx, _), prop in zip(blocks, _step_propagator(steps, dt, blocks, hbar)):
-            out[idx] = np.matmul(prop, psi[idx][..., None])[..., 0]
-        return out
 
-    return _stepped(advance, psi0, t)
+def _spectral_interval(H: ladder.Operator) -> tuple:
+    """Centre c and half-width r of [c - r, c + r], which holds every eigenvalue of Hermitian H.
 
-
-@contextlib.contextmanager
-def _fixed_probes():
-    """Seed numpy's global random state for the duration, then restore the caller's state.
-
-    `expm_multiply` draws the probe vectors of its norm estimates from that
-    state; a fixed draw keeps the sparse action deterministic.
+    It encloses the Gershgorin discs |z - H_ii| <= sum_(j != i) |H_ij|, widened by
+    1e-12 of its larger end against the rounding of the row sums.
     """
-    saved = np.random.get_state()
-    np.random.seed(0)
-    try:
-        yield
-    finally:
-        np.random.set_state(saved)
+    diag = H.diagonal().real
+    radius = abs(H).sum(axis=1) - np.abs(diag)
+    lo, hi = np.min(diag - radius), np.max(diag + radius)
+    return (lo + hi) / 2, (hi - lo) / 2 + 1e-12 * max(abs(lo), abs(hi)) + np.finfo(float).tiny
 
 
-def _takes_sparse_action(H: ladder.Operator, t: np.ndarray, hbar: float) -> bool:
-    """Whether the flow of H over `t` takes the sparse action rather than the block exponentials.
+def _chebyshev_order(x: float) -> int:
+    """Terms of the Chebyshev series of exp(-i x y) on [-1, 1] that leave a tail below 1e-17."""
+    return math.ceil(x + 15.0 * np.cbrt(x / 2.0)) + 16
 
-    Blocks of at most `_DENSE_LIMIT` states always take the exponentials.  A
-    larger block takes the sparse action when the flow travels at most
-    `_ACTION_SPAN` in ||s H / hbar||_1 (its Taylor steps then round to about
-    1e-12), or when H has more than `_DENSE_DIM` dimensions, whose dense
-    blocks need not fit in memory.
+
+def _flushed(v: np.ndarray) -> np.ndarray:
+    """`v` with its real and imaginary parts below `_NEGLIGIBLE` set to 0, in place.
+
+    Their products would be subnormal, and arithmetic on those runs many times slower.
     """
-    if ladder.component_sizes(H).max() <= _DENSE_LIMIT:
-        return False
-    if H.shape[0] > _DENSE_DIM:
-        return True
-    travel = abs(t[0]) + t[-1] - t[0]
-    return travel * abs(H).sum(axis=0).max() / hbar <= _ACTION_SPAN
+    parts = v.view(float)
+    parts[abs(parts) < _NEGLIGIBLE] = 0.0
+    return v
 
 
-def _sparse_states(H: ladder.Operator, psi0: np.ndarray, t: np.ndarray, hbar: float) -> np.ndarray:
-    """psi0 at every time of `t` by the sparse action of exp(-i t H / hbar).
+def _bessel_table(x: np.ndarray, orders: int) -> np.ndarray:
+    """J_k(x) for k < `orders` and every x >= 0 of `x`, shape (orders, len(x)), flushed.
 
-    A grid whose steps agree within `_SAME_STEP_RTOL` takes one
-    `expm_multiply` over the whole interval; any other grid one per step.
+    Miller's backward recurrence J_(k-1) = (2k / x) J_k - J_(k+1), started 16
+    orders above the table and normalised by J_0 + 2 (J_2 + J_4 + ...) = 1.
+    A column about to overflow is scaled down with all it has stored; one
+    with x below 1e-30 is taken as J_k = [k = 0].
     """
-    gen = -1j * H / hbar
+    small = x < 1e-30
+    two_over_x = 2.0 / np.where(small, 1.0, x)
+    table = np.zeros((orders, len(x)))
+    after, cur, even = np.zeros(len(x)), np.full(len(x), 1e-300), np.zeros(len(x))
+    for k in range(orders + 16, 0, -1):
+        if k < orders:
+            table[k] = cur
+        if k % 2 == 0:
+            even += cur
+        after, cur = cur, k * two_over_x * cur - after
+        if abs(cur).max() > 1e250:
+            scale = np.where(abs(cur) > 1e250, 1e-250, 1.0)
+            for column in (table[k:], after, cur, even):
+                column *= scale
+    table[0] = cur
+    table /= cur + 2.0 * even
+    table[:, small] = np.eye(orders, 1)
+    return _flushed(table)
 
-    def advance(psi, dt):
-        return scipy.sparse.linalg.expm_multiply(dt * gen, psi)
 
-    steps = np.diff(t)
-    with _fixed_probes():
-        if len(t) < 2 or not _same_step(steps.min(), steps.max()):
-            return _stepped(advance, psi0, t)
-        # scipy sizes the Taylor steps of an interval by its length, not by its
-        # start, so a grid that starts late first reaches t[0] in a step of its own
-        psi = psi0 if t[0] == 0.0 else advance(psi0, t[0])
-        return scipy.sparse.linalg.expm_multiply(
-            gen, psi, start=0.0, stop=t[-1] - t[0], num=len(t), endpoint=True)
+def _chebyshev_segment(hs: ladder.Operator, psi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(-i x_j hs) psi for every x_j of `x` (all of one sign), hs Hermitian with spectrum in [-1, 1].
+
+    exp(-i x y) = J_0(x) + 2 sum_k (-i)^k J_k(x) T_k(y), so every state is a
+    Bessel-weighted sum of one basis T_k(hs) psi, streamed `_CHUNK` vectors at
+    a time; a real `hs` acts on the real and imaginary parts as two columns.
+    """
+    n, real = len(psi), not np.iscomplexobj(hs.data)
+
+    def apply(v):
+        return (hs @ v.view(float).reshape(n, 2)).view(complex).ravel() if real else hs @ v
+
+    turns = (1, -1j, -1, 1j) if x[-1] >= 0 else (1, 1j, -1, -1j)  # (-i)^k, or i^k for x < 0
+    table = _bessel_table(np.abs(x), _chebyshev_order(abs(x[-1])))
+    out = np.zeros((len(x), 2 * n))
+    before, cur = apply(psi), psi  # T_(-1) = T_1 starts T_(k+1) = 2 hs T_k - T_(k-1) at k = 0
+    for k0 in range(0, len(table), _CHUNK):
+        rows = table[k0:k0 + _CHUNK]
+        first = np.argmax(rows.any(axis=0))  # J_k(x) vanishes for x far below k
+        chunk = np.empty((len(rows), n), dtype=complex)
+        for i, k in enumerate(range(k0, k0 + len(rows))):
+            chunk[i] = (2.0 if k else 1.0) * turns[k % 4] * cur
+            before, cur = cur, _flushed(2.0 * apply(cur) - before)
+        # numpy's own loops: a multithreaded BLAS product this small stalls on a busy machine
+        out[first:] += np.einsum("km,kn->mn", rows[:, first:], chunk.view(float))
+    return out.view(complex)
+
+
+def _takes_chebyshev(H: ladder.Operator, t: np.ndarray, hbar: float) -> bool:
+    """Whether the flow of H over `t` takes the Chebyshev propagator rather than the block exponentials.
+
+    Blocks of at most `_DENSE_LIMIT` states always take the exponentials;
+    flows on more than `_DENSE_DIM` dimensions, whose blocks need not fit in
+    memory, never do.  Otherwise the exponentials cost about b^3 for the
+    largest block b, Chebyshev its order r s / hbar times the dimension (r
+    from `_spectral_interval`, s the distance travelled from t = 0), so
+    Chebyshev is taken up to an order of `_ACTION_SPAN` b^2.
+    """
+    largest, travel = ladder.component_sizes(H).max(), abs(t[0]) + t[-1] - t[0]
+    return largest > _DENSE_LIMIT and (
+        H.shape[0] > _DENSE_DIM or _spectral_interval(H)[1] * travel / hbar <= _ACTION_SPAN * largest**2)
+
+
+def _chebyshev_states(H: ladder.Operator, psi0: np.ndarray, t: np.ndarray, hbar: float) -> np.ndarray:
+    """psi0 at every time of `t` by Chebyshev expansions of exp(-i t H / hbar) (Tal-Ezer & Kosloff 1984).
+
+    With [c - r, c + r] from `_spectral_interval`, exp(-i s H / hbar) is
+    exp(-i s c / hbar) exp(-i x hs) for hs = (H - c) / r and x = r s / hbar.
+    Each segment of the grid (a Bessel table of at most `_TABLE` entries)
+    expands about the state before it; a grid starting below 0 reaches t[0] alone.
+    """
+    c, r = _spectral_interval(H)
+    hs = (H - c * ladder.identity(H.shape[0])) / r
+    hs = hs if np.any(hs.data.imag) else hs.real
+    states = np.empty((len(t), len(psi0)), dtype=complex)
+    origin, psi, start = 0.0, psi0, 0
+    while start < len(t):
+        stop = start + 1
+        while (t[start] >= origin and stop < len(t)
+               and _chebyshev_order(r * (t[stop] - origin) / hbar) * (stop + 1 - start) <= _TABLE):
+            stop += 1
+        s = t[start:stop] - origin
+        states[start:stop] = _chebyshev_segment(hs, psi, r * s / hbar) * np.exp(-1j * c * s / hbar)[:, None]
+        origin, psi, start = t[stop - 1], states[stop - 1], stop
+    return states
 
 
 def evolve_state(
@@ -272,11 +316,7 @@ def evolve_state(
 ) -> FlowResult:
     """Propagate psi0 along exp(-i t H / hbar) over the time grid.
 
-    When the largest block of the direct sum of H is at most `_DENSE_LIMIT`,
-    the flow takes dense step propagators block by block; a larger block
-    takes the sparse action of the exponential, in one call over a uniform
-    grid, unless the flow travels past `_ACTION_SPAN` on at most
-    `_DENSE_DIM` dimensions (see `_takes_sparse_action`).
+    `_takes_chebyshev` picks the Chebyshev propagator or the block exponentials.
     `boundary_weight` is an optional callable that takes the (len(times),
     dim) stack of states and returns the probability near the truncation
     boundary of each row, shape (len(times),); if the worst value along the
@@ -290,8 +330,8 @@ def evolve_state(
     if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"initial state must be normalized (|psi| = {nrm:.12g})")
 
-    if _takes_sparse_action(H, t, hbar):
-        states = _sparse_states(H, psi0, t, hbar)
+    if _takes_chebyshev(H, t, hbar):
+        states = _chebyshev_states(H, psi0, t, hbar)
     else:
         states = _dense_states(ladder.direct_sum(H), psi0, t, hbar)
 
@@ -319,14 +359,17 @@ def evolve_state(
 def evolve_observable(H, A, t: float, hbar: float = 1.0) -> np.ndarray:
     """Heisenberg-picture conjugation exp(+i t H / hbar) A exp(-i t H / hbar).
 
-    exp(+i t H / hbar) is exponentiated block by block over the direct sum of H.
+    exp(+i t H / hbar) is taken block by block over the direct sum of H,
+    from one `numpy.linalg.eigh` per stack of equal-sized blocks: real when
+    H has no imaginary part, complex otherwise.
     """
     H = ladder.Operator(H)
     _check_hermitian(H)
-    blocks = ladder.direct_sum(H)
     u = np.zeros(H.shape, dtype=complex)
-    for (idx, _), prop in zip(blocks, _block_exponentials(blocks, -t, hbar)):
-        u[idx[:, :, None], idx[:, None, :]] = prop
+    for idx, stack in ladder.direct_sum(H):
+        w, v = np.linalg.eigh(stack if np.any(H.data.imag) else stack.real)
+        phases = np.exp(1j * t * w / hbar)[:, None, :]
+        u[idx[:, :, None], idx[:, None, :]] = (v * phases) @ v.conj().swapaxes(1, 2)
     out = u @ A @ u.conj().T
     herm_err = float(np.max(np.abs(out - out.conj().T)))
     if herm_err > 1e-12 * max(1.0, float(np.max(np.abs(out)))):

@@ -78,9 +78,6 @@ class QC:
             raise ZeroDivisionError("division by zero QC")
         return self * QC(other.re / den, -other.im / den)
 
-    def conjugate(self):
-        return QC(self.re, -self.im)
-
     def __complex__(self):
         return complex(self.re) + 1j * complex(self.im)
 

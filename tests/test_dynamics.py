@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrsym import (
     GlobalUnits,
@@ -53,10 +56,13 @@ def count_expm(monkeypatch) -> list:
 
 
 def count_expm_multiply(monkeypatch) -> list:
-    """The operator shape and the number of grid points (None for one step) of every expm_multiply call."""
-    return count_calls(
-        monkeypatch, scipy.sparse.linalg, "expm_multiply", lambda a, b, **kwargs: (a.shape, kwargs.get("num"))
-    )
+    """The operator shape of every scipy.sparse.linalg.expm_multiply call."""
+    return count_calls(monkeypatch, scipy.sparse.linalg, "expm_multiply", lambda a, b, **kwargs: a.shape)
+
+
+def count_segments(monkeypatch) -> list:
+    """The number of grid points of every Chebyshev segment (one basis each) of the flows."""
+    return count_calls(monkeypatch, hrsym.dynamics, "_chebyshev_segment", lambda hs, psi, x: len(x))
 
 
 @pytest.fixture(scope="module")
@@ -496,12 +502,16 @@ class TestPropagationCount:
         raw = next(r for r in SUITES["paper-full"]() if r["payload"].get("check") == "com_decoupling")
         dense = count_expm(monkeypatch)
         action = count_expm_multiply(monkeypatch)
+        flows = count_calls(monkeypatch, hrsym.dynamics, "_chebyshev_states",
+                            lambda h, psi0, t, hbar: (h.shape, len(t)))
+        segments = count_segments(monkeypatch)
         report = run_scenario(scenario_from_dict(raw))
         assert report.passed
         # the parity blocks of the 784-dim H hold 392 states each, above the dense limit:
-        # the whole 41-point grid takes one sparse action and no dense exponential
-        assert dense == []
-        assert action == [((784, 784), 41)]
+        # the whole 41-point grid takes one Chebyshev basis and no exponential
+        assert dense == [] and action == []
+        assert flows == [((784, 784), 41)]
+        assert segments == [41]
 
     def test_uniform_grid_takes_one_exponential(self, rep32, monkeypatch):
         h = hamiltonian_physical(rep32, PotentialSpec("poly_x", (0.0, 0.0, 0.5)))
@@ -536,13 +546,15 @@ def pair24():
 
 
 class TestSparseAction:
-    @pytest.mark.parametrize("times, calls", [
-        (np.linspace(0.0, 1.0, 5), [((576, 576), 5)]),
-        # scipy sizes an interval's Taylor steps by its length, so a late start is reached first
-        (np.linspace(3.0, 3.5, 5), [((576, 576), None), ((576, 576), 5)]),
-        ([0.0, 0.1, 0.3, 0.35, 1.0], [((576, 576), None)] * 4),
-    ], ids=["uniform", "uniform_late_start", "non_uniform"])
-    def test_large_block_agrees_with_the_dense_exponential(self, pair24, monkeypatch, times, calls):
+    """The Chebyshev propagator: sparse products with H only, never an exponential or a dense block."""
+
+    @pytest.mark.parametrize("times", [
+        np.linspace(0.0, 1.0, 5),
+        np.linspace(3.0, 3.5, 5),
+        [0.0, 0.1, 0.3, 0.35, 1.0],
+        [-0.5, -0.2, 0.4, 1.0],
+    ], ids=["uniform", "uniform_late_start", "non_uniform", "negative_start"])
+    def test_large_block_agrees_with_the_dense_exponential(self, pair24, monkeypatch, times):
         h, psi0 = pair24
         with monkeypatch.context() as m:
             m.setattr(hrsym.dynamics, "_DENSE_LIMIT", 288)
@@ -551,17 +563,19 @@ class TestSparseAction:
             assert dense_calls  # the block exponentials of scipy.linalg.expm
         dense = count_expm(monkeypatch)
         action = count_expm_multiply(monkeypatch)
+        segments = count_segments(monkeypatch)
         flow = evolve_state(h, psi0, times, hbar=0.8)
-        assert dense == [] and action == calls
+        assert dense == [] and action == []
+        # one basis serves every grid point, however the grid is spaced or wherever it
+        # starts; a grid starting below t = 0 first reaches t[0] alone
+        assert segments == ([1, len(times) - 1] if times[0] < 0 else [len(times)])
         assert np.max(np.abs(flow.states - want)) <= 1e-12
 
     def test_sparse_action_is_deterministic_and_keeps_the_global_random_state(self, pair24, monkeypatch):
-        # ||t H / hbar||_1 above ~63 fails condition 3.13 of Al-Mohy & Higham, so
-        # expm_multiply estimates the norms of powers of H from random probe vectors
         h, psi0 = pair24
         times = np.linspace(0.0, 3.0, 4)
-        probes = count_calls(monkeypatch, np.random, "randint", lambda *args, **kwargs: None)
-        action = count_expm_multiply(monkeypatch)
+        draws = count_calls(monkeypatch, np.random, "randint", lambda *args, **kwargs: None)
+        segments = count_segments(monkeypatch)
         saved = np.random.get_state()
         try:
             states = []
@@ -574,30 +588,31 @@ class TestSparseAction:
                 assert np.array_equal(before[1], after[1])
         finally:
             np.random.set_state(saved)
-        assert len(action) == 2 and probes  # the sparse action ran, and its probes drew
+        assert segments == [4, 4] and draws == []  # the Chebyshev propagator ran and drew nothing
         assert np.array_equal(states[0], states[1])
 
     def test_sparse_action_forms_no_dense_block(self, pair24, monkeypatch):
         h, psi0 = pair24
         stacks = count_calls(monkeypatch, ladder, "_stacks", lambda *args, **kwargs: None)
-        action = count_expm_multiply(monkeypatch)
+        segments = count_segments(monkeypatch)
         evolve_state(h, psi0, np.linspace(0.0, 1.0, 5), hbar=0.8)
-        assert len(action) == 1 and stacks == []
+        assert segments == [5] and stacks == []
         # a flow travelling past _ACTION_SPAN keeps the block exponentials up to _DENSE_DIM
-        # dimensions; above it, where dense blocks need not fit, it still takes the action
+        # dimensions; above it, where dense blocks need not fit, it still takes Chebyshev
         long_times = np.linspace(0.0, 10.0, 5)
-        assert 10.0 * abs(h).sum(axis=0).max() / 0.8 > hrsym.dynamics._ACTION_SPAN
+        monkeypatch.setattr(hrsym.dynamics, "_ACTION_SPAN", 1e-3)
+        assert hrsym.dynamics._spectral_interval(h)[1] * 10.0 / 0.8 > hrsym.dynamics._ACTION_SPAN * 288**2
         evolve_state(h, psi0, long_times, hbar=0.8)
-        assert len(action) == 1 and len(stacks) == 1
+        assert segments == [5] and len(stacks) == 1
         monkeypatch.setattr(hrsym.dynamics, "_DENSE_DIM", 575)
         evolve_state(h, psi0, long_times, hbar=0.8)
-        assert len(action) == 2 and len(stacks) == 1
+        assert segments == [5, 5] and len(stacks) == 1
 
     @pytest.mark.parametrize("t_max, steps, sparse", [(0.9, 9, True), (300.0, 300, False)],
                              ids=["short_sparse_action", "long_block_exponentials"])
     def test_wide_spectrum_block_holds_the_dynamics_tolerances(self, monkeypatch, t_max, steps, sparse):
-        # one block of 300 levels with ||H||_1 = 245: the rounding of the sparse action's
-        # Taylor steps grows with ||t H / hbar||_1, so only the short flow takes it
+        # one block of 300 levels with a Gershgorin half-width of 122: the Chebyshev
+        # order grows with the distance travelled, so only the short flow takes it
         rep = build_particle_rep(rep_config_from_json({"mass": 1.0, "dims": 1, "levels": 300, "hbar": 0.8}))
         hbar = rep.units.hbar
         h = hamiltonian_physical(rep, PotentialSpec("poly_x", (0.0, 0.3, 0.5)))
@@ -606,14 +621,35 @@ class TestSparseAction:
         times = np.linspace(0.0, t_max, steps + 1)
         w, v = np.linalg.eigh(h.toarray())
         want = (np.exp(-1j * np.outer(times, w) / hbar) * (v.conj().T @ psi0)) @ v.T
+        dense = count_expm(monkeypatch)
         action = count_expm_multiply(monkeypatch)
+        segments = count_segments(monkeypatch)
         flow = evolve_state(h, psi0, times, hbar=hbar)
-        assert bool(action) == sparse
+        assert action == []
+        assert bool(segments) == sparse and bool(dense) != sparse
         # a tenth of the tightest tolerance of the conservation check
         tol = DEFAULT_TOLERANCES["unitarity"] / 10
         assert np.max(np.abs(flow.states - want)) <= tol
         assert np.max(np.abs(flow.norm_trace - 1.0)) <= tol
         assert np.max(np.abs(flow.energy_trace - flow.energy_trace[0])) <= tol
+
+    def test_long_flow_above_the_dense_dimension_holds_unitarity(self, monkeypatch):
+        # a flow on more than _DENSE_DIM dimensions never takes the block exponentials,
+        # however far it travels; the 300-level block stands in for one of 4,097 levels
+        rep = build_particle_rep(rep_config_from_json({"mass": 1.0, "dims": 1, "levels": 300, "hbar": 0.8}))
+        hbar = rep.units.hbar
+        h = hamiltonian_physical(rep, PotentialSpec("poly_x", (0.0, 0.3, 0.5)))
+        monkeypatch.setattr(hrsym.dynamics, "_DENSE_DIM", 299)
+        psi0 = coherent_state(300, 0.6 + 0.4j)
+        times = np.linspace(0.0, 300.0, 301)
+        w, v = np.linalg.eigh(h.toarray())
+        want = (np.exp(-1j * np.outer(times, w) / hbar) * (v.conj().T @ psi0)) @ v.T
+        dense = count_expm(monkeypatch)
+        flow = evolve_state(h, psi0, times, hbar=hbar)
+        assert dense == []
+        assert np.max(np.abs(flow.norm_trace - 1.0)) <= 1e-11
+        assert np.max(np.abs(flow.energy_trace - flow.energy_trace[0])) <= 1e-11
+        assert np.max(np.abs(flow.states - want)) <= 1e-11
 
     def test_boundary_weight_must_weigh_each_state(self, rep32):
         h = hamiltonian_physical(rep32, PotentialSpec("poly_x", (0.0, 0.0, 0.5)))
@@ -645,6 +681,81 @@ class TestSparseAction:
         overlaps = np.array([np.vdot(s2, s1) for s1, s2 in zip(other.states, flow.states)])
         assert np.max(np.abs(cmp.fidelity - np.abs(overlaps))) <= 1e-14
         assert np.max(np.abs(cmp.phase - np.angle(overlaps))) <= 1e-14
+
+
+def bessel_by_fourier(x: float, orders: int) -> np.ndarray:
+    """J_k(x) for k < `orders`: the Fourier coefficients of exp(i x sin s), summed in extended precision."""
+    n = 1 << (2 * orders + 64).bit_length()
+    s = 8 * np.arctan(np.longdouble(1)) * np.arange(n, dtype=np.longdouble) / n
+    return (np.fft.fft(np.exp(1j * (np.longdouble(x) * np.sin(s)))) / n)[:orders].real.astype(float)
+
+
+class TestChebyshevKernels:
+    XS = [0.0, 1e-8, 0.5, 30.0, 760.0, 7000.0]
+
+    def test_bessel_table_matches_the_references(self):
+        # one table over all six points, as a segment of a flow forms it
+        orders = hrsym.dynamics._chebyshev_order(max(self.XS))
+        table = hrsym.dynamics._bessel_table(np.array(self.XS), orders)
+        assert table.shape == (orders, len(self.XS))
+        assert np.array_equal(table[:, 0], np.eye(orders)[0])
+        want = scipy.special.jv(np.arange(orders)[:, None], np.array(self.XS)[None, :])
+        # scipy's jv itself strays by up to 6.7e-14 at x = 7000 from the extended-precision sums
+        assert np.max(np.abs(table - want)) <= 1e-13
+        assert np.max(np.abs(table[:, :4] - want[:, :4])) <= 1e-14
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("long double carries no extra precision here")
+        for j, x in enumerate(self.XS):
+            assert np.max(np.abs(table[:, j] - bessel_by_fourier(x, orders))) <= 1e-14
+
+    @pytest.mark.parametrize("x", XS)
+    def test_chebyshev_order_leaves_a_negligible_tail(self, x):
+        orders = hrsym.dynamics._chebyshev_order(x)
+        tail = np.abs(scipy.special.jv(np.arange(orders, orders + 400), x))
+        assert 2.0 * tail.sum() <= 1e-16
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(n=st.integers(1, 12), density=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1),
+           imaginary=st.booleans(), shift=st.floats(-1e3, 1e3), scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_gershgorin_interval_encloses_the_spectrum(self, n, density, seed, imaginary, shift, scale):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n)) * (rng.random((n, n)) < density)
+        if imaginary:
+            a = a + 1j * rng.normal(size=(n, n)) * (rng.random((n, n)) < density)
+        h = scale * (a + a.conj().T) / 2 + shift * np.eye(n)
+        c, r = hrsym.dynamics._spectral_interval(ladder.Operator(h))
+        w = np.linalg.eigvalsh(h)
+        assert c - r <= w[0] and w[-1] <= c + r
+
+    @pytest.mark.parametrize("case", SPLIT_CASES)
+    def test_every_generator_agrees_with_the_dense_exponential(self, rep_2d, monkeypatch, case):
+        # real and purely imaginary generators, blocks of 1 to 36 states, a grid from below 0
+        h = SPLIT_CASES[case][0](rep_2d)
+        dense = h.toarray()
+        rng = np.random.default_rng(11)
+        psi0 = rng.normal(size=rep_2d.dim) + 1j * rng.normal(size=rep_2d.dim)
+        psi0 /= np.linalg.norm(psi0)
+        times = [-0.4, 0.0, 0.3, 1.0]
+        monkeypatch.setattr(hrsym.dynamics, "_DENSE_LIMIT", 0)
+        monkeypatch.setattr(hrsym.dynamics, "_DENSE_DIM", 0)
+        segments = count_segments(monkeypatch)
+        flow = evolve_state(h, psi0, times, hbar=0.8)
+        assert segments == [1, 3]
+        for t, state in zip(times, flow.states):
+            assert np.max(np.abs(state - scipy.linalg.expm(-1j * t * dense / 0.8) @ psi0)) <= 1e-12
+
+    def test_evolve_observable_of_a_complex_generator(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a = (rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))) * (rng.random((40, 40)) < 0.08)
+        h = (a + a.conj().T) / 2
+        b = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+        obs = (b + b.conj().T) / 2
+        u = scipy.linalg.expm(0.7j * h / 0.8)
+        want = u @ obs @ u.conj().T
+        kinds = count_calls(monkeypatch, np.linalg, "eigh", lambda m: m.dtype.kind)
+        got = evolve_observable(ladder.Operator(h), obs, 0.7, hbar=0.8)
+        assert kinds and set(kinds) == {"c"}
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 class TestSparseAssembly:
