@@ -25,6 +25,7 @@ which fixes the sign convention [J12, J23] = -J13 (and, cyclically,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -67,7 +68,8 @@ class StructureConstants:
     Normally only one orientation of each pair is stored and the mirror is
     derived by antisymmetry.  Both orientations may be stored explicitly
     (e.g. to model a corrupted table); antisymmetry_violations() reports
-    any mismatch.
+    any mismatch.  `integer_terms` holds both orientations with every f
+    written as F/D over the common `denominator` D.
     """
 
     def __init__(self, table):
@@ -77,16 +79,19 @@ class StructureConstants:
             if entries:
                 cleaned[(int(i), int(j))] = entries
         self._table = cleaned
+        both = dict(cleaned)
+        for (i, j), entries in cleaned.items():
+            both.setdefault((j, i), tuple((k, -f) for k, f in entries))
+        self._terms = both
+        d = self.denominator = math.lcm(*(f.denominator for entries in both.values() for _, f in entries))
+        self.integer_terms = {
+            pair: tuple((k, f.numerator * (d // f.denominator)) for k, f in entries)
+            for pair, entries in both.items()
+        }
 
     def terms(self, i: int, j: int) -> tuple:
         """Terms of [G_i, G_j]; a stored orientation wins, the mirror is negated."""
-        direct = self._table.get((i, j))
-        if direct is not None:
-            return direct
-        swapped = self._table.get((j, i))
-        if swapped is not None:
-            return tuple((k, -f) for k, f in swapped)
-        return ()
+        return self._terms.get((i, j), ())
 
     def stored_items(self):
         return self._table.items()
@@ -168,6 +173,8 @@ class LieAlgebra:
         self.generators = tuple(GeneratorId(n, i) for i, n in enumerate(names))
         self.constants = constants
         self._index = {g.name: g.index for g in self.generators}
+        # word -> normal form, filled by hrsym.enveloping for this instance only
+        self._normal_forms = {}
 
     @property
     def dim(self) -> int:
@@ -410,35 +417,38 @@ def bracket(alg: LieAlgebra, a: AlgebraElement, b: AlgebraElement) -> AlgebraEle
     return AlgebraElement(out)
 
 
-def _bracket_idx(cons: StructureConstants, vec: dict, c: int) -> dict:
-    # [sum_k vec_k G_k, G_c] as a sparse index -> Fraction map.
-    out = {}
-    for k, f in vec.items():
-        for k2, f2 in cons.terms(k, c):
-            out[k2] = out.get(k2, Fraction(0)) + f * f2
-    return {k: v for k, v in out.items() if v}
-
-
 def check_jacobi(alg: LieAlgebra) -> VerificationReport:
     """Evaluate [[G_a, G_b], G_c] + cyclic over every ordered generator triple.
 
-    All arithmetic is exact; the report lists any triple with a nonzero
-    residual element.
+    Exact, in integers over D^2 (f = F/D): each double bracket is computed
+    once, only for pairs x, y with a nonzero bracket, and added to the
+    cyclic sum of its rotation class, which all three rotations share.
+    The report counts all n^3 ordered triples and lists any with a nonzero
+    residual element in product order.
     """
     cons = alg.constants
-    n = alg.dim
-    violations = []
-    for a, b, c in product(range(n), repeat=3):
-        residual = {}
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            inner = {k: f for k, f in cons.terms(x, y)}
-            for k, v in _bracket_idx(cons, inner, z).items():
-                residual[k] = residual.get(k, Fraction(0)) + v
-        residual = {k: v for k, v in residual.items() if v}
-        if residual:
-            names = tuple(alg.generators[i].name for i in (a, b, c))
-            pretty = {alg.generators[k].name: str(v) for k, v in sorted(residual.items())}
-            violations.append({"triple": names, "residual": pretty})
+    table, n = cons.integer_terms, alg.dim
+    cyclic = {}
+    for (x, y), inner in table.items():
+        for z in range(n):
+            # a rotation class (x, x, x) holds one triple, summed three times
+            weight = 3 if x == y == z else 1
+            acc = cyclic.setdefault(min((x, y, z), (y, z, x), (z, x, y)), {})
+            for k, f in inner:
+                for k2, f2 in table.get((k, z), ()):
+                    acc[k2] = acc.get(k2, 0) + weight * f * f2
+    failing = sorted(
+        (t, key) for key, acc in cyclic.items() if any(acc.values())
+        for t in {key, key[1:] + key[:1], key[2:] + key[:2]}
+    )
+    names, d2 = alg.names(), cons.denominator ** 2
+    violations = [
+        {
+            "triple": tuple(names[i] for i in triple),
+            "residual": {names[k]: str(Fraction(v, d2)) for k, v in sorted(cyclic[key].items()) if v},
+        }
+        for triple, key in failing[:10]
+    ]
     report = VerificationReport(f"jacobi[{alg.name}]")
     detail = "" if not violations else f"first violating triple {violations[0]['triple']}"
     report.add(
@@ -446,8 +456,8 @@ def check_jacobi(alg: LieAlgebra) -> VerificationReport:
         not violations,
         metrics={
             "triples_checked": n ** 3,
-            "violation_count": len(violations),
-            "violations": violations[:10],
+            "violation_count": len(failing),
+            "violations": violations,
         },
         detail=detail,
     )

@@ -10,11 +10,25 @@ Reordering an adjacent out-of-order pair uses
 so each swap spawns words one letter shorter with the coefficient scaled by
 -i*f and the hbar power raised by one.  Every rewrite strictly reduces the
 number of inversions at fixed length, hence the procedure terminates.
+
+The arithmetic is on integers.  With the constants read as f = F/D over
+their common denominator D, a word's normal form {(sorted word, extra hbar
+power e): (re, im)}, meaning (re + i*im)/D^e, is computed once per word
+(swapping along the word, recursing into the shorter words) and memoized
+in a dict held by that LieAlgebra instance alone.  Sums of words are put
+over one common denominator and accumulated as Gaussian integers, with
+one QC built per output monomial.  Commutators follow the Leibniz rule
+
+    [u, v] = sum_ij u_<i v_<j [u_i, v_j] v_>j u_>i,
+
+on words of length len(u) + len(v) - 1, not from both p*q and q*p.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import AlgebraError, LieAlgebra, build_algebra
 from .rationals import QC, as_qc
@@ -46,35 +60,66 @@ class Monomial:
         return len(self.word)
 
 
-def _normalize(alg: LieAlgebra, raw) -> dict:
-    # raw: iterable of (word tuple, QC, hbar_power); returns normal-form terms.
-    cons = alg.constants
+def _word_normal_form(alg: LieAlgebra, word: tuple) -> dict:
+    """{(sorted word, e): (re, im)} with word = sum (re + i*im)/D^e hbar^e * sorted word."""
+    nf = alg._normal_forms.get(word)
+    if nf is not None:
+        return nf
+    table = alg.constants.integer_terms
+    acc = {}
+    cur = word
+    # swap the first out-of-order pair until sorted; only the shorter words recurse
+    while (pivot := next((i for i in range(len(cur) - 1) if cur[i] > cur[i + 1]), None)) is not None:
+        # G_b G_a = G_a G_b - i hbar sum_k (F/D) G_k, and (re + i im)(-i F) = F im - i F re
+        head, (b, a), tail = cur[:pivot], cur[pivot:pivot + 2], cur[pivot + 2:]
+        for k, f in table.get((a, b), ()):
+            for (w, e), (re, im) in _word_normal_form(alg, head + (k,) + tail).items():
+                r0, i0 = acc.get((w, e + 1), (0, 0))
+                acc[(w, e + 1)] = (r0 + f * im, i0 - f * re)
+        cur = head + (a, b) + tail
+    nf = alg._normal_forms[word] = {key: c for key, c in acc.items() if c != (0, 0)}
+    nf[(cur, 0)] = (1, 0)
+    return nf
+
+
+def _over_common_denominator(terms) -> tuple:
+    """(den, [(key, a, b)]) with each QC coefficient c = (a + i*b)/den, from (key, c) pairs."""
+    terms = list(terms)
+    den = math.lcm(*(f.denominator for _, c in terms for f in (c.re, c.im)))
+    return den, [
+        (key, c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+        for key, c in terms
+    ]
+
+
+def _accumulate(alg: LieAlgebra, terms, den: int) -> dict:
+    """Normal form {Monomial: QC} of sum (a + i*b)/den hbar^h word over (word, a, b, h) terms."""
+    d = alg.constants.denominator
+    acc = {}
+    for word, a, b, h in terms:
+        if not (a or b):
+            continue
+        # every contribution to hbar^H is put over den * D^H
+        s = d ** h
+        a, b = a * s, b * s
+        for (w, e), (re, im) in _word_normal_form(alg, word).items():
+            r0, i0 = acc.get((w, h + e), (0, 0))
+            acc[(w, h + e)] = (r0 + a * re - b * im, i0 + a * im + b * re)
     out = {}
-    stack = [(tuple(w), as_qc(c), int(h)) for w, c, h in raw]
-    if any(h < 0 for _, _, h in stack):
-        raise ValueError("hbar powers must be nonnegative")
-    while stack:
-        word, coeff, h = stack.pop()
-        if not coeff:
-            continue
-        pivot = -1
-        for i in range(len(word) - 1):
-            if word[i] > word[i + 1]:
-                pivot = i
-                break
-        if pivot < 0:
-            key = Monomial(word, h)
-            total = out.get(key, QC()) + coeff
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-            continue
-        b, a = word[pivot], word[pivot + 1]
-        stack.append((word[:pivot] + (a, b) + word[pivot + 2:], coeff, h))
-        for k, f in cons.terms(a, b):
-            stack.append((word[:pivot] + (k,) + word[pivot + 2:], coeff * QC(0, -f), h + 1))
+    for (w, h), (re, im) in acc.items():
+        if re or im:
+            q = den * d ** h
+            out[Monomial(w, h)] = QC(Fraction(re, q), Fraction(im, q))
     return out
+
+
+def _normalize(alg: LieAlgebra, raw) -> dict:
+    # raw: iterable of (word tuple, coefficient, hbar_power); returns normal-form terms.
+    raw = [((tuple(w), int(h)), as_qc(c)) for w, c, h in raw]
+    if any(h < 0 for (_, h), _ in raw):
+        raise ValueError("hbar powers must be nonnegative")
+    den, terms = _over_common_denominator(raw)
+    return _accumulate(alg, ((w, a, b, h) for (w, h), a, b in terms), den)
 
 
 class PbwPolynomial:
@@ -87,10 +132,7 @@ class PbwPolynomial:
         if _normal:
             self.terms = dict(terms or {})
         else:
-            raw = []
-            for mono, coeff in (terms or {}).items():
-                raw.append((mono.word, coeff, mono.hbar_power))
-            self.terms = _normalize(algebra, raw)
+            self.terms = _normalize(algebra, ((m.word, c, m.hbar_power) for m, c in (terms or {}).items()))
 
     @property
     def is_zero(self) -> bool:
@@ -132,11 +174,13 @@ class PbwPolynomial:
         if not isinstance(other, PbwPolynomial):
             return self.scaled(other)
         self._check_compatible(other)
-        raw = []
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                raw.append((m1.word + m2.word, c1 * c2, m1.hbar_power + m2.hbar_power))
-        return PbwPolynomial(self.algebra, _normalize(self.algebra, raw), _normal=True)
+        (dp, xs), (dq, ys) = _over_common_denominator(self.items()), _over_common_denominator(other.items())
+        terms = (
+            (m1.word + m2.word, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, m1.hbar_power + m2.hbar_power)
+            for m1, a1, b1 in xs
+            for m2, a2, b2 in ys
+        )
+        return PbwPolynomial(self.algebra, _accumulate(self.algebra, terms, dp * dq), _normal=True)
 
     def __eq__(self, other):
         if not isinstance(other, PbwPolynomial):
@@ -171,7 +215,7 @@ class PbwPolynomial:
 def word_poly(alg: LieAlgebra, names, coeff=1, hbar_power=0) -> PbwPolynomial:
     """Polynomial from one product of generators given by name, in any order."""
     word = tuple(alg.index(n) for n in names)
-    return PbwPolynomial(alg, _normalize(alg, [(word, as_qc(coeff), hbar_power)]), _normal=True)
+    return PbwPolynomial(alg, _normalize(alg, [(word, coeff, hbar_power)]), _normal=True)
 
 
 def generator_poly(alg: LieAlgebra, name: str) -> PbwPolynomial:
@@ -180,11 +224,7 @@ def generator_poly(alg: LieAlgebra, name: str) -> PbwPolynomial:
 
 def poly(alg: LieAlgebra, terms) -> PbwPolynomial:
     """Polynomial from an iterable of (generator-name sequence, coeff[, hbar_power])."""
-    raw = []
-    for term in terms:
-        names, coeff = term[0], term[1]
-        h = term[2] if len(term) > 2 else 0
-        raw.append((tuple(alg.index(n) for n in names), as_qc(coeff), h))
+    raw = [(tuple(alg.index(n) for n in t[0]), t[1], t[2] if len(t) > 2 else 0) for t in terms]
     return PbwPolynomial(alg, _normalize(alg, raw), _normal=True)
 
 
@@ -195,14 +235,28 @@ def normal_order(alg: LieAlgebra, p) -> PbwPolynomial:
     (word-of-names, coeff[, hbar_power]).
     """
     if isinstance(p, PbwPolynomial):
-        raw = [(m.word, c, m.hbar_power) for m, c in p.items()]
-        return PbwPolynomial(alg, _normalize(alg, raw), _normal=True)
+        return PbwPolynomial(alg, p.terms)
     return poly(alg, p)
 
 
 def commutator_uea(alg: LieAlgebra, p: PbwPolynomial, q: PbwPolynomial) -> PbwPolynomial:
-    """Normal-ordered p*q - q*p, exact."""
-    return p * q - q * p
+    """Normal-ordered p*q - q*p, exact, by the Leibniz rule on the letters of each word pair."""
+    p._check_compatible(q)
+    alg = p.algebra  # taken in p's algebra, as p * q is
+    table = alg.constants.integer_terms
+    (dp, xs), (dq, ys) = _over_common_denominator(p.items()), _over_common_denominator(q.items())
+    terms = []
+    for m1, a1, b1 in xs:
+        u = m1.word
+        for m2, a2, b2 in ys:
+            v, h = m2.word, m1.hbar_power + m2.hbar_power + 1
+            a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            for i, x in enumerate(u):
+                for j, y in enumerate(v):
+                    # [G_x, G_y] = i hbar sum_k (F/D) G_k, and i F (a + i b) = -F b + i F a
+                    for k, f in table.get((x, y), ()):
+                        terms.append((u[:i] + v[:j] + (k,) + v[j + 1:] + u[i + 1:], -f * b, f * a, h))
+    return PbwPolynomial(alg, _accumulate(alg, terms, dp * dq * alg.constants.denominator), _normal=True)
 
 
 @dataclass

@@ -28,8 +28,15 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 
-def destroy(n: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
+def destroy(n: int) -> Operator:
+    return Operator(scipy.sparse.diags_array(np.sqrt(np.arange(1.0, n)), offsets=1, shape=(n, n),
+                                             format="csr", dtype=complex))
+
+
+def _bidiagonal(n: int, lower, upper) -> Operator:
+    """CSR n x n operator with `lower` on the first sub- and `upper` on the first superdiagonal."""
+    return Operator(scipy.sparse.diags_array([lower, upper], offsets=[-1, 1], shape=(n, n),
+                                             format="csr", dtype=complex))
 
 
 def _ladder_scale(square: float, what: str, mass: float, omega: float, hbar: float) -> float:
@@ -42,17 +49,17 @@ def _ladder_scale(square: float, what: str, mass: float, omega: float, hbar: flo
     return math.sqrt(square)
 
 
-def position(n: int, mass: float, omega: float, hbar: float) -> np.ndarray:
-    a = destroy(n)
+def position(n: int, mass: float, omega: float, hbar: float) -> Operator:
     den = 2.0 * mass * omega
     scale = _ladder_scale(hbar / den if den else math.inf, "hbar/(2 m omega)", mass, omega, hbar)
-    return scale * (a + a.conj().T)
+    s = scale * np.sqrt(np.arange(1.0, n))
+    return _bidiagonal(n, s, s)
 
 
-def momentum(n: int, mass: float, omega: float, hbar: float) -> np.ndarray:
-    a = destroy(n)
+def momentum(n: int, mass: float, omega: float, hbar: float) -> Operator:
     scale = _ladder_scale(hbar * mass * omega / 2.0, "hbar m omega/2", mass, omega, hbar)
-    return 1j * scale * (a.conj().T - a)
+    s = scale * np.sqrt(np.arange(1.0, n))
+    return _bidiagonal(n, 1j * s, -1j * s)
 
 
 def top_level_projector(n: int) -> Operator:

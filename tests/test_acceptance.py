@@ -330,3 +330,20 @@ def test_criterion_10_cli_contract(tmp_path):
         f"paper-core exits 0 in {elapsed:.2f}s <= 10s with {report['check_count']} checks; "
         f"flipped structure constant exits 1 naming jacobi:hr3_flipped",
     )
+
+
+def test_exact_layer_reports_match_the_golden_file():
+    # The algebra and uea scenarios of paper-full are exact, so their reports
+    # (wall_time_s aside) are fixed strings on any machine.
+    from hrsym.scenarios import SUITES, run_scenario, scenario_from_dict
+
+    golden = json.loads((Path(__file__).parent / "data" / "paper_full_exact_reports.json").read_text())
+    got = {}
+    for i, raw in enumerate(SUITES["paper-full"]()):
+        if raw["kind"] in ("algebra", "uea"):
+            report = json.loads(run_scenario(scenario_from_dict(raw, where="paper-full")).render())
+            del report["wall_time_s"]
+            got[f"{i:02d}_{raw['kind']}"] = report
+    assert list(got) == sorted(golden)
+    for label, report in got.items():
+        assert json.dumps(report, indent=2, sort_keys=True) == json.dumps(golden[label], indent=2, sort_keys=True), label

@@ -1,5 +1,6 @@
 """Exact-layer tests: catalog tables, brackets, Jacobi, subalgebras."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,44 @@ class TestJacobi:
             if entry["a"] == "K1" and entry["b"] == "P1":
                 entry["terms"][0]["num"] = -1
         assert not check_jacobi(build_algebra(desc)).passed
+
+    def test_flipped_fractional_constant_pins_the_violation_list(self, rescaled_g3tilde_descriptor):
+        # [J12, K1] = -21/10 K2 in the rescaled basis, negated
+        desc = copy.deepcopy(rescaled_g3tilde_descriptor)
+        for entry in desc["brackets"]:
+            if (entry["a"], entry["b"]) == ("J12", "K1"):
+                entry["terms"][0]["num"] = -entry["terms"][0]["num"]
+        metrics = check_jacobi(build_algebra(desc))["jacobi"].metrics
+        assert metrics["triples_checked"] == 11 ** 3
+        assert metrics["violation_count"] == 30
+        assert metrics["violations"] == [
+            {"triple": ("J12", "J13", "K3"), "residual": {"K2": "7"}},
+            {"triple": ("J12", "J23", "K1"), "residual": {"K3": "-6/5"}},
+            {"triple": ("J12", "K1", "J23"), "residual": {"K3": "6/5"}},
+            {"triple": ("J12", "K1", "P2"), "residual": {"M": "-9/25"}},
+            {"triple": ("J12", "K1", "H"), "residual": {"P2": "10/3"}},
+            {"triple": ("J12", "K3", "J13"), "residual": {"K2": "-7"}},
+            {"triple": ("J12", "P2", "K1"), "residual": {"M": "9/25"}},
+            {"triple": ("J12", "H", "K1"), "residual": {"P2": "-10/3"}},
+            {"triple": ("J13", "J12", "K3"), "residual": {"K2": "-7"}},
+            {"triple": ("J13", "J23", "K1"), "residual": {"K2": "21/5"}},
+        ]
+
+    def test_one_sided_corruption_sums_a_mixed_residual(self):
+        # a stored orientation wins over its mirror, so (K1, P1) and (P1, K1)
+        # disagree; the residuals keep their generator order
+        hr3 = build_algebra("hr3")
+        table = dict(hr3.constants.stored_items())
+        k1, p1, m, j12 = (hr3.index(n) for n in ("K1", "P1", "M", "J12"))
+        table[(p1, k1)] = ((m, Fraction(-1, 3)), (j12, Fraction(2)))
+        report = check_jacobi(LieAlgebra("hr3_mixed", hr3.names(), StructureConstants(table)))
+        metrics = report["jacobi"].metrics
+        assert metrics["violation_count"] == 30
+        assert metrics["violations"][:3] == [
+            {"triple": ("J12", "K1", "P2"), "residual": {"J12": "2", "M": "2/3"}},
+            {"triple": ("J12", "P2", "K1"), "residual": {"J12": "-2", "M": "-2/3"}},
+            {"triple": ("J13", "K1", "P3"), "residual": {"J12": "2", "M": "2/3"}},
+        ]
 
 
 class TestSubalgebras:

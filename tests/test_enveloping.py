@@ -190,3 +190,86 @@ class TestCentrality:
         assert cert["passed"] is True
         assert {c["name"].removeprefix("commutes_with_") for c in cert["checks"]} == set(hr3.names())
         json.dumps(cert)
+
+
+_fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+_mixed_coeff = st.one_of(
+    _fraction, st.builds(QC, st.just(0), _fraction), st.builds(QC, _fraction, _fraction)
+)
+
+
+@pytest.fixture(scope="module")
+def differential_algebras(rescaled_g3tilde_descriptor):
+    return [build_algebra("hr3"), build_algebra("g3tilde"), build_algebra(rescaled_g3tilde_descriptor)]
+
+
+def _random_poly(alg, draw_terms):
+    raw = [(tuple(alg.generators[i % alg.dim].name for i in w), c, h) for w, c, h in draw_terms]
+    return normal_order(alg, raw)
+
+
+_terms = st.lists(st.tuples(st.lists(st.integers(0, 10), max_size=3), _mixed_coeff, st.integers(0, 2)),
+                  max_size=4)
+
+
+class TestCommutatorDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(which=st.integers(0, 2), p_terms=_terms, q_terms=_terms)
+    def test_commutator_equals_both_products(self, differential_algebras, which, p_terms, q_terms):
+        # reference: normal order p*q and q*p separately and subtract
+        alg = differential_algebras[which]
+        p, q = _random_poly(alg, p_terms), _random_poly(alg, q_terms)
+        assert commutator_uea(alg, p, q) == p * q - q * p
+
+    def test_rescaled_algebra_keeps_the_casimirs_central(self, rescaled_g3tilde_descriptor):
+        # M is still central, and [K1, H] = 7/2 i hb P1 comes out with its fraction
+        alg = build_algebra(rescaled_g3tilde_descriptor)
+        assert alg.constants.denominator > 1
+        cand = CasimirCandidate("M", generator_poly(alg, "M"), alg.name)
+        assert check_central(alg, cand).passed
+        rem = commutator_uea(alg, generator_poly(alg, "K1"), generator_poly(alg, "H"))
+        assert rem.terms == {Monomial((alg.index("P1"),), 1): QC(0, Fraction(7, 2))}
+
+
+def _twin(f: int):
+    """Three generators with [X, Y] = i hb f Z, all under one name."""
+    return build_algebra({
+        "name": "twin",
+        "generators": ["X", "Y", "Z"],
+        "brackets": [{"a": "X", "b": "Y", "terms": [{"c": "Z", "num": f, "den": 1}]}],
+    })
+
+
+class TestPerInstanceMemo:
+    def test_algebras_sharing_a_name_keep_their_own_normal_forms(self):
+        one, two = _twin(1), _twin(2)
+        x, y, z = 0, 1, 2
+        for alg, f in ((one, 1), (two, 2), (one, 1), (two, 2)):
+            # Y Y X = X Y Y - 2 i hb f Y Z, Z central
+            p = normal_order(alg, [(("Y", "Y", "X"), 1)])
+            assert p.terms == {Monomial((x, y, y), 0): QC(1), Monomial((y, z), 1): QC(0, -2 * f)}
+            rep = check_central(alg, CasimirCandidate("X", generator_poly(alg, "X"), "twin"))
+            assert rep["commutes_with_Y"].metrics["remainder_terms"] == [f"({QC(0, f)})*hb*Z"]
+            assert rep["commutes_with_X"].passed and rep["commutes_with_Z"].passed
+
+    def test_a_dropped_algebra_leaves_no_module_state(self):
+        import gc
+        import weakref
+
+        from hrsym import algebra, enveloping, rationals
+
+        def snapshot():
+            return {
+                (mod.__name__, key): (id(val), len(val) if isinstance(val, (dict, list, set, tuple)) else None)
+                for mod in (algebra, enveloping, rationals)
+                for key, val in vars(mod).items()
+            }
+
+        before = snapshot()
+        alg = _twin(3)
+        check_central(alg, CasimirCandidate("X", word_poly(alg, ("Y", "X", "Y")), "twin"))
+        ref = weakref.ref(alg)
+        del alg
+        gc.collect()
+        assert ref() is None
+        assert snapshot() == before

@@ -47,8 +47,8 @@ def kron_all(*factors):
 def dense_particle(cfg: RepConfig) -> dict:
     """X, P, K, J, M of one particle, built with np.kron from the ladder matrices."""
     n, d, m, u = cfg.levels, cfg.dims, cfg.mass, cfg.units
-    x1 = ladder.position(n, m, u.omega_ref, u.hbar)
-    p1 = ladder.momentum(n, m, u.omega_ref, u.hbar)
+    x1 = ladder.position(n, m, u.omega_ref, u.hbar).toarray()
+    p1 = ladder.momentum(n, m, u.omega_ref, u.hbar).toarray()
     s_dim = cfg.spin_multiplicity
     eye_n, eye_s = np.eye(n), np.eye(s_dim)
 
@@ -454,8 +454,8 @@ def test_dims_three_levels_five_composite_passes_every_ccr_fit():
 def dense_relative(n_max, mu, s_a, s_b, max_power=2) -> dict:
     """R, Q, L, S, the spin Casimir and the relative H, each np.kron(block(cube op, keep), Id_spin)."""
     levels = n_max + 1 + 2 * max_power
-    x1 = ladder.position(levels, mu, 1.0, 1.0)
-    p1 = ladder.momentum(levels, mu, 1.0, 1.0)
+    x1 = ladder.position(levels, mu, 1.0, 1.0).toarray()
+    p1 = ladder.momentum(levels, mu, 1.0, 1.0).toarray()
     eye_n = np.eye(levels)
 
     def slot(op, k):

@@ -1,6 +1,10 @@
 """Truncated Fock representations: matrices, projectors, bracket checks."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,37 @@ class TestLadderMatrices:
         a = np.diag(np.sqrt(np.arange(1.0, 4)), 1)
         expected = np.sqrt(3.0 / (2 * 5.0 * 2.0)) * (a + a.T)
         assert np.allclose(rep.X[0].toarray(), expected, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_sparse_ladders_hold_the_dense_bidiagonal_bit_for_bit(self, n):
+        # reference: the dense a = diag(sqrt(1..n-1), 1) the ladders were once built from
+        a = np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
+        mass, omega, hbar = 0.37, 1.3, 0.8
+        x_scale, p_scale = math.sqrt(hbar / (2.0 * mass * omega)), math.sqrt(hbar * mass * omega / 2.0)
+        pairs = [
+            (ladder.destroy(n), a),
+            (ladder.position(n, mass, omega, hbar), x_scale * (a + a.conj().T)),
+            (ladder.momentum(n, mass, omega, hbar), 1j * p_scale * (a.conj().T - a)),
+        ]
+        for op, dense in pairs:
+            assert isinstance(op, ladder.Operator)
+            assert op.nnz == np.count_nonzero(dense)
+            assert np.array_equal(op.toarray().view(np.uint64), dense.view(np.uint64))
+
+    def test_twenty_thousand_levels_build_in_one_gigabyte(self):
+        # a dense 20,000-level ladder alone would need 6.4 GB; only the child is capped
+        code = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from hrsym import RepConfig, build_particle_rep\n"
+            "rep = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=20000))\n"
+            "print(rep.dim, rep.X[0].nnz, rep.P[0].nnz)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr[-400:]
+        assert proc.stdout.split() == ["20000", "39998", "39998"]
 
 
 class TestNonFiniteScales:
