@@ -5,18 +5,26 @@ same engine drives physical time evolution, the free-generator flow with its
 constant offset, rotations (generator J), and boosts (generator K).  Every
 Hamiltonian a system builds is a CSR `ladder.Operator`, and the flows take
 any generator as one (dense input is converted once).  A state flow picks
-its propagator from the block sizes of the direct sum of H.  Blocks of at
-most `_DENSE_LIMIT` states take one batched scaling-and-squaring exponential
-per block size and distinct step of the time grid (`ladder.direct_sum`).  A
-larger block takes the Chebyshev expansion of exp(-i t H / hbar) (Tal-Ezer &
-Kosloff 1984): H is scaled into [-1, 1] by the Gershgorin enclosure of its
-spectrum, and each state of a stretch of the grid is a Bessel-weighted sum
-of one basis T_k(H) psi, built by sparse products alone.  Its cost grows
-with the time travelled, so a long flow on at most `_DENSE_DIM` dimensions
-keeps the block exponentials (`_takes_chebyshev`).  Both are deterministic,
-every trace (norm, energy, observables, boundary weight) is one product
-over the stack of states, and an observable flow conjugates by one `eigh`
-per stack of equal-sized blocks.
+one of three propagators from the block sizes of the direct sum of H
+(`ladder.direct_sum`, `_route`):
+
+- blocks of at most `_DENSE_LIMIT` states take one batched
+  scaling-and-squaring exponential per block size and distinct step of the
+  time grid;
+- a larger block on at most `_DENSE_DIM` dimensions takes one `eigh` per
+  stack of equal-sized blocks, and every state of the grid at once as
+  V exp(-i w t / hbar) V^H psi0, exact on any grid, unless the flow is short
+  enough for Chebyshev to be cheaper: its order r s / hbar (r the
+  half-width of the spectrum, s the time travelled) is at most
+  `_ACTION_SPAN` b^2 for the largest block b;
+- otherwise the Chebyshev expansion of exp(-i t H / hbar) (Tal-Ezer &
+  Kosloff 1984): H is scaled into [-1, 1] by the Gershgorin enclosure of its
+  spectrum, and each state of a stretch of the grid is a Bessel-weighted
+  sum of one basis T_k(H) psi, built by sparse products alone.
+
+All three are deterministic, every trace (norm, energy, observables,
+boundary weight) is one product over the stack of states, and an observable
+flow conjugates by the same `eigh` per stack as the state flow.
 
 Truncation makes long flows untrustworthy once amplitude reaches the top
 Fock levels, so every flow records the boundary occupation of the evolving
@@ -49,10 +57,16 @@ __all__ = [
 
 _POT_KINDS = ("none", "poly_x", "poly_r2")
 _MAX_POLY_DEGREE = 4
-_DENSE_LIMIT = 64  # largest direct-sum block that always takes dense exponentials
-_DENSE_DIM = 4096  # widest flow whose larger blocks may still take them
+# Blocks of at most _DENSE_LIMIT states take stepped scipy.linalg.expm, which runs on both
+# OpenBLAS copies (numpy's and scipy's).  Up to 32 states its helper threads stay nearly idle
+# (at most 5 clock ticks per 50 calls on (3, b, b) stacks, against 6 to 14 from 40 to 64, on a
+# 2-core x86_64 host at OPENBLAS_NUM_THREADS=2; BENCH_13.json).  The route stays only because
+# perfbench/test_perfbench.py counts expm calls on a flow with blocks of 4, 10 and 20 states;
+# it goes once that test counts a dynamics span instead.
+_DENSE_LIMIT = 32
+_DENSE_DIM = 4096  # widest flow whose larger blocks may take eigh
 _SAME_STEP_RTOL = 1e-12  # steps this close share their block exponentials
-_ACTION_SPAN = 0.05  # largest Chebyshev order per squared state of the largest block below _DENSE_DIM
+_ACTION_SPAN = 0.002  # largest Chebyshev order per squared state of the largest block below _DENSE_DIM
 _CHUNK = 32  # Chebyshev basis vectors held at once
 _TABLE = 1 << 16  # largest Bessel table (orders by grid points) of one Chebyshev segment
 _NEGLIGIBLE = 1e-150  # Bessel weights and state parts below it are set to 0
@@ -92,8 +106,8 @@ def hamiltonian_physical(system, pot: PotentialSpec) -> ladder.Operator:
     relative kinetic terms P.P / 2m + Q.Q / 2mu plus V(R.R); the interaction
     must depend on the relative separation only, so kind "poly_x" is
     rejected there.  A RelativeModeRep drops the (decoupled, free) COM term.
-    The result is a CSR `ladder.Operator`; a flow exponentiates it block by
-    block, or expands it in Chebyshev polynomials when a block is large.
+    The result is a CSR `ladder.Operator`; a flow exponentiates or
+    diagonalizes it block by block, or expands it in Chebyshev polynomials.
     """
     return system.hamiltonian(pot)
 
@@ -266,19 +280,47 @@ def _chebyshev_segment(hs: ladder.Operator, psi: np.ndarray, x: np.ndarray) -> n
     return out.view(complex)
 
 
-def _takes_chebyshev(H: ladder.Operator, t: np.ndarray, hbar: float) -> bool:
-    """Whether the flow of H over `t` takes the Chebyshev propagator rather than the block exponentials.
+def _route(H: ladder.Operator, t: np.ndarray, hbar: float) -> str:
+    """The propagator of the flow of H over `t`: "expm", "eigh" or "chebyshev".
 
-    Blocks of at most `_DENSE_LIMIT` states always take the exponentials;
+    Blocks of at most `_DENSE_LIMIT` states take the stepped exponentials;
     flows on more than `_DENSE_DIM` dimensions, whose blocks need not fit in
-    memory, never do.  Otherwise the exponentials cost about b^3 for the
-    largest block b, Chebyshev its order r s / hbar times the dimension (r
-    from `_spectral_interval`, s the distance travelled from t = 0), so
+    memory, take Chebyshev.  Otherwise `eigh` costs about b^3 for the largest
+    block b, Chebyshev its order r s / hbar times the dimension (r from
+    `_spectral_interval`, s the distance travelled from t = 0), so
     Chebyshev is taken up to an order of `_ACTION_SPAN` b^2.
     """
-    largest, travel = ladder.component_sizes(H).max(), abs(t[0]) + t[-1] - t[0]
-    return largest > _DENSE_LIMIT and (
-        H.shape[0] > _DENSE_DIM or _spectral_interval(H)[1] * travel / hbar <= _ACTION_SPAN * largest**2)
+    largest = ladder.component_sizes(H).max()
+    if largest <= _DENSE_LIMIT:
+        return "expm"
+    travel = abs(t[0]) + t[-1] - t[0]
+    if H.shape[0] > _DENSE_DIM or _spectral_interval(H)[1] * travel / hbar <= _ACTION_SPAN * largest**2:
+        return "chebyshev"
+    return "eigh"
+
+
+def _eigh_stacks(H: ladder.Operator) -> list:
+    """[(idx, w, v)] per `ladder.direct_sum` stack: one `numpy.linalg.eigh`, real when H is real."""
+    real = not np.any(H.data.imag)
+    return [(idx, *np.linalg.eigh(stack.real if real else stack)) for idx, stack in ladder.direct_sum(H)]
+
+
+def _eigh_states(H: ladder.Operator, psi0: np.ndarray, t: np.ndarray, hbar: float) -> np.ndarray:
+    """psi0 at every time of `t` as V exp(-i w t / hbar) V^H psi0, one batched product per stack.
+
+    Exact on any grid: each time is reached from t = 0 in one step.
+    """
+    states = np.empty((len(t), len(psi0)), dtype=complex)
+    for idx, w, v in _eigh_stacks(H):
+        coeffs = np.einsum("kji,kj->ki", v.conj(), psi0[idx])
+        # (k, s, len(t)) amplitudes on the eigenvectors of each block, one column per time
+        amps = np.exp(-1j / hbar * w[:, :, None] * t) * coeffs[:, :, None]
+        if np.isrealobj(v):  # a real V acts on the real and imaginary parts as separate columns
+            out = np.matmul(v, amps.view(float)).view(complex)
+        else:
+            out = np.matmul(v, amps)
+        states[:, idx] = out.transpose(2, 0, 1)
+    return states
 
 
 def _chebyshev_states(H: ladder.Operator, psi0: np.ndarray, t: np.ndarray, hbar: float) -> np.ndarray:
@@ -316,7 +358,7 @@ def evolve_state(
 ) -> FlowResult:
     """Propagate psi0 along exp(-i t H / hbar) over the time grid.
 
-    `_takes_chebyshev` picks the Chebyshev propagator or the block exponentials.
+    `_route` picks the stepped block exponentials, `eigh` or Chebyshev.
     `boundary_weight` is an optional callable that takes the (len(times),
     dim) stack of states and returns the probability near the truncation
     boundary of each row, shape (len(times),); if the worst value along the
@@ -330,10 +372,13 @@ def evolve_state(
     if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"initial state must be normalized (|psi| = {nrm:.12g})")
 
-    if _takes_chebyshev(H, t, hbar):
-        states = _chebyshev_states(H, psi0, t, hbar)
-    else:
+    route = _route(H, t, hbar)
+    if route == "expm":
         states = _dense_states(ladder.direct_sum(H), psi0, t, hbar)
+    elif route == "eigh":
+        states = _eigh_states(H, psi0, t, hbar)
+    else:
+        states = _chebyshev_states(H, psi0, t, hbar)
 
     max_bw = 0.0
     reliable = True
@@ -360,14 +405,13 @@ def evolve_observable(H, A, t: float, hbar: float = 1.0) -> np.ndarray:
     """Heisenberg-picture conjugation exp(+i t H / hbar) A exp(-i t H / hbar).
 
     exp(+i t H / hbar) is taken block by block over the direct sum of H,
-    from one `numpy.linalg.eigh` per stack of equal-sized blocks: real when
-    H has no imaginary part, complex otherwise.
+    from one `numpy.linalg.eigh` per stack of equal-sized blocks
+    (`_eigh_stacks`, the decomposition of the state flows' eigh route).
     """
     H = ladder.Operator(H)
     _check_hermitian(H)
     u = np.zeros(H.shape, dtype=complex)
-    for idx, stack in ladder.direct_sum(H):
-        w, v = np.linalg.eigh(stack if np.any(H.data.imag) else stack.real)
+    for idx, w, v in _eigh_stacks(H):
         phases = np.exp(1j * t * w / hbar)[:, None, :]
         u[idx[:, :, None], idx[:, None, :]] = (v * phases) @ v.conj().swapaxes(1, 2)
     out = u @ A @ u.conj().T

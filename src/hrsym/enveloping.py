@@ -185,13 +185,10 @@ class PbwPolynomial:
     def __eq__(self, other):
         if not isinstance(other, PbwPolynomial):
             return NotImplemented
-        return self.algebra.name == other.algebra.name and self.terms == other.terms
+        return _same_algebra(self.algebra, other.algebra) and self.terms == other.terms
 
     def _check_compatible(self, other):
-        if other.algebra.name != self.algebra.name:
-            raise AlgebraError(
-                f"cannot combine polynomials over {self.algebra.name!r} and {other.algebra.name!r}"
-            )
+        _check_same_algebra(self.algebra, other.algebra)
 
     def pretty(self) -> str:
         if self.is_zero:
@@ -210,6 +207,22 @@ class PbwPolynomial:
 
     def __repr__(self):
         return f"PbwPolynomial[{self.algebra.name}]({self.pretty()})"
+
+
+def _same_algebra(a: LieAlgebra, b: LieAlgebra) -> bool:
+    """Whether a and b are one algebra: same name, generators and resolved structure constants."""
+    return a is b or (
+        a.name == b.name
+        and a.names() == b.names()
+        and a.constants.denominator == b.constants.denominator
+        and a.constants.integer_terms == b.constants.integer_terms
+    )
+
+
+def _check_same_algebra(a: LieAlgebra, b: LieAlgebra):
+    if not _same_algebra(a, b):
+        what = f"two algebras named {a.name!r}" if a.name == b.name else f"{a.name!r} and {b.name!r}"
+        raise AlgebraError(f"cannot combine polynomials over {what}")
 
 
 def word_poly(alg: LieAlgebra, names, coeff=1, hbar_power=0) -> PbwPolynomial:
@@ -240,9 +253,13 @@ def normal_order(alg: LieAlgebra, p) -> PbwPolynomial:
 
 
 def commutator_uea(alg: LieAlgebra, p: PbwPolynomial, q: PbwPolynomial) -> PbwPolynomial:
-    """Normal-ordered p*q - q*p, exact, by the Leibniz rule on the letters of each word pair."""
-    p._check_compatible(q)
-    alg = p.algebra  # taken in p's algebra, as p * q is
+    """Normal-ordered p*q - q*p in `alg`, exact, by the Leibniz rule on the letters of each word pair.
+
+    p and q must be polynomials over `alg` (or an algebra with the same name,
+    generators and structure constants).
+    """
+    _check_same_algebra(alg, p.algebra)
+    _check_same_algebra(alg, q.algebra)
     table = alg.constants.integer_terms
     (dp, xs), (dq, ys) = _over_common_denominator(p.items()), _over_common_denominator(q.items())
     terms = []

@@ -27,6 +27,7 @@ from hrsym import (
     tensor_rep,
 )
 import hrsym.dynamics
+import hrsym.scenarios
 from hrsym import ladder
 from hrsym.ladder import coherent_state
 from hrsym.scenarios import DEFAULT_TOLERANCES, SUITES, run_scenario, scenario_from_dict
@@ -53,6 +54,17 @@ def count_calls(monkeypatch, module, name: str, record) -> list:
 def count_expm(monkeypatch) -> list:
     """The shape of every scipy.linalg.expm argument."""
     return count_calls(monkeypatch, scipy.linalg, "expm", lambda a, *args, **kwargs: a.shape)
+
+
+def count_eigh(monkeypatch) -> list:
+    """The shape of every numpy.linalg.eigh argument."""
+    return count_calls(monkeypatch, np.linalg, "eigh", lambda a, *args, **kwargs: a.shape)
+
+
+def dense_reference(h, psi0, times, hbar=1.0) -> np.ndarray:
+    """scipy.linalg.expm(-1j t H / hbar) psi0 of the full dense H at every time of the grid."""
+    dense = ladder.Operator(h).toarray()
+    return np.array([scipy.linalg.expm(-1j * t * dense / hbar) @ psi0 for t in times])
 
 
 def count_expm_multiply(monkeypatch) -> list:
@@ -172,7 +184,10 @@ class TestEvolveState:
         ts = np.linspace(0, 2, 11)
         dense = evolve_state(h, psi0, ts)
         monkeypatch.setattr(hrsym.dynamics, "_DENSE_LIMIT", 0)
+        monkeypatch.setattr(hrsym.dynamics, "_DENSE_DIM", 0)  # else the flow takes eigh
+        segments = count_segments(monkeypatch)
         krylov = evolve_state(h, psi0, ts)
+        assert segments == [len(ts)]
         assert np.max(np.abs(dense.states - krylov.states)) <= 1e-9
 
     def test_non_hermitian_rejected(self):
@@ -532,6 +547,54 @@ class TestPropagationCount:
             assert np.max(np.abs(state - expected)) <= 1e-12
 
 
+class TestPoolSplit:
+    """Blocks above _DENSE_LIMIT never reach scipy.linalg.expm; blocks of at most it still do."""
+
+    @pytest.mark.parametrize("span, route", [(0.0, "eigh"), (np.inf, "chebyshev")], ids=["eigh", "chebyshev"])
+    def test_a_block_above_the_dense_limit_makes_no_expm_call(self, rep_2d, monkeypatch, span, route):
+        h = SPLIT_CASES["linear_term"][0](rep_2d)  # one block of 36 states
+        assert ladder.component_sizes(h).max() > hrsym.dynamics._DENSE_LIMIT
+        monkeypatch.setattr(hrsym.dynamics, "_ACTION_SPAN", span)
+        times = np.linspace(0.0, 2.0, 21)
+        assert hrsym.dynamics._route(h, times, 0.8) == route
+        dense = count_expm(monkeypatch)
+        flow = evolve_state(h, coherent_state(rep_2d.dim, 0.3), times, hbar=0.8)
+        assert dense == []
+        assert np.max(np.abs(flow.norm_trace - 1.0)) <= 1e-12
+
+    def test_blocks_of_4_10_and_20_still_take_expm(self, monkeypatch):
+        # the relative-mode flow of the benchmark's `relative_conservation:n6:spin` item
+        sys = relative_mode_system(6, 0.6, GlobalUnits(), s_a=0.5, s_b=0)
+        h = hamiltonian_physical(sys, PotentialSpec("poly_r2", (0.0, 0.5, 0.05)))
+        assert sorted(set(ladder.component_sizes(h).tolist())) == [4, 10, 20]
+        dense = count_expm(monkeypatch)
+        eigh = count_eigh(monkeypatch)
+        psi0 = np.zeros(sys.dim, dtype=complex)
+        psi0[0] = 1.0
+        evolve_state(h, psi0, np.linspace(0.0, 3.0, 31))
+        # one stacked exponential per block size for the one distinct step of a uniform grid
+        assert sorted(shape[1] for shape in dense) == [4, 10, 20] and eigh == []
+
+    def test_picture_probe_fails_when_the_heisenberg_side_runs_backwards(self, monkeypatch):
+        # a trapped 256-level flow on the eigh route: both pictures take one eigh per stack,
+        # so a wrong sign of t in the conjugation must still show
+        raw = {"kind": "dynamics", "payload": {
+            "check": "conservation", "levels": 256, "mass": 1.2,
+            "potential": {"kind": "poly_x", "coefficients": [0.3, 0.0, 0.4]},
+            "t_max": 6.0, "steps": 60, "alpha": [0.5, 0.1]}}
+        eigh = count_eigh(monkeypatch)
+        dense = count_expm(monkeypatch)
+        checks = {c.name: c for c in run_scenario(scenario_from_dict(raw)).checks}
+        assert checks["unitarity_energy"].passed and checks["picture_equivalence"].passed
+        assert eigh == [(2, 128, 128)] * 2 and dense == []
+        forward = hrsym.dynamics.evolve_observable
+        monkeypatch.setattr(hrsym.scenarios, "evolve_observable",
+                            lambda h, a, t, hbar=1.0: forward(h, a, -t, hbar=hbar))
+        checks = {c.name: c for c in run_scenario(scenario_from_dict(raw)).checks}
+        assert checks["unitarity_energy"].passed and not checks["picture_equivalence"].passed
+        assert checks["picture_equivalence"].metrics["difference"] > 1e3 * DEFAULT_TOLERANCES["picture"]
+
+
 @pytest.fixture(scope="module")
 def pair24():
     """A 576-dim composite flow like com_decoupling, whose two parity blocks hold 288 states each."""
@@ -556,19 +619,21 @@ class TestSparseAction:
     ], ids=["uniform", "uniform_late_start", "non_uniform", "negative_start"])
     def test_large_block_agrees_with_the_dense_exponential(self, pair24, monkeypatch, times):
         h, psi0 = pair24
-        with monkeypatch.context() as m:
-            m.setattr(hrsym.dynamics, "_DENSE_LIMIT", 288)
-            dense_calls = count_expm(m)
-            want = evolve_state(h, psi0, times, hbar=0.8).states
-            assert dense_calls  # the block exponentials of scipy.linalg.expm
+        want = dense_reference(h, psi0, times, hbar=0.8)
         dense = count_expm(monkeypatch)
+        eigh = count_eigh(monkeypatch)
         action = count_expm_multiply(monkeypatch)
         segments = count_segments(monkeypatch)
         flow = evolve_state(h, psi0, times, hbar=0.8)
-        assert dense == [] and action == []
+        assert dense == [] and eigh == [] and action == []
         # one basis serves every grid point, however the grid is spaced or wherever it
         # starts; a grid starting below t = 0 first reaches t[0] alone
         assert segments == ([1, len(times) - 1] if times[0] < 0 else [len(times)])
+        assert np.max(np.abs(flow.states - want)) <= 1e-12
+        # with _ACTION_SPAN at 0 the same flow takes one eigh per stack of 288-state blocks
+        monkeypatch.setattr(hrsym.dynamics, "_ACTION_SPAN", 0.0)
+        flow = evolve_state(h, psi0, times, hbar=0.8)
+        assert dense == [] and len(segments) == (2 if times[0] < 0 else 1) and eigh == [(2, 288, 288)]
         assert np.max(np.abs(flow.states - want)) <= 1e-12
 
     def test_sparse_action_is_deterministic_and_keeps_the_global_random_state(self, pair24, monkeypatch):
@@ -595,22 +660,25 @@ class TestSparseAction:
         h, psi0 = pair24
         stacks = count_calls(monkeypatch, ladder, "_stacks", lambda *args, **kwargs: None)
         segments = count_segments(monkeypatch)
+        dense = count_expm(monkeypatch)
+        eigh = count_eigh(monkeypatch)
         evolve_state(h, psi0, np.linspace(0.0, 1.0, 5), hbar=0.8)
-        assert segments == [5] and stacks == []
-        # a flow travelling past _ACTION_SPAN keeps the block exponentials up to _DENSE_DIM
+        assert segments == [5] and stacks == [] and eigh == []
+        # a flow travelling past _ACTION_SPAN takes one eigh per stack up to _DENSE_DIM
         # dimensions; above it, where dense blocks need not fit, it still takes Chebyshev
         long_times = np.linspace(0.0, 10.0, 5)
         monkeypatch.setattr(hrsym.dynamics, "_ACTION_SPAN", 1e-3)
         assert hrsym.dynamics._spectral_interval(h)[1] * 10.0 / 0.8 > hrsym.dynamics._ACTION_SPAN * 288**2
         evolve_state(h, psi0, long_times, hbar=0.8)
-        assert segments == [5] and len(stacks) == 1
+        assert segments == [5] and len(stacks) == 1 and eigh == [(2, 288, 288)]
         monkeypatch.setattr(hrsym.dynamics, "_DENSE_DIM", 575)
         evolve_state(h, psi0, long_times, hbar=0.8)
-        assert segments == [5, 5] and len(stacks) == 1
+        assert segments == [5, 5] and len(stacks) == 1 and len(eigh) == 1
+        assert dense == []
 
-    @pytest.mark.parametrize("t_max, steps, sparse", [(0.9, 9, True), (300.0, 300, False)],
-                             ids=["short_sparse_action", "long_block_exponentials"])
-    def test_wide_spectrum_block_holds_the_dynamics_tolerances(self, monkeypatch, t_max, steps, sparse):
+    @pytest.mark.parametrize("t_max, steps, route", [(0.9, 9, "chebyshev"), (300.0, 300, "eigh")],
+                             ids=["short_sparse_action", "long_eigh"])
+    def test_wide_spectrum_block_holds_the_dynamics_tolerances(self, monkeypatch, t_max, steps, route):
         # one block of 300 levels with a Gershgorin half-width of 122: the Chebyshev
         # order grows with the distance travelled, so only the short flow takes it
         rep = build_particle_rep(rep_config_from_json({"mass": 1.0, "dims": 1, "levels": 300, "hbar": 0.8}))
@@ -621,15 +689,20 @@ class TestSparseAction:
         times = np.linspace(0.0, t_max, steps + 1)
         w, v = np.linalg.eigh(h.toarray())
         want = (np.exp(-1j * np.outer(times, w) / hbar) * (v.conj().T @ psi0)) @ v.T
+        probe = slice(None, None, max(1, steps // 10))  # the exponential at ten or so grid times
+        want_expm = dense_reference(h, psi0, times[probe], hbar=hbar)
         dense = count_expm(monkeypatch)
+        eigh = count_eigh(monkeypatch)
         action = count_expm_multiply(monkeypatch)
         segments = count_segments(monkeypatch)
         flow = evolve_state(h, psi0, times, hbar=hbar)
-        assert action == []
-        assert bool(segments) == sparse and bool(dense) != sparse
+        assert action == [] and dense == []
+        assert bool(segments) == (route == "chebyshev")
+        assert eigh == ([] if route == "chebyshev" else [(1, 300, 300)])
         # a tenth of the tightest tolerance of the conservation check
         tol = DEFAULT_TOLERANCES["unitarity"] / 10
         assert np.max(np.abs(flow.states - want)) <= tol
+        assert np.max(np.abs(flow.states[probe] - want_expm)) <= tol
         assert np.max(np.abs(flow.norm_trace - 1.0)) <= tol
         assert np.max(np.abs(flow.energy_trace - flow.energy_trace[0])) <= tol
 
@@ -657,9 +730,9 @@ class TestSparseAction:
         with pytest.raises(ValueError, match="one weight per state"):
             evolve_state(h, coherent_state(32, 0.5), [0.0, 0.5, 1.0], boundary_weight=per_state)
 
-    @pytest.mark.parametrize("limit", [256, 0], ids=["dense", "sparse_action"])
-    def test_stacked_traces_equal_the_per_state_products(self, monkeypatch, limit):
-        monkeypatch.setattr(hrsym.dynamics, "_DENSE_LIMIT", limit)
+    @pytest.mark.parametrize("route", ["expm", "chebyshev", "eigh"], ids=["dense", "sparse_action", "eigh"])
+    def test_stacked_traces_equal_the_per_state_products(self, monkeypatch, route):
+        monkeypatch.setattr(hrsym.dynamics, "_route", lambda *args: route)
         rep = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=12))
         h = hamiltonian_physical(rep, PotentialSpec("poly_x", (0.0, 0.2, 0.5)))
         h_gen = hamiltonian_galilei(rep, 1.5)
@@ -752,10 +825,17 @@ class TestChebyshevKernels:
         obs = (b + b.conj().T) / 2
         u = scipy.linalg.expm(0.7j * h / 0.8)
         want = u @ obs @ u.conj().T
+        psi0 = np.ones(40) / np.sqrt(40)
+        times = [-0.3, 0.7]
+        want_states = dense_reference(h, psi0, times, hbar=0.8)
+        assert ladder.component_sizes(ladder.Operator(h)).max() > hrsym.dynamics._DENSE_LIMIT
+        monkeypatch.setattr(hrsym.dynamics, "_ACTION_SPAN", 0.0)
         kinds = count_calls(monkeypatch, np.linalg, "eigh", lambda m: m.dtype.kind)
         got = evolve_observable(ladder.Operator(h), obs, 0.7, hbar=0.8)
-        assert kinds and set(kinds) == {"c"}
+        flow = evolve_state(ladder.Operator(h), psi0, times, hbar=0.8)
+        assert len(kinds) >= 2 and set(kinds) == {"c"}
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(flow.states - want_states)) <= 1e-12
 
 
 class TestSparseAssembly:

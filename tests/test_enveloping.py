@@ -19,7 +19,7 @@ from hrsym import (
     spin_tensor,
     word_poly,
 )
-from hrsym.enveloping import CasimirCandidate
+from hrsym.enveloping import CasimirCandidate, poly
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +238,36 @@ def _twin(f: int):
         "generators": ["X", "Y", "Z"],
         "brackets": [{"a": "X", "b": "Y", "terms": [{"c": "Z", "num": f, "den": 1}]}],
     })
+
+
+class TestTwinAlgebras:
+    """Two algebras that share a name but not their constants are different algebras."""
+
+    def test_polynomials_refuse_to_combine(self):
+        one, two = _twin(1), _twin(2)
+        x1, y2 = generator_poly(one, "X"), generator_poly(two, "Y")
+        for combine in (lambda: x1 + y2, lambda: x1 - y2, lambda: x1 * y2, lambda: commutator_uea(one, x1, y2)):
+            with pytest.raises(AlgebraError, match="twin"):
+                combine()
+
+    def test_polynomials_compare_unequal(self):
+        one, two = _twin(1), _twin(2)
+        assert generator_poly(one, "X") != generator_poly(two, "X")
+        # the same constants built twice are the same algebra
+        assert generator_poly(one, "X") == generator_poly(_twin(1), "X")
+        assert generator_poly(one, "X") + generator_poly(_twin(1), "Y") == poly(one, [(("X",), 1), (("Y",), 1)])
+
+    def test_commutator_brackets_in_the_given_algebra(self):
+        one, two = _twin(1), _twin(2)
+        z = two.index("Z")
+        rem = commutator_uea(two, generator_poly(two, "X"), generator_poly(two, "Y"))
+        assert rem.terms == {Monomial((z,), 1): QC(0, 2)}
+        # polynomials over another algebra of the same name are refused, not bracketed in theirs
+        with pytest.raises(AlgebraError, match="twin"):
+            commutator_uea(one, generator_poly(two, "X"), generator_poly(two, "Y"))
+        twin_one = _twin(1)
+        rem = commutator_uea(twin_one, generator_poly(one, "X"), generator_poly(one, "Y"))
+        assert rem.terms == {Monomial((z,), 1): QC(0, 1)} and rem.algebra is twin_one
 
 
 class TestPerInstanceMemo:
