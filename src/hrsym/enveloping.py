@@ -146,7 +146,7 @@ class PbwPolynomial:
         return self.terms.items()
 
     def __add__(self, other):
-        self._check_compatible(other)
+        _check_same_algebra(self.algebra, other.algebra)
         out = dict(self.terms)
         for mono, c in other.terms.items():
             total = out.get(mono, QC()) + c
@@ -173,7 +173,7 @@ class PbwPolynomial:
     def __mul__(self, other):
         if not isinstance(other, PbwPolynomial):
             return self.scaled(other)
-        self._check_compatible(other)
+        _check_same_algebra(self.algebra, other.algebra)
         (dp, xs), (dq, ys) = _over_common_denominator(self.items()), _over_common_denominator(other.items())
         terms = (
             (m1.word + m2.word, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, m1.hbar_power + m2.hbar_power)
@@ -186,9 +186,6 @@ class PbwPolynomial:
         if not isinstance(other, PbwPolynomial):
             return NotImplemented
         return _same_algebra(self.algebra, other.algebra) and self.terms == other.terms
-
-    def _check_compatible(self, other):
-        _check_same_algebra(self.algebra, other.algebra)
 
     def pretty(self) -> str:
         if self.is_zero:
