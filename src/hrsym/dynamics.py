@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads on the first expm
 
 from . import ladder
 from .report import VerificationReport
@@ -57,8 +57,8 @@ __all__ = [
 
 _POT_KINDS = ("none", "poly_x", "poly_r2")
 _MAX_POLY_DEGREE = 4
-# Blocks of at most _DENSE_LIMIT states take stepped scipy.linalg.expm, which runs on both
-# OpenBLAS copies (numpy's and scipy's).  Up to 32 states its helper threads stay nearly idle
+# Blocks of at most _DENSE_LIMIT states take stepped scipy.linalg.expm, the one call that loads
+# scipy.linalg and its own OpenBLAS copy.  Up to 32 states its helper threads stay nearly idle
 # (at most 5 clock ticks per 50 calls on (3, b, b) stacks, against 6 to 14 from 40 to 64, on a
 # 2-core x86_64 host at OPENBLAS_NUM_THREADS=2; BENCH_13.json).  The route stays only because
 # perfbench/test_perfbench.py counts expm calls on a flow with blocks of 4, 10 and 20 states;

@@ -25,7 +25,6 @@ import math
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 
 def destroy(n: int) -> Operator:
@@ -222,15 +221,41 @@ def _canonical(mat) -> tuple:
     return a, np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
 
 
-def _components(a, offset: int) -> tuple:
-    """Connected components of the graph with an edge i -- offset + j per stored entry (i, j).
+def _components(a, rows, offset: int) -> tuple:
+    """Connected components of the graph with an edge rows[k] -- offset + a.indices[k] per entry k.
 
     The edges come from the stored pattern alone, never from the values.
+    Min-label hook and compress (Shiloach & Vishkin, J. Algorithms 1982):
+    each round `_hook` joins the roots across every edge, until no edge joins
+    two roots.  No vertex points above itself, so each component's root is
+    its smallest vertex, and the labels number the components in that order.
     """
-    n = max(a.shape[0], offset + a.shape[1])
-    indptr = np.concatenate((a.indptr, np.full(n - a.shape[0], a.nnz)))
-    graph = scipy.sparse.csr_array((np.ones(a.nnz), a.indices + offset, indptr), shape=(n, n))
-    return connected_components(graph, directed=False)
+    parent = np.arange(max(a.shape[0], offset + a.shape[1]))
+    u, v = rows, a.indices + offset
+    while True:
+        u, v = parent[u], parent[v]
+        cross = u != v
+        if not cross.any():
+            break
+        u, v = u[cross], v[cross]
+        parent = _hook(parent, u, v)
+    roots, label = np.unique(parent, return_inverse=True)
+    return len(roots), label
+
+
+def _hook(parent, u, v):
+    """One round of `_components` on the star forest `parent`, updated in place.
+
+    Each root hooks to the smallest root across its edges (u[k], v[k]), all
+    of them roots, and then every vertex jumps to its new root.
+    """
+    np.minimum.at(parent, u, v)
+    np.minimum.at(parent, v, u)
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return parent
+        parent = up
 
 
 def _stacks(row_label, col_label, n_comp: int, rows, cols, data, vectors: bool = True) -> list:
@@ -270,7 +295,7 @@ def direct_sum(op) -> list:
     in exactly one row of one `idx`, and no entry falls outside the blocks.
     """
     a, rows = _canonical(op)
-    n_comp, label = _components(a, 0)
+    n_comp, label = _components(a, rows, 0)
     return [(idx, stack) for _, idx, stack in _stacks(label, label, n_comp, rows, a.indices, a.data)]
 
 
@@ -279,8 +304,8 @@ def component_sizes(op) -> np.ndarray:
 
     No block is formed, so this costs memory in proportion to the stored entries.
     """
-    a, _ = _canonical(op)
-    n_comp, label = _components(a, 0)
+    a, rows = _canonical(op)
+    n_comp, label = _components(a, rows, 0)
     return np.bincount(label, minlength=n_comp)
 
 
@@ -308,7 +333,7 @@ def _group_norms(a, rows, row_group, n_groups: int) -> np.ndarray:
     data = data / scale[group]
     # vertices: rows 0..n_r-1, then columns
     n_r = a.shape[0]
-    n_comp, label = _components(a, n_r)
+    n_comp, label = _components(a, rows, n_r)
     row_label, col_label = label[:n_r], label[n_r:]
     norms = np.sqrt(np.bincount(row_label[rows], weights=np.abs(data) ** 2, minlength=n_comp))
     for members, _, stack in _stacks(row_label, col_label, n_comp, rows, a.indices, data, vectors=False):

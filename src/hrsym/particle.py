@@ -18,6 +18,7 @@ covers the polynomial degree of the identity under test.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,16 +101,28 @@ def integer_field(payload: dict, key: str, default=None):
     return int(value)
 
 
+def number_field(payload: dict, key: str, default=None) -> float:
+    """payload[key] as a float, or `default` when the key is absent and a default is given.
+
+    Real numbers only (numpy's included): a bool, a string or None raises a
+    ValueError naming the field, rather than being read as 1.0 or parsed.
+    """
+    value = payload[key] if default is None else payload.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def rep_config_from_json(payload: dict) -> RepConfig:
     units = GlobalUnits(
-        hbar=float(payload.get("hbar", 1.0)),
-        omega_ref=float(payload.get("omega_ref", 1.0)),
+        hbar=number_field(payload, "hbar", 1.0),
+        omega_ref=number_field(payload, "omega_ref", 1.0),
     )
     return RepConfig(
-        mass=float(payload["mass"]),
+        mass=number_field(payload, "mass"),
         dims=integer_field(payload, "dims", 1),
         levels=integer_field(payload, "levels", 8),
-        spin=float(payload.get("spin", 0.0)),
+        spin=number_field(payload, "spin", 0.0),
         units=units,
     )
 

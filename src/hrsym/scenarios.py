@@ -51,6 +51,7 @@ from .particle import (
     build_particle_rep,
     build_zeta_rep,
     integer_field,
+    number_field,
     rep_config_from_json,
     verify_homomorphism,
 )
@@ -262,7 +263,8 @@ def _tol(scenario: Scenario, suite_overrides: dict | None, name: str, payload_va
     it is validated like any other, and the explicit tolerances outrank it.
     """
     if payload_value is not None:
-        payload_value = check_tolerance(name, float(payload_value), f"{scenario.kind} payload")
+        payload_value = check_tolerance(name, number_field({name: payload_value}, name),
+                                        f"{scenario.kind} payload")
     if name in scenario.tolerances:
         return float(scenario.tolerances[name])
     if suite_overrides and name in suite_overrides:
@@ -402,7 +404,7 @@ def _run_single_rep(sc: Scenario, tols) -> list:
         )
 
     if payload.get("zeta") is not None:
-        zrep = build_zeta_rep(float(payload["zeta"]), rep)
+        zrep = build_zeta_rep(number_field(payload, "zeta"), rep)
         idx = rep.interior_indices(max(1, integer_field(payload, "zeta_margin", 1)))
         tol_z = _tol(sc, tols, "zeta_ccr")
         worst_z = zrep.defect(idx)
@@ -554,7 +556,7 @@ def _run_spectrum(sc: Scenario, tols) -> list:
         )
 
     if "addition_max" in payload:
-        top = float(payload["addition_max"])
+        top = number_field(payload, "addition_max")
         pairs, mismatches = spin_addition_mismatches(top)
         checks.append(
             CheckResult(
@@ -587,7 +589,7 @@ def _initial_state(payload, rep, default_alpha) -> np.ndarray:
 
 
 def _time_grid(payload) -> np.ndarray:
-    t_max = float(payload.get("t_max", 1.0))
+    t_max = number_field(payload, "t_max", 1.0)
     steps = integer_field(payload, "steps", 20)
     if steps < 1:
         raise ScenarioError(f"steps must be at least 1, got {steps}")
@@ -619,7 +621,7 @@ def _single_flow(payload, default_alpha) -> tuple:
 
 def _dyn_flow_compare(sc: Scenario, tols) -> list:
     payload = sc.payload
-    calV = float(payload.get("calV", 0.0))
+    calV = number_field(payload, "calV", 0.0)
     rep, pot, h_phys, psi0, times = _single_flow(payload, [0.6, 0.5])
     hbar = rep.units.hbar
     cmp = compare_flows(hamiltonian_galilei(rep, calV), h_phys, psi0, times, hbar=hbar)
@@ -645,8 +647,8 @@ def _dyn_flow_compare(sc: Scenario, tols) -> list:
             )
         )
     else:
-        below = float(payload.get("fidelity_below", 0.99))
-        by_time = float(payload.get("by_time", times[-1]))
+        below = number_field(payload, "fidelity_below", 0.99)
+        by_time = number_field(payload, "by_time", times[-1])
         mask = cmp.times >= by_time - 1e-12
         reached = bool(np.any(cmp.fidelity[mask] < below))
         checks.append(
@@ -708,7 +710,7 @@ def _dyn_conservation(sc: Scenario, tols) -> list:
 def _dyn_extra_casimir(sc: Scenario, tols) -> list:
     payload = sc.payload
     rep = _single_system(payload)
-    calV = float(payload.get("calV", 0.0))
+    calV = number_field(payload, "calV", 0.0)
     tol = _tol(sc, tols, "extra_casimir")
     report = extra_casimir_check(rep, calV, margin=integer_field(payload, "margin", 1), tol=tol)
     checks = [
@@ -773,8 +775,9 @@ def _dyn_relative_conservation(sc: Scenario, tols) -> list:
     n_max = integer_field(payload, "n_max", 6)
     if n_max < 2:
         raise ScenarioError(f"relative_conservation needs n_max >= 2 for its two-quanta state, got {n_max}")
-    mu = float(payload.get("mu", 0.5))
-    units = GlobalUnits(hbar=float(payload.get("hbar", 1.0)), omega_ref=float(payload.get("omega_ref", 1.0)))
+    mu = number_field(payload, "mu", 0.5)
+    units = GlobalUnits(hbar=number_field(payload, "hbar", 1.0),
+                        omega_ref=number_field(payload, "omega_ref", 1.0))
     sys = relative_mode_system(
         n_max, mu, units, s_a=payload.get("spin_a", 0), s_b=payload.get("spin_b", 0)
     )

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hrsym import ANCHOR_REGISTRY, build_algebra
+from hrsym.particle import number_field
 from hrsym.scenarios import ScenarioError, _jsonable, load_scenario, run_scenario, scenario_from_dict
 
 
@@ -92,6 +93,29 @@ INTEGER_FIELDS = [
     ("dynamics", {**FLOW, "levels": 8.5}, "levels"),
     ("dynamics", {"check": "extra_casimir", "levels": 6, "calV": 1.0, "margin": 1.5}, "margin"),
     ("dynamics", {"check": "relative_conservation", "n_max": 2.5, "t_max": 0.5, "steps": 2}, "n_max"),
+]
+
+# (kind, payload, field): each payload carries one float field that is a bool
+# or a string, and must be refused naming it rather than read as a number
+RELATIVE = {"check": "relative_conservation", "n_max": 2, "t_max": 0.5, "steps": 2}
+NUMBER_FIELDS = [
+    ("single_rep", {"mass": True, "dims": 1, "levels": 4}, "mass"),
+    ("single_rep", {"mass": "2", "dims": 1, "levels": 4}, "mass"),
+    ("single_rep", {"mass": 1.0, "dims": 1, "levels": 4, "hbar": True}, "hbar"),
+    ("single_rep", {"mass": 1.0, "dims": 1, "levels": 4, "omega_ref": "1"}, "omega_ref"),
+    ("single_rep", {"mass": 1.0, "dims": 1, "levels": 4, "spin": False}, "spin"),
+    ("single_rep", {"mass": 1.0, "dims": 1, "levels": 4, "zeta": True}, "zeta"),
+    ("composite", {**PAIR, "particleB": {"mass": "2", "dims": 1, "levels": 4}}, "mass"),
+    ("spectrum", {"addition_max": True}, "addition_max"),
+    ("dynamics", {**FLOW, "t_max": True}, "t_max"),
+    ("dynamics", {**FLOW, "calV": "1"}, "calV"),
+    ("dynamics", {**FLOW, "expect": "diverge", "fidelity_below": True}, "fidelity_below"),
+    ("dynamics", {**FLOW, "expect": "diverge", "by_time": "0.5"}, "by_time"),
+    ("dynamics", {"check": "extra_casimir", "levels": 6, "calV": True}, "calV"),
+    ("dynamics", {**RELATIVE, "mu": True}, "mu"),
+    ("dynamics", {**RELATIVE, "hbar": "1"}, "hbar"),
+    ("dynamics", {**RELATIVE, "omega_ref": True}, "omega_ref"),
+    ("dynamics", {**EHRENFEST, "tol": True}, "ehrenfest"),
 ]
 
 
@@ -311,6 +335,36 @@ class TestExitCodes:
         got, want = run_scenario(as_float), run_scenario(as_int)
         assert got.passed
         assert [(c.name, c.metrics) for c in got.checks] == [(c.name, c.metrics) for c in want.checks]
+
+    @pytest.mark.parametrize("kind, payload, field", NUMBER_FIELDS, ids=[
+        f"{kind}:{field}" for kind, payload, field in NUMBER_FIELDS])
+    def test_bool_or_string_float_field_is_a_scenario_error_naming_it(self, kind, payload, field):
+        sc = scenario_from_dict({"kind": kind, "payload": payload})
+        with pytest.raises(ScenarioError, match=f"{field} must be a number"):
+            run_scenario(sc)
+
+    @pytest.mark.parametrize("kind, payload, field", [
+        ("rep", {"kind": "single_rep", "payload": {"mass": True, "dims": 1, "levels": 4}}, "mass"),
+        ("rep", {"kind": "single_rep", "payload": {"mass": "2", "dims": 1, "levels": 4}}, "mass"),
+        ("dynamics", {"kind": "dynamics", "payload": {**FLOW, "t_max": True}}, "t_max"),
+    ], ids=["mass=True", "mass='2'", "t_max=True"])
+    def test_bool_or_string_float_field_exits_two_naming_it(self, tmp_path, kind, payload, field):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload))
+        proc = run_cli("verify", kind, str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and f"{field} must be a number" in proc.stderr
+
+    def test_number_field_takes_ints_and_numpy_floats(self):
+        payload = {"a": 2, "b": np.float32(0.5), "c": np.float64(-1.25), "d": np.int64(3)}
+        assert [number_field(payload, k) for k in "abcd"] == [2.0, 0.5, -1.25, 3.0]
+        assert number_field(payload, "e", 0.75) == 0.75
+        with pytest.raises(KeyError):
+            number_field(payload, "e")
+        for bad in (True, np.True_, "1", None, [1.0]):
+            with pytest.raises(ValueError, match="x must be a number"):
+                number_field({"x": bad}, "x")
 
     def test_unknown_dynamics_check_exits_two_and_names_it(self, tmp_path):
         path = tmp_path / "dyn.json"
@@ -555,3 +609,38 @@ class TestDynamicsPayloads:
         payload["levels"] = 16
         with pytest.raises(ScenarioError, match="psi0 has 16 entries, the space has 256"):
             run_scenario(scenario_from_dict({"kind": "dynamics", "payload": payload}))
+
+
+# imports hrsym and runs scenarios in a fresh process (the test process holds
+# scipy.linalg already), printing which heavy scipy modules are loaded after each
+FOOTPRINT_SCRIPT = """
+import json, sys
+import hrsym
+from hrsym.scenarios import run_scenario, scenario_from_dict
+
+HEAVY = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+stages = {"import": sorted(m for m in HEAVY if m in sys.modules)}
+for stage, scenarios in json.loads(sys.argv[1]):
+    for sc in scenarios:
+        assert run_scenario(scenario_from_dict(sc)).passed, sc
+    stages[stage] = sorted(m for m in HEAVY if m in sys.modules)
+print(json.dumps(stages))
+"""
+
+
+class TestImportFootprint:
+    def test_operator_scenarios_load_no_scipy_linear_algebra_and_small_flows_load_it(self):
+        operators = [
+            {"kind": "single_rep", "payload": {"mass": 1.0, "dims": 3, "levels": 3, "algebra": "g3tilde"}},
+            {"kind": "composite", "payload": PAIR},
+            {"kind": "spectrum", "payload": {"spins": [0, 0.5, 1], "addition_max": 1.0, "n_max": 2,
+                                             "expect_shells": {"0": [0], "1": [1], "2": [0, 2]}}},
+        ]
+        flow = [{"kind": "dynamics", "payload": FLOW}]  # one block of 8 states: the expm route
+        proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT,
+                               json.dumps([["operators", operators], ["flow", flow]])],
+                              capture_output=True, text=True, env=cli_env())
+        assert proc.returncode == 0, proc.stderr
+        stages = json.loads(proc.stdout)
+        assert stages["import"] == stages["operators"] == []
+        assert "scipy.linalg" in stages["flow"] and "scipy.sparse.csgraph" not in stages["flow"]

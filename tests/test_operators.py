@@ -415,6 +415,65 @@ def test_block_norms_refuse_an_entry_off_the_blocks():
         ladder.block_norms(np.eye(4), [2, 1])
 
 
+def _bfs_components(n: int, edges) -> tuple:
+    """Reference components by breadth-first search: (count, labels by smallest vertex)."""
+    adjacent = [[] for _ in range(n)]
+    for i, j in edges:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    label, count = [-1] * n, 0
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        label[start], queue = count, [start]
+        for x in queue:
+            for y in adjacent[x]:
+                if label[y] < 0:
+                    label[y] = count
+                    queue.append(y)
+        count += 1
+    return count, label
+
+
+def _assert_components_match_bfs(mat, offset: int) -> None:
+    a, rows = ladder._canonical(mat)
+    n = max(a.shape[0], offset + a.shape[1])
+    count, label = ladder._components(a, rows, offset)
+    assert (count, label.tolist()) == _bfs_components(n, zip(rows.tolist(), (a.indices + offset).tolist()))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_components_match_a_breadth_first_search(seed):
+    rng = np.random.default_rng(seed)
+    r, c = (int(k) for k in rng.integers(1, 40, size=2))
+    density = float(rng.choice([0.0, 0.01, 0.04, 0.1, 0.3]))
+    square = scipy.sparse.random_array((r, r), density=density, rng=rng, format="csr")
+    rect = scipy.sparse.random_array((r, c), density=density, rng=rng, format="csr")
+    _assert_components_match_bfs(square, 0)
+    _assert_components_match_bfs(rect, r)  # row-column bipartite graph, as the norms build it
+    _assert_components_match_bfs(rect, r + 3)  # vertices r .. r+2 lie beyond a and stay isolated
+
+
+def test_components_of_an_empty_pattern_are_single_vertices():
+    a, rows = ladder._canonical(scipy.sparse.csr_array((5, 7)))
+    count, label = ladder._components(a, rows, 5)
+    assert count == 12 and label.tolist() == list(range(12))
+    count, label = ladder._components(*ladder._canonical(scipy.sparse.csr_array((0, 0))), 0)
+    assert count == 0 and label.size == 0
+
+
+def test_components_of_a_permuted_path_take_logarithmically_many_rounds(monkeypatch):
+    n = 1 << 15
+    order = np.random.default_rng(7).permutation(n)
+    path = scipy.sparse.csr_array((np.ones(n - 1), (order[:-1], order[1:])), shape=(n, n))
+    rounds = []
+    hook = ladder._hook
+    monkeypatch.setattr(ladder, "_hook", lambda *args: rounds.append(1) or hook(*args))
+    _assert_components_match_bfs(path, 0)
+    # each root that survives two rounds has absorbed another root in the first
+    assert 0 < len(rounds) <= 2 * 15
+
+
 def test_operator_counts_its_csr_buffers_and_keeps_its_type():
     rep = build_particle_rep(RepConfig(mass=1.0, dims=3, levels=3))
     x, p = rep.X[0], rep.P[0]
