@@ -54,9 +54,6 @@ from .composite import (
     CompositeRep,
     canonical_map_is_symplectic,
     canonical_map_matrix,
-    com_position,
-    naive_position_sum,
-    relative_ops,
     tensor_rep,
     verify_ccr_composite,
 )

@@ -82,7 +82,6 @@ class StructureConstants:
         both = dict(cleaned)
         for (i, j), entries in cleaned.items():
             both.setdefault((j, i), tuple((k, -f) for k, f in entries))
-        self._terms = both
         d = self.denominator = math.lcm(*(f.denominator for entries in both.values() for _, f in entries))
         self.integer_terms = {
             pair: tuple((k, f.numerator * (d // f.denominator)) for k, f in entries)
@@ -91,7 +90,7 @@ class StructureConstants:
 
     def terms(self, i: int, j: int) -> tuple:
         """Terms of [G_i, G_j]; a stored orientation wins, the mirror is negated."""
-        return self._terms.get((i, j), ())
+        return tuple((k, Fraction(f, self.denominator)) for k, f in self.integer_terms.get((i, j), ()))
 
     def stored_items(self):
         return self._table.items()
@@ -189,9 +188,6 @@ class LieAlgebra:
         except KeyError:
             raise AlgebraError(f"generator {name!r} not in algebra {self.name!r}") from None
 
-    def generator(self, name: str) -> GeneratorId:
-        return self.generators[self.index(name)]
-
     def basis_element(self, name: str) -> AlgebraElement:
         self.index(name)
         return AlgebraElement({name: 1})
@@ -275,9 +271,8 @@ def _build_heisenberg(name: str, boost: str, central: str) -> LieAlgebra:
     return LieAlgebra(name, names, StructureConstants(table))
 
 
-def _build_so3() -> LieAlgebra:
-    names = [f"J{i}{j}" for i, j in _J_PAIRS]
-    idx = {n: i for i, n in enumerate(names)}
+def _jj_block(idx) -> dict:
+    """The J-J brackets for the stored orientations, over generator positions `idx`."""
     table = {}
     for p, q in combinations(_J_PAIRS, 2):
         terms = _jj_terms(p, q)
@@ -285,7 +280,12 @@ def _build_so3() -> LieAlgebra:
             table[(idx[f"J{p[0]}{p[1]}"], idx[f"J{q[0]}{q[1]}"])] = tuple(
                 (idx[n], Fraction(c)) for n, c in terms.items()
             )
-    return LieAlgebra("so3", names, StructureConstants(table))
+    return table
+
+
+def _build_so3() -> LieAlgebra:
+    names = [f"J{i}{j}" for i, j in _J_PAIRS]
+    return LieAlgebra("so3", names, StructureConstants(_jj_block({n: i for i, n in enumerate(names)})))
 
 
 def _build_hr3(name="hr3", with_time_generator=False) -> LieAlgebra:
@@ -296,13 +296,7 @@ def _build_hr3(name="hr3", with_time_generator=False) -> LieAlgebra:
     if with_time_generator:
         names.append("H")
     idx = {n: i for i, n in enumerate(names)}
-    table = {}
-    for p, q in combinations(_J_PAIRS, 2):
-        terms = _jj_terms(p, q)
-        if terms:
-            table[(idx[f"J{p[0]}{p[1]}"], idx[f"J{q[0]}{q[1]}"])] = tuple(
-                (idx[n], Fraction(c)) for n, c in terms.items()
-            )
+    table = _jj_block(idx)
     for p in _J_PAIRS:
         for k in (1, 2, 3):
             for prefix in ("K", "P"):
@@ -449,8 +443,7 @@ def check_jacobi(alg: LieAlgebra) -> VerificationReport:
         }
         for triple, key in failing[:10]
     ]
-    report = VerificationReport(f"jacobi[{alg.name}]")
-    detail = "" if not violations else f"first violating triple {violations[0]['triple']}"
+    report = VerificationReport()
     report.add(
         "jacobi",
         not violations,
@@ -459,7 +452,6 @@ def check_jacobi(alg: LieAlgebra) -> VerificationReport:
             "violation_count": len(failing),
             "violations": violations,
         },
-        detail=detail,
     )
     return report
 
@@ -478,15 +470,10 @@ def subalgebra_check(alg: LieAlgebra, subset) -> VerificationReport:
                         "escapes_to": alg.generators[k].name,
                     }
                 )
-    report = VerificationReport(f"subalgebra[{alg.name}:{','.join(names)}]")
-    detail = "" if not escapes else (
-        f"[{escapes[0]['pair'][0]}, {escapes[0]['pair'][1]}] leaves the span "
-        f"through {escapes[0]['escapes_to']}"
-    )
+    report = VerificationReport()
     report.add(
         "closure",
         not escapes,
         metrics={"subset": names, "escape_count": len(escapes), "escapes": escapes[:10]},
-        detail=detail,
     )
     return report

@@ -23,9 +23,6 @@ __all__ = [
     "CompositeRep",
     "canonical_map_is_symplectic",
     "canonical_map_matrix",
-    "com_position",
-    "naive_position_sum",
-    "relative_ops",
     "tensor_rep",
     "verify_ccr_composite",
 ]
@@ -89,21 +86,6 @@ class CompositeRep(ladder.OperatorSystem):
 
 def tensor_rep(rep_a: ParticleRep, rep_b: ParticleRep) -> CompositeRep:
     return CompositeRep(rep_a, rep_b)
-
-
-def com_position(comp: CompositeRep) -> list:
-    """Center-of-mass position operators, identical to K_i / m."""
-    return list(comp.X)
-
-
-def naive_position_sum(comp: CompositeRep) -> list:
-    """The additive position sum; non-physical, kept as a failure witness."""
-    return list(comp.X_naive)
-
-
-def relative_ops(comp: CompositeRep):
-    """Relative position R = X_a - X_b and relative momentum Q = (m_b P_a - m_a P_b)/m."""
-    return list(comp.R), list(comp.Q)
 
 
 @dataclass

@@ -40,6 +40,7 @@ import numpy as np
 import scipy  # scipy.linalg loads on the first expm
 
 from . import ladder
+from .particle import number_field
 from .report import VerificationReport
 
 __all__ = [
@@ -88,7 +89,8 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in _POT_KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r} (one of {_POT_KINDS})")
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        coefficients = tuple(number_field({"coefficients": c}, "coefficients") for c in self.coefficients)
+        object.__setattr__(self, "coefficients", coefficients)
         if len(self.coefficients) > _MAX_POLY_DEGREE + 1:
             raise ValueError(f"polynomial degree capped at {_MAX_POLY_DEGREE}")
         if self.kind == "none" and any(self.coefficients):
@@ -113,10 +115,10 @@ def hamiltonian_physical(system, pot: PotentialSpec) -> ladder.Operator:
 
 
 def hamiltonian_galilei(rep, calV: float) -> ladder.Operator:
-    """P.P / 2m + calV * Id, the free-generator Hamiltonian of a single particle, in CSR form."""
+    """P.P / 2m + calV * Id, a single particle's own Hamiltonian with constant potential calV, in CSR form."""
     if not math.isfinite(calV):
         raise ValueError(f"calV must be finite, got {calV}")
-    return ladder.square_sum(rep.P) / (2.0 * rep.mass) + calV * ladder.identity(rep.dim)
+    return rep.hamiltonian(PotentialSpec("poly_x", (calV,)))
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +512,11 @@ def extra_casimir_check(
     fitted, deviation = float(values[0]), float(norms[0])
     expected = 2.0 * rep.mass * calV
     value_err = abs(fitted - expected)
-    report = VerificationReport(f"extra_casimir[m={rep.mass}, calV={calV}]")
+    report = VerificationReport()
     report.add(
         "scalar_on_interior",
         deviation <= tol,
         metrics={"deviation_norm": deviation, "tol": tol, "margin": margin},
-        detail="" if deviation <= tol else "2MH - P.P is not a multiple of the identity",
     )
     report.add(
         "value_fixes_calV",

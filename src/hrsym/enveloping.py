@@ -322,13 +322,12 @@ def casimir_candidates(spec) -> list:
 
 def check_central(alg: LieAlgebra, candidate: CasimirCandidate) -> VerificationReport:
     """Pass iff the candidate commutes exactly with every generator of `alg`."""
-    report = VerificationReport(f"centrality[{alg.name}:{candidate.name}]")
+    report = VerificationReport()
     for gen in alg.generators:
         rem = commutator_uea(alg, candidate.polynomial, generator_poly(alg, gen.name))
         report.add(
             f"commutes_with_{gen.name}",
             rem.is_zero,
             metrics={"remainder_terms": [] if rem.is_zero else rem.pretty().split(" + ")[:8]},
-            detail="" if rem.is_zero else f"remainder {rem.pretty()}",
         )
     return report

@@ -192,33 +192,13 @@ class ParticleRep(ladder.OperatorSystem):
             h = h + v
         return h
 
-    def generator_matrix(self, name: str) -> ladder.Operator:
-        """Operator realizing a generator by catalog name (K1, P2, J12, M, ...)."""
-        if name == "M":
-            return self.M
-        if name == "I":
-            return ladder.identity(self.dim)
-        if name.startswith("J") and len(name) == 3:
-            pair = (int(name[1]), int(name[2]))
-            if pair in self.J:
-                return self.J[pair]
-            raise KeyError(f"{name} is not realized at dims = {self.config.dims}")
-        kind, digits = name[0], name[1:]
-        if kind not in ("K", "P", "X") or not digits.isdigit():
-            raise KeyError(name)
-        axis = int(digits)
-        if not 1 <= axis <= self.config.dims:
-            raise KeyError(f"{name} is not realized at dims = {self.config.dims}")
-        return {"K": self.K, "P": self.P, "X": self.X}[kind][axis - 1]
-
     def realized_generators(self, alg: LieAlgebra) -> dict:
-        out = {}
-        for gen in alg.generators:
-            try:
-                out[gen.name] = self.generator_matrix(gen.name)
-            except KeyError:
-                continue
-        return out
+        """This rep's own operator for each generator of `alg` it realizes (K1, P2, J12, M, ...)."""
+        table = {"M": self.M, "I": ladder.identity(self.dim)}
+        table.update((f"J{i}{j}", op) for (i, j), op in self.J.items())
+        for kind, ops in (("X", self.X), ("P", self.P), ("K", self.K)):
+            table.update((f"{kind}{k}", op) for k, op in enumerate(ops, 1))
+        return {g.name: table[g.name] for g in alg.generators if g.name in table}
 
 
 def build_particle_rep(config: RepConfig) -> ParticleRep:
@@ -280,7 +260,7 @@ def verify_homomorphism(rep: ParticleRep, alg, margin: int | None = None, tol: f
     alg = build_algebra(alg)
     hbar = rep.config.units.hbar
     realized = rep.realized_generators(alg)
-    report = VerificationReport(f"homomorphism[{alg.name} on dims={rep.config.dims}, N={rep.config.levels}]")
+    report = VerificationReport()
     names = [g.name for g in alg.generators]
     labels, margins, ops = [], [], []
     zero = ladder.Operator((rep.dim, rep.dim), dtype=complex)

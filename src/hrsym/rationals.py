@@ -52,11 +52,6 @@ class QC:
         other = as_qc(other)
         return QC(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        if not isinstance(other, (QC, *_SCALARS)):
-            return NotImplemented
-        return as_qc(other) - self
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return QC(self.re * other, self.im * other)
@@ -68,18 +63,6 @@ class QC:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return QC(self.re / other, self.im / other)
-        other = as_qc(other)
-        den = other.re * other.re + other.im * other.im
-        if not den:
-            raise ZeroDivisionError("division by zero QC")
-        return self * QC(other.re / den, -other.im / den)
-
-    def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
 
     def __repr__(self):
         if not self:
@@ -105,8 +88,3 @@ def as_qc(value) -> QC:
     if isinstance(value, _SCALARS):
         return QC(value)
     raise TypeError(f"cannot use {type(value).__name__} as an exact coefficient")
-
-
-ZERO = QC(0)
-ONE = QC(1)
-I = QC(0, 1)

@@ -10,7 +10,6 @@ class CheckRecord:
     name: str
     passed: bool
     metrics: dict = field(default_factory=dict)
-    detail: str = ""
 
 
 @dataclass
@@ -20,12 +19,11 @@ class VerificationReport:
     `skipped` names the checks the operation could not run.
     """
 
-    title: str
     checks: list[CheckRecord] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
 
-    def add(self, name: str, passed: bool, metrics: dict | None = None, detail: str = "") -> CheckRecord:
-        rec = CheckRecord(name, bool(passed), dict(metrics or {}), detail)
+    def add(self, name: str, passed: bool, metrics: dict | None = None) -> CheckRecord:
+        rec = CheckRecord(name, bool(passed), dict(metrics or {}))
         self.checks.append(rec)
         return rec
 
@@ -44,10 +42,9 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         return {
-            "title": self.title,
             "passed": self.passed,
             "checks": [
-                {"name": c.name, "passed": c.passed, "metrics": c.metrics, "detail": c.detail}
+                {"name": c.name, "passed": c.passed, "metrics": c.metrics}
                 for c in self.checks
             ],
         }

@@ -223,6 +223,14 @@ def _jsonable(value):
     return value
 
 
+def _real(value, key) -> float:
+    """`value` as a float by `number_field`'s rules, or a ScenarioError naming `key`."""
+    try:
+        return number_field({key: value}, key)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+
+
 def _as_object(value, what) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{what} must be a JSON object, got {type(value).__name__}")
@@ -248,8 +256,7 @@ def scenario_from_dict(raw, where="scenario") -> Scenario:
     payload = _as_object(raw.get("payload", {}), f"{where}.payload")
     tolerances = _as_object(raw.get("tolerances", {}), f"{where}.tolerances")
     for key, value in tolerances.items():
-        if not isinstance(value, (int, float)):
-            raise ScenarioError(f"{where}.tolerances[{key!r}] must be a number")
+        value = _real(value, f"{where}.tolerances[{key!r}]")
         if key not in DEFAULT_TOLERANCES:
             raise ScenarioError(f"{where}.tolerances[{key!r}] is not a known tolerance")
         check_tolerance(key, value, where)
@@ -506,8 +513,8 @@ def _run_spectrum(sc: Scenario, tols) -> list:
 
     if "n_max" in payload:
         n_max = integer_field(payload, "n_max")
-        s_a = payload.get("spin_a", 0)
-        s_b = payload.get("spin_b", 0)
+        s_a = number_field(payload, "spin_a", 0)
+        s_b = number_field(payload, "spin_b", 0)
         spectrum = relative_spin_spectrum(n_max, s_a=s_a, s_b=s_b)
         complete = spectrum.multiplicity_total() == spectrum.dim and not spectrum.unmatched
         checks.append(
@@ -528,7 +535,7 @@ def _run_spectrum(sc: Scenario, tols) -> list:
         expect = payload.get("expect_shells")
         if expect:
             got = {str(n): ells for n, ells in spectrum.ell_multisets()}
-            want = {str(k): sorted(float(x) for x in v) for k, v in expect.items()}
+            want = {str(k): sorted(_real(x, "expect_shells") for x in v) for k, v in expect.items()}
             match = all(got.get(k) == want[k] for k in want)
             checks.append(
                 CheckResult(
@@ -543,7 +550,7 @@ def _run_spectrum(sc: Scenario, tols) -> list:
         tol_spin = _tol(sc, tols, "spin_casimir")
         deviations = [0.0]
         for s in payload["spins"]:
-            rep = spin_matrices(s)
+            rep = spin_matrices(_real(s, "spins"))
             deviations.append(np.max(np.abs(rep.casimir() - s * (s + 1) * np.eye(rep.dim))))
         worst = float(np.max(deviations))
         checks.append(
@@ -569,22 +576,22 @@ def _run_spectrum(sc: Scenario, tols) -> list:
     return checks
 
 
-def _packet(levels: int, alpha) -> np.ndarray:
-    return ladder.coherent_state(levels, complex(alpha[0], alpha[1]))
+def _packet(levels: int, alpha, key) -> np.ndarray:
+    return ladder.coherent_state(levels, complex(_real(alpha[0], key), _real(alpha[1], key)))
 
 
 def _initial_state(payload, rep, default_alpha) -> np.ndarray:
     """Explicit coefficient vector ([re, im] pairs) or a coherent packet on every axis."""
     vec = payload.get("psi0")
     if vec is not None:
-        state = np.array([complex(re, im) for re, im in vec])
+        state = np.array([complex(_real(re, "psi0"), _real(im, "psi0")) for re, im in vec])
         if len(state) != rep.dim:
             raise ScenarioError(f"psi0 has {len(state)} entries, the space has {rep.dim}")
         nrm = np.linalg.norm(state)
         if nrm == 0:
             raise ScenarioError("psi0 must be nonzero")
         return state / nrm
-    packet = _packet(rep.config.levels, payload.get("alpha", default_alpha))
+    packet = _packet(rep.config.levels, payload.get("alpha", default_alpha), "alpha")
     return functools.reduce(np.kron, [packet] * rep.dims)
 
 
@@ -623,10 +630,12 @@ def _dyn_flow_compare(sc: Scenario, tols) -> list:
     payload = sc.payload
     calV = number_field(payload, "calV", 0.0)
     rep, pot, h_phys, psi0, times = _single_flow(payload, [0.6, 0.5])
+    expect = payload.get("expect", "scalar_phase" if pot.is_trivial else "diverge")
+    if expect not in ("scalar_phase", "diverge"):
+        raise ScenarioError(f"expect must be 'scalar_phase' or 'diverge', got {expect!r}")
     hbar = rep.units.hbar
     cmp = compare_flows(hamiltonian_galilei(rep, calV), h_phys, psi0, times, hbar=hbar)
     checks = []
-    expect = payload.get("expect", "scalar_phase" if pot.is_trivial else "diverge")
     if expect == "scalar_phase":
         tol_f = _tol(sc, tols, "fidelity")
         tol_p = _tol(sc, tols, "phase")
@@ -747,7 +756,7 @@ def _dyn_com_decoupling(sc: Scenario, tols) -> list:
     alpha_a = payload.get("alpha_a", [0.4, 0.2])
     alpha_b = payload.get("alpha_b", [-0.3, 0.1])
     psi0 = np.kron(
-        _packet(cfg_a.levels, alpha_a), _packet(cfg_b.levels, alpha_b)
+        _packet(cfg_a.levels, alpha_a, "alpha_a"), _packet(cfg_b.levels, alpha_b, "alpha_b")
     )
     times = _time_grid(payload)
     ehr = ehrenfest_check(comp, h, psi0, times, leakage_threshold=_tol(sc, tols, "leakage"))
@@ -779,7 +788,7 @@ def _dyn_relative_conservation(sc: Scenario, tols) -> list:
     units = GlobalUnits(hbar=number_field(payload, "hbar", 1.0),
                         omega_ref=number_field(payload, "omega_ref", 1.0))
     sys = relative_mode_system(
-        n_max, mu, units, s_a=payload.get("spin_a", 0), s_b=payload.get("spin_b", 0)
+        n_max, mu, units, s_a=number_field(payload, "spin_a", 0), s_b=number_field(payload, "spin_b", 0)
     )
     pot = PotentialSpec(kind="poly_r2", coefficients=tuple(payload.get("coefficients", [0.0, 0.5, 0.05])))
     h = hamiltonian_physical(sys, pot)

@@ -347,3 +347,32 @@ def test_exact_layer_reports_match_the_golden_file():
     assert list(got) == sorted(golden)
     for label, report in got.items():
         assert json.dumps(report, indent=2, sort_keys=True) == json.dumps(golden[label], indent=2, sort_keys=True), label
+
+
+def metric_keys(metrics, prefix="") -> list:
+    """Every key of a metrics dict, nested dict keys as dotted paths."""
+    out = []
+    for key, value in metrics.items():
+        out.append(prefix + key)
+        if isinstance(value, dict):
+            out.extend(metric_keys(value, f"{prefix}{key}."))
+    return sorted(out)
+
+
+def check_shapes(suite_json: dict) -> dict:
+    """{scenario label: [(name, anchor, status, metric keys) per check]} of a rendered suite."""
+    return {
+        scenario["label"]: [
+            {"name": c["name"], "anchor": c["anchor"], "status": c["status"],
+             "metric_keys": metric_keys(c["metrics"])}
+            for c in scenario["checks"]
+        ]
+        for scenario in suite_json["scenarios"]
+    }
+
+
+def test_paper_full_check_shapes_match_the_golden_file():
+    # Names, anchors, statuses and metric keys of every paper-full check are
+    # machine-independent, so dropping or renaming a reported key shows here.
+    golden = json.loads((Path(__file__).parent / "data" / "paper_full_check_shapes.json").read_text())
+    assert check_shapes(json.loads(run_suite("paper-full").render())) == golden

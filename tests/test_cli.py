@@ -119,6 +119,36 @@ NUMBER_FIELDS = [
 ]
 
 
+# (scenario, field): each scenario carries one boolean, string or unknown
+# value where a number, a list of numbers or a known word belongs, and must
+# exit 2 with one line naming the field
+CONSERVATION = {"check": "conservation", "levels": 6, "t_max": 0.5, "steps": 2}
+MALFORMED = [
+    ({"kind": "algebra", "payload": {"name": "so3"}, "tolerances": {"homomorphism": True}}, "homomorphism"),
+    ({"kind": "algebra", "payload": {"name": "so3"}, "tolerances": {"homomorphism": "1e-3"}}, "homomorphism"),
+    ({"kind": "dynamics", "payload": {**CONSERVATION, "potential": {
+        "kind": "poly_x", "coefficients": [0, "0", True]}}}, "coefficients"),
+    ({"kind": "dynamics", "payload": {**COM_DECOUPLING, "coefficients": [0, "0.05"]}}, "coefficients"),
+    ({"kind": "dynamics", "payload": {**RELATIVE, "coefficients": [0.0, True]}}, "coefficients"),
+    ({"kind": "dynamics", "payload": {"check": "extra_casimir", "levels": 6, "calV": 1.0,
+                                      "substitute_potential": [0.0, 0.0, "0.5"]}}, "coefficients"),
+    ({"kind": "spectrum", "payload": {"n_max": 1, "expect_shells": {"0": [False], "1": [True]}}},
+     "expect_shells"),
+    ({"kind": "spectrum", "payload": {"n_max": 0, "spin_a": 0.5, "spin_b": 0.5,
+                                      "expect_shells": {"0": "01"}}}, "expect_shells"),
+    ({"kind": "spectrum", "payload": {"n_max": 0, "spin_a": True}}, "spin_a"),
+    ({"kind": "spectrum", "payload": {"n_max": 0, "spin_b": "1/2"}}, "spin_b"),
+    ({"kind": "spectrum", "payload": {"spins": [0.5, True]}}, "spins"),
+    ({"kind": "dynamics", "payload": {**RELATIVE, "spin_a": "1/2"}}, "spin_a"),
+    ({"kind": "dynamics", "payload": {**FLOW, "expect": "scalar-phase"}}, "'scalar-phase'"),
+    ({"kind": "dynamics", "payload": {**FLOW, "alpha": [True, False]}}, "alpha"),
+    ({"kind": "dynamics", "payload": {**CONSERVATION, "alpha": [0.5, "0"]}}, "alpha"),
+    ({"kind": "dynamics", "payload": {**COM_DECOUPLING, "alpha_a": [True, 0.2]}}, "alpha_a"),
+    ({"kind": "dynamics", "payload": {**COM_DECOUPLING, "alpha_b": [-0.2, False]}}, "alpha_b"),
+    ({"kind": "dynamics", "payload": {**CONSERVATION, "psi0": [[True, 0]] + [[0, 0]] * 5}}, "psi0"),
+]
+
+
 def _bad_value(payload, field):
     return payload[field] if field in payload else payload["particleB"][field]
 
@@ -365,6 +395,20 @@ class TestExitCodes:
         for bad in (True, np.True_, "1", None, [1.0]):
             with pytest.raises(ValueError, match="x must be a number"):
                 number_field({"x": bad}, "x")
+
+    @pytest.mark.parametrize("scenario, field", MALFORMED, ids=[
+        f"{sc['payload'].get('check', sc['kind'])}:{field}:{i}" for i, (sc, field) in enumerate(MALFORMED)])
+    def test_malformed_value_exits_two_with_one_line_naming_its_field(self, tmp_path, capsys,
+                                                                      scenario, field):
+        from hrsym.cli import main
+
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        kind = {"single_rep": "rep"}.get(scenario["kind"], scenario["kind"])
+        assert main(["verify", kind, str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and field in out.err
 
     def test_unknown_dynamics_check_exits_two_and_names_it(self, tmp_path):
         path = tmp_path / "dyn.json"

@@ -12,9 +12,6 @@ from hrsym import (
     build_particle_rep,
     canonical_map_is_symplectic,
     canonical_map_matrix,
-    com_position,
-    naive_position_sum,
-    relative_ops,
     tensor_rep,
     verify_ccr_composite,
 )
@@ -106,13 +103,13 @@ class TestComPosition:
             1.0 * np.kron(a.X[0].toarray(), np.eye(b.dim))
             + 2.0 * np.kron(np.eye(a.dim), b.X[0].toarray())
         ) / 3.0
-        assert np.max(np.abs(com_position(comp)[0] - weighted)) <= 1e-15
+        assert np.max(np.abs(comp.X[0] - weighted)) <= 1e-15
 
     def test_equal_masses_arithmetic_mean(self):
         comp = desk_pair(1.5, 1.5)
         a, b = comp.rep_a, comp.rep_b
         mean = 0.5 * (np.kron(a.X[0].toarray(), np.eye(b.dim)) + np.kron(np.eye(a.dim), b.X[0].toarray()))
-        assert np.max(np.abs(com_position(comp)[0] - mean)) <= 1e-15
+        assert np.max(np.abs(comp.X[0] - mean)) <= 1e-15
 
     def test_heavy_mass_limit_scaling(self):
         # with the mass-dependent oscillator length the relative spectral
@@ -124,22 +121,22 @@ class TestComPosition:
             comp = tensor_rep(a, b)
             idx = comp.interior_indices(1)
             x_heavy = np.kron(a.X[0].toarray(), np.eye(4))
-            num = norm2((com_position(comp)[0] - x_heavy)[np.ix_(idx, idx)])
+            num = norm2((comp.X[0] - x_heavy)[np.ix_(idx, idx)])
             den = norm2(x_heavy[np.ix_(idx, idx)])
             assert num / den <= bound
             assert num / den >= 0.5 * np.sqrt(ratio) / (ratio + 1.0)
 
     def test_naive_sum_is_hermitian_but_different(self):
         comp = desk_pair(1.0, 2.0)
-        naive = naive_position_sum(comp)[0].toarray()
+        naive = comp.X_naive[0].toarray()
         assert np.max(np.abs(naive - naive.conj().T)) <= 1e-15
-        assert norm2(naive - com_position(comp)[0]) > 0.1
+        assert norm2(naive - comp.X[0]) > 0.1
 
 
 class TestRelativeObservables:
     def test_canonical_pair_on_interior(self):
         comp = desk_pair(1.0, 2.0)
-        r, q = relative_ops(comp)
+        r, q = comp.R, comp.Q
         idx = comp.interior_indices(1)
         comm = r[0] @ q[0] - q[0] @ r[0]
         assert norm2((comm - 1j * np.eye(comp.dim))[np.ix_(idx, idx)]) <= 1e-12
@@ -152,7 +149,7 @@ class TestRelativeObservables:
 
     def test_relative_ops_hermitian(self):
         comp = desk_pair(1.0, 2.0)
-        r, q = relative_ops(comp)
+        r, q = comp.R, comp.Q
         for op in (*r, *q):
             assert np.max(np.abs(op - op.conj().T)) <= 1e-15
 
@@ -218,7 +215,7 @@ def per_pair_ccr(comp, margin=1) -> dict:
     rank = len(idx)
     pairs = {
         "x_com:p": (comp.X, comp.P),
-        "x_naive:p": (naive_position_sum(comp), comp.P),
+        "x_naive:p": (comp.X_naive, comp.P),
         "r:q": (comp.R, comp.Q),
         "r:p": (comp.R, comp.P),
         "q:x_com": (comp.Q, comp.X),
@@ -304,7 +301,7 @@ class TestSymmetries:
             for j in range(n):
                 w[j * n + i, i * n + j] = 1.0
         assert np.array_equal(w @ w, np.eye(comp.dim))
-        for op in (comp.P[0], comp.K[0], comp.M, com_position(comp)[0]):
+        for op in (comp.P[0], comp.K[0], comp.M, comp.X[0]):
             assert np.array_equal(w @ op @ w, op.toarray())
         assert np.array_equal(w @ comp.R[0] @ w, -comp.R[0].toarray())
         assert np.array_equal(w @ comp.Q[0] @ w, -comp.Q[0].toarray())

@@ -87,6 +87,11 @@ class TestPotentials:
         with pytest.raises(ValueError):
             PotentialSpec(kind="morse")
 
+    @pytest.mark.parametrize("bad", [True, "0.5", None])
+    def test_boolean_or_string_coefficient_rejected_naming_the_field(self, bad):
+        with pytest.raises(ValueError, match="coefficients must be a number"):
+            PotentialSpec(kind="poly_x", coefficients=(0.0, bad))
+
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             PotentialSpec(kind="poly_x", coefficients=(0, 0, 0, 0, 0, 1))

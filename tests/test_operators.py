@@ -24,7 +24,6 @@ from hrsym import (
     verify_homomorphism,
 )
 from hrsym import ladder
-from hrsym.composite import naive_position_sum
 from hrsym.spin import J_PAIRS
 
 RTOL = 1e-14
@@ -238,7 +237,7 @@ class TestCompositeAgainstDense:
         comp = tensor_rep(build_particle_rep(cfg_a), build_particle_rep(cfg_b))
         ref = dense_composite(cfg_a, cfg_b)
         assert_stored_operators_match(comp, ref, COMPOSITE_NAMES)
-        for op, dense in zip(naive_position_sum(comp), ref["naive"], strict=True):
+        for op, dense in zip(comp.X_naive, ref["naive"], strict=True):
             assert isinstance(op, ladder.Operator) and close(op, dense)
 
     def test_ccr_metrics_match_the_dense_operators(self, cfg_a, cfg_b):

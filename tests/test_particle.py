@@ -312,6 +312,45 @@ class TestBatchedHomomorphism:
         assert report.checks == [] and len(report.skipped) == 3
 
 
+REALIZED_CASES = [(1, 0.0), (2, 0.0), (3, 0.0), (3, 0.5)]
+
+
+class TestRealizedGenerators:
+    @pytest.mark.parametrize("dims, spin", REALIZED_CASES, ids=[f"d{d}s{s}" for d, s in REALIZED_CASES])
+    @pytest.mark.parametrize("alg", ["h3", "hr3", "g3tilde", "h3_naive"])
+    def test_each_realized_generator_is_the_reps_own_operator(self, alg, dims, spin):
+        rep = build_particle_rep(RepConfig(mass=1.5, dims=dims, levels=3, spin=spin))
+        own = {"M": rep.M, **{f"J{i}{j}": op for (i, j), op in rep.J.items()}}
+        for kind in "XPK":
+            own.update({f"{kind}{k + 1}": op for k, op in enumerate(getattr(rep, kind))})
+        alg = build_algebra(alg)
+        realized = rep.realized_generators(alg)
+        assert list(realized) == [n for n in alg.names() if n in own or n == "I"]
+        for name, op in realized.items():
+            if name == "I":
+                assert (op != ladder.identity(rep.dim)).nnz == 0
+            else:
+                assert op is own[name], name
+
+    def test_skipped_pair_lists_are_unchanged(self):
+        def skipped(dims, alg):
+            rep = build_particle_rep(RepConfig(mass=1.0, dims=dims, levels=4))
+            return verify_homomorphism(rep, alg).skipped
+
+        g3 = build_algebra("g3tilde").names()
+        assert skipped(3, "g3tilde") == [f"[{n},H]" for n in g3[:-1]]
+        assert skipped(1, "h3") == [
+            "[K1,K2]", "[K1,K3]", "[K1,P2]", "[K1,P3]", "[K2,K3]", "[K2,P1]", "[K2,P2]", "[K2,P3]",
+            "[K2,M]", "[K3,P1]", "[K3,P2]", "[K3,P3]", "[K3,M]", "[P1,P2]", "[P1,P3]", "[P2,P3]",
+            "[P2,M]", "[P3,M]",
+        ]
+        assert skipped(2, "h3_naive") == [
+            "[X1,X3]", "[X1,P3]", "[X2,X3]", "[X2,P3]", "[X3,P1]", "[X3,P2]", "[X3,P3]", "[X3,I]",
+            "[P1,P3]", "[P2,P3]", "[P3,I]",
+        ]
+        assert skipped(1, "so3") == ["[J12,J13]", "[J12,J23]", "[J13,J23]"]
+
+
 class TestZetaFamily:
     def test_unit_zeta_is_plain_rep(self):
         cfg = RepConfig(mass=1.0, dims=1, levels=6)

@@ -100,6 +100,11 @@ class TestSpinMatrices:
         with pytest.raises(ValueError):
             spin_matrices(-0.5)
 
+    @pytest.mark.parametrize("bad", [True, False, "1/2", "1"])
+    def test_boolean_or_string_spin_rejected(self, bad):
+        with pytest.raises(ValueError, match="half-integer"):
+            spin_matrices(bad)
+
 
 class TestSpinTensor:
     def test_spinless_tensor_vanishes(self):
