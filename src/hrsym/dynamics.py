@@ -89,6 +89,8 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in _POT_KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r} (one of {_POT_KINDS})")
+        if not isinstance(self.coefficients, (list, tuple)):
+            raise ValueError(f"coefficients must be a list of numbers, got {self.coefficients!r}")
         coefficients = tuple(number_field({"coefficients": c}, "coefficients") for c in self.coefficients)
         object.__setattr__(self, "coefficients", coefficients)
         if len(self.coefficients) > _MAX_POLY_DEGREE + 1:

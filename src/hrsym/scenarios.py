@@ -32,7 +32,6 @@ from .dynamics import (
     PotentialSpec,
     compare_flows,
     ehrenfest_check,
-    evolve_observable,
     evolve_state,
     extra_casimir_check,
     hamiltonian_galilei,
@@ -235,6 +234,19 @@ def _as_object(value, what) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+def _as_list(value, what) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _complex(value, key) -> complex:
+    """An `[re, im]` pair as a complex number, or a ScenarioError naming `key`."""
+    if len(_as_list(value, key)) != 2:
+        raise ScenarioError(f"{key} must be an [re, im] pair, got {value!r}")
+    return complex(_real(value[0], key), _real(value[1], key))
 
 
 def load_scenario(path) -> Scenario:
@@ -535,7 +547,8 @@ def _run_spectrum(sc: Scenario, tols) -> list:
         expect = payload.get("expect_shells")
         if expect:
             got = {str(n): ells for n, ells in spectrum.ell_multisets()}
-            want = {str(k): sorted(_real(x, "expect_shells") for x in v) for k, v in expect.items()}
+            want = {str(k): sorted(_real(x, "expect_shells") for x in _as_list(v, f"expect_shells[{k!r}]"))
+                    for k, v in _as_object(expect, "expect_shells").items()}
             match = all(got.get(k) == want[k] for k in want)
             checks.append(
                 CheckResult(
@@ -549,7 +562,7 @@ def _run_spectrum(sc: Scenario, tols) -> list:
     if "spins" in payload:
         tol_spin = _tol(sc, tols, "spin_casimir")
         deviations = [0.0]
-        for s in payload["spins"]:
+        for s in _as_list(payload["spins"], "spins"):
             rep = spin_matrices(_real(s, "spins"))
             deviations.append(np.max(np.abs(rep.casimir() - s * (s + 1) * np.eye(rep.dim))))
         worst = float(np.max(deviations))
@@ -577,14 +590,14 @@ def _run_spectrum(sc: Scenario, tols) -> list:
 
 
 def _packet(levels: int, alpha, key) -> np.ndarray:
-    return ladder.coherent_state(levels, complex(_real(alpha[0], key), _real(alpha[1], key)))
+    return ladder.coherent_state(levels, _complex(alpha, key))
 
 
 def _initial_state(payload, rep, default_alpha) -> np.ndarray:
     """Explicit coefficient vector ([re, im] pairs) or a coherent packet on every axis."""
     vec = payload.get("psi0")
     if vec is not None:
-        state = np.array([complex(_real(re, "psi0"), _real(im, "psi0")) for re, im in vec])
+        state = np.array([_complex(z, "psi0") for z in _as_list(vec, "psi0")])
         if len(state) != rep.dim:
             raise ScenarioError(f"psi0 has {len(state)} entries, the space has {rep.dim}")
         nrm = np.linalg.norm(state)
@@ -687,13 +700,15 @@ def _dyn_conservation(sc: Scenario, tols) -> list:
     norm_dev = float(np.max(np.abs(flow.norm_trace - 1.0)))
     energy_dev = float(np.max(np.abs(flow.energy_trace - flow.energy_trace[0])))
 
+    # the rank-one probe A = |u><u|: <psi(t)|A|psi(t)> = |<u|psi(t)>|^2 in the Schrodinger
+    # picture, and <psi0|U(t)^H A U(t)|psi0> = |<u(-t)|psi0>|^2 in the Heisenberg picture,
+    # with u(-t) = U(-t) u from one backward flow, so U(-t) = U(t)^H is what it checks
     rng = np.random.default_rng(20230517)
-    a = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-    a = (a + a.conj().T) / 2.0
-    t_probe = float(times[-1])
-    a_t = evolve_observable(h, a, t_probe, hbar=hbar)
-    lhs = float(np.vdot(flow.states[-1], a @ flow.states[-1]).real)
-    rhs = float(np.vdot(psi0, a_t @ psi0).real)
+    u = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
+    u /= np.linalg.norm(u)
+    u_back = evolve_state(h, u, [-float(times[-1])], hbar=hbar).states[-1]
+    lhs = float(abs(np.vdot(u, flow.states[-1])) ** 2)
+    rhs = float(abs(np.vdot(u_back, psi0)) ** 2)
     tol_pic = _tol(sc, tols, "picture")
     return [
         CheckResult(
@@ -732,7 +747,7 @@ def _dyn_extra_casimir(sc: Scenario, tols) -> list:
     ]
     sub = payload.get("substitute_potential")
     if sub is not None:
-        pot = PotentialSpec(kind="poly_x", coefficients=tuple(sub))
+        pot = PotentialSpec(kind="poly_x", coefficients=sub)
         h_phys = hamiltonian_physical(rep, pot)
         rep2 = extra_casimir_check(rep, calV, margin=integer_field(payload, "margin", 1),
                                    tol=tol, hamiltonian=h_phys)
@@ -751,7 +766,7 @@ def _dyn_extra_casimir(sc: Scenario, tols) -> list:
 def _dyn_com_decoupling(sc: Scenario, tols) -> list:
     payload = sc.payload
     cfg_a, cfg_b, comp = _particle_pair(payload, "com_decoupling")
-    pot = PotentialSpec(kind="poly_r2", coefficients=tuple(payload.get("coefficients", [0.0, 0.1])))
+    pot = PotentialSpec(kind="poly_r2", coefficients=payload.get("coefficients", [0.0, 0.1]))
     h = hamiltonian_physical(comp, pot)
     alpha_a = payload.get("alpha_a", [0.4, 0.2])
     alpha_b = payload.get("alpha_b", [-0.3, 0.1])
@@ -790,7 +805,7 @@ def _dyn_relative_conservation(sc: Scenario, tols) -> list:
     sys = relative_mode_system(
         n_max, mu, units, s_a=number_field(payload, "spin_a", 0), s_b=number_field(payload, "spin_b", 0)
     )
-    pot = PotentialSpec(kind="poly_r2", coefficients=tuple(payload.get("coefficients", [0.0, 0.5, 0.05])))
+    pot = PotentialSpec(kind="poly_r2", coefficients=payload.get("coefficients", [0.0, 0.5, 0.05]))
     h = hamiltonian_physical(sys, pot)
 
     comm_norm = float(np.max([

@@ -223,7 +223,7 @@ def relative_spin_spectrum(n_max: int, s_a=0, s_b=0, hbar: float = 1.0) -> Casim
     spin_a = spin_matrices(s_a, hbar)
     spin_b = spin_matrices(s_b, hbar)
     spin_block = spin_a.dim * spin_b.dim
-    total = _add_spins({p: _lift(cube.orbital(p), cube.keep, spin_block) for p in J_PAIRS}, spin_a, spin_b)
+    total = _add_spins({p: _lift(cube.orbital(p), cube.n, spin_block) for p in J_PAIRS}, spin_a, spin_b)
     casimir = ladder.square_sum(total.values())
 
     basis = cube.basis
@@ -321,29 +321,36 @@ def spin_addition_mismatches(top) -> tuple:
 # ---------------------------------------------------------------------------
 
 class _RelativeCube:
-    """Sparse relative R_i, Q_i on a 3-D oscillator cube, restricted to total quanta <= n_max.
+    """Sparse relative R_i, Q_i on the 3-D oscillator states with at most n_max + headroom total quanta.
 
-    The cube keeps `headroom` spare levels per dimension so that no
-    intermediate product is clipped and the restriction is exact: total
-    quanta, the orbital shells and the spin invariant are then conserved to
-    rounding.
+    They are restricted once from the cube with n_max + headroom + 1 levels
+    per dimension.  `ladder.total_quanta_restriction` orders the states by
+    total quanta, so the `n` states with at most n_max quanta lead, in the
+    order of `basis`.  A product of at most headroom + 1 factors between two
+    of them never leaves the kept states, so its leading block is exact:
+    total quanta, the orbital shells and the spin invariant are then conserved
+    to rounding.
     """
 
     def __init__(self, n_max: int, mass: float, omega: float, hbar: float, headroom: int):
         levels = n_max + 1 + headroom
         dims3 = (levels,) * 3
-        self.r = [ladder.embed(ladder.position(levels, mass, omega, hbar), k, dims3) for k in range(3)]
-        self.q = [ladder.embed(ladder.momentum(levels, mass, omega, hbar), k, dims3) for k in range(3)]
-        self.keep, self.basis = ladder.total_quanta_restriction(levels, n_max)
+        keep, basis = ladder.total_quanta_restriction(levels, n_max + headroom)
+        self.r = [ladder.embed(ladder.position(levels, mass, omega, hbar), k, dims3)[keep][:, keep]
+                  for k in range(3)]
+        self.q = [ladder.embed(ladder.momentum(levels, mass, omega, hbar), k, dims3)[keep][:, keep]
+                  for k in range(3)]
+        self.basis = [t for t in basis if sum(t) <= n_max]
+        self.n = len(self.basis)
 
     def orbital(self, pair) -> ladder.Operator:
         i, j = pair
         return self.r[i - 1] @ self.q[j - 1] - self.q[i - 1] @ self.r[j - 1]
 
 
-def _lift(op, keep, spin_block: int) -> ladder.Operator:
-    """Restrict a cube operator to the states `keep` and repeat it across the spin block."""
-    return ladder.embed(op[keep][:, keep], 0, (len(keep), spin_block))
+def _lift(op, n: int, spin_block: int) -> ladder.Operator:
+    """The leading n x n block of `op`, repeated across the spin block."""
+    return ladder.embed(op[:n, :n], 0, (n, spin_block))
 
 
 def _add_spins(orbital: dict, spin_a: SpinRep, spin_b: SpinRep) -> dict:
@@ -362,9 +369,11 @@ class RelativeModeRep(ladder.OperatorSystem):
 
     The center of mass factors out, so the physical Hamiltonian acts here as
     Q.Q / (2 mu) + V(R.R); `mass` is the reduced mass mu.  Every operator is
-    restricted from a cube with per-dimension headroom for (R.R)^max_power,
-    so its elements are exact; hence total quanta, the orbital shells, and
-    the spin invariant are conserved to rounding.
+    the leading block of a product taken on the states with at most
+    n_max + 2 max_power total quanta (n_max + 1 at max_power 0), the
+    headroom of (R.R)^max_power, so its elements are exact; hence total
+    quanta, the orbital shells, and the spin invariant are conserved to
+    rounding.
     """
 
     dims = 3
@@ -377,8 +386,10 @@ class RelativeModeRep(ladder.OperatorSystem):
         self.units = units
         self.max_power = int(max_power)
         hbar = units.hbar
-        cube = _RelativeCube(self.n_max, self.mass, units.omega_ref, hbar, headroom=2 * self.max_power)
-        self.basis, self._keep = cube.basis, cube.keep
+        # Q.Q and L are products of two factors, so they need one spare quantum even at max_power 0
+        headroom = max(2 * self.max_power, 1)
+        cube = _RelativeCube(self.n_max, self.mass, units.omega_ref, hbar, headroom)
+        self.basis, self._n = cube.basis, cube.n
 
         spin_a = spin_matrices(s_a, hbar)
         spin_b = spin_matrices(s_b, hbar)
@@ -389,9 +400,9 @@ class RelativeModeRep(ladder.OperatorSystem):
 
         self._qq = ladder.square_sum(cube.q)
         self._rr = ladder.square_sum(cube.r)
-        self.R = [_lift(m, cube.keep, spin_block) for m in cube.r]
-        self.Q = [_lift(m, cube.keep, spin_block) for m in cube.q]
-        self.L = {p: _lift(cube.orbital(p), cube.keep, spin_block) for p in J_PAIRS}
+        self.R = [_lift(m, cube.n, spin_block) for m in cube.r]
+        self.Q = [_lift(m, cube.n, spin_block) for m in cube.q]
+        self.L = {p: _lift(cube.orbital(p), cube.n, spin_block) for p in J_PAIRS}
         self.S = _add_spins(self.L, spin_a, spin_b)
         self.J = self.S
         self.spin_casimir = ladder.square_sum(self.S.values())
@@ -404,7 +415,7 @@ class RelativeModeRep(ladder.OperatorSystem):
         return (idx[:, None] * self.spin_dim + np.arange(self.spin_dim)[None, :]).ravel()
 
     def hamiltonian(self, pot) -> ladder.Operator:
-        """Q.Q / 2mu + V(R.R), taken on the cube and restricted; V has degree <= `max_power`."""
+        """Q.Q / 2mu + V(R.R), taken with headroom and restricted; V has degree <= `max_power`."""
         if pot.kind == "poly_x":
             raise ValueError("a composite interaction must depend on the relative separation only")
         beyond = [k for k, c in enumerate(pot.coefficients) if c and k > self.max_power]
@@ -414,7 +425,7 @@ class RelativeModeRep(ladder.OperatorSystem):
                 f"cannot take (R.R)^{beyond[0]}"
             )
         h = self._qq / (2.0 * self.mass) + ladder.poly_in(self._rr, pot.coefficients)
-        return _lift(h, self._keep, self.spin_dim)
+        return _lift(h, self._n, self.spin_dim)
 
     def ground_state(self) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=complex)

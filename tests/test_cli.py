@@ -146,6 +146,24 @@ MALFORMED = [
     ({"kind": "dynamics", "payload": {**COM_DECOUPLING, "alpha_a": [True, 0.2]}}, "alpha_a"),
     ({"kind": "dynamics", "payload": {**COM_DECOUPLING, "alpha_b": [-0.2, False]}}, "alpha_b"),
     ({"kind": "dynamics", "payload": {**CONSERVATION, "psi0": [[True, 0]] + [[0, 0]] * 5}}, "psi0"),
+    # short, long or scalar pairs and non-list shapes
+    ({"kind": "dynamics", "payload": {**CONSERVATION, "alpha": [0.5]}}, "alpha"),
+    ({"kind": "dynamics", "payload": {**CONSERVATION, "alpha": 0.5}}, "alpha"),
+    ({"kind": "dynamics", "payload": {**FLOW, "alpha": [0.5, 0.1, 0.2]}}, "alpha"),
+    ({"kind": "dynamics", "payload": {**COM_DECOUPLING, "alpha_a": [0.4]}}, "alpha_a"),
+    ({"kind": "dynamics", "payload": {**COM_DECOUPLING, "alpha_b": [-0.3]}}, "alpha_b"),
+    ({"kind": "dynamics", "payload": {**CONSERVATION, "psi0": [[1, 0, 0]] + [[0, 0]] * 5}}, "psi0"),
+    ({"kind": "dynamics", "payload": {**CONSERVATION, "psi0": [[1]] + [[0, 0]] * 5}}, "psi0"),
+    ({"kind": "dynamics", "payload": {**CONSERVATION, "psi0": 1}}, "psi0"),
+    ({"kind": "spectrum", "payload": {"n_max": 0, "expect_shells": {"0": 0}}}, "expect_shells"),
+    ({"kind": "spectrum", "payload": {"n_max": 0, "expect_shells": [[0]]}}, "expect_shells"),
+    ({"kind": "spectrum", "payload": {"spins": 0.5}}, "spins"),
+    ({"kind": "dynamics", "payload": {**CONSERVATION, "potential": {"kind": "poly_x", "coefficients": 0.5}}},
+     "coefficients"),
+    ({"kind": "dynamics", "payload": {**COM_DECOUPLING, "coefficients": 0.05}}, "coefficients"),
+    ({"kind": "dynamics", "payload": {**RELATIVE, "coefficients": 5}}, "coefficients"),
+    ({"kind": "dynamics", "payload": {"check": "extra_casimir", "levels": 6, "calV": 1.0,
+                                      "substitute_potential": 0.5}}, "coefficients"),
 ]
 
 
@@ -688,3 +706,23 @@ class TestImportFootprint:
         stages = json.loads(proc.stdout)
         assert stages["import"] == stages["operators"] == []
         assert "scipy.linalg" in stages["flow"] and "scipy.sparse.csgraph" not in stages["flow"]
+
+
+# runs one scenario in a fresh process and prints its peak resident memory in kB
+PEAK_SCRIPT = """
+import json, resource, sys
+from hrsym.scenarios import run_scenario, scenario_from_dict
+
+assert run_scenario(scenario_from_dict(json.loads(sys.argv[1]))).passed
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestMemoryFootprint:
+    def test_conservation_on_4096_states_forms_nothing_of_size_n_squared(self):
+        # a dense 4096 x 4096 observable and propagator would take about 1.4 GB here
+        scenario = {"kind": "dynamics", "payload": {"check": "conservation", "dims": 2, "levels": 64}}
+        proc = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, json.dumps(scenario)],
+                              capture_output=True, text=True, env=cli_env())
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 300 * 1024

@@ -581,8 +581,8 @@ class TestPoolSplit:
         assert sorted(shape[1] for shape in dense) == [4, 10, 20] and eigh == []
 
     def test_picture_probe_fails_when_the_heisenberg_side_runs_backwards(self, monkeypatch):
-        # a trapped 256-level flow on the eigh route: both pictures take one eigh per stack,
-        # so a wrong sign of t in the conjugation must still show
+        # a trapped 256-level flow on the eigh route: the state flow and the probe's backward
+        # flow take one eigh per stack each, so a wrong sign of t on the backward flow must show
         raw = {"kind": "dynamics", "payload": {
             "check": "conservation", "levels": 256, "mass": 1.2,
             "potential": {"kind": "poly_x", "coefficients": [0.3, 0.0, 0.4]},
@@ -592,9 +592,13 @@ class TestPoolSplit:
         checks = {c.name: c for c in run_scenario(scenario_from_dict(raw)).checks}
         assert checks["unitarity_energy"].passed and checks["picture_equivalence"].passed
         assert eigh == [(2, 128, 128)] * 2 and dense == []
-        forward = hrsym.dynamics.evolve_observable
-        monkeypatch.setattr(hrsym.scenarios, "evolve_observable",
-                            lambda h, a, t, hbar=1.0: forward(h, a, -t, hbar=hbar))
+        forward = hrsym.dynamics.evolve_state
+
+        def backward_runs_forward(h, psi0, times, **kwargs):
+            times = np.asarray(times, dtype=float)
+            return forward(h, psi0, -times if times[-1] < 0 else times, **kwargs)
+
+        monkeypatch.setattr(hrsym.scenarios, "evolve_state", backward_runs_forward)
         checks = {c.name: c for c in run_scenario(scenario_from_dict(raw)).checks}
         assert checks["unitarity_energy"].passed and not checks["picture_equivalence"].passed
         assert checks["picture_equivalence"].metrics["difference"] > 1e3 * DEFAULT_TOLERANCES["picture"]

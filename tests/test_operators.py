@@ -17,6 +17,7 @@ from hrsym import (
     casimir_spin_value,
     hamiltonian_galilei,
     relative_mode_system,
+    relative_spin_spectrum,
     spin_matrices,
     t_tensor,
     tensor_rep,
@@ -509,9 +510,12 @@ def test_dims_three_levels_five_composite_passes_every_ccr_fit():
     assert all(r.passed for r in recs)
 
 
-def dense_relative(n_max, mu, s_a, s_b, max_power=2) -> dict:
-    """R, Q, L, S, the spin Casimir and the relative H, each np.kron(block(cube op, keep), Id_spin)."""
-    levels = n_max + 1 + 2 * max_power
+def dense_relative(n_max, mu, s_a, s_b, headroom, coefficients=()) -> dict:
+    """R, Q, L, S, the spin Casimir and Q.Q/2mu + V(R.R), each np.kron(block(cube op, keep), Id_spin).
+
+    Every product is taken on the full cube with `headroom` spare levels per dimension.
+    """
+    levels = n_max + 1 + headroom
     x1 = ladder.position(levels, mu, 1.0, 1.0).toarray()
     p1 = ladder.momentum(levels, mu, 1.0, 1.0).toarray()
     eye_n = np.eye(levels)
@@ -532,18 +536,27 @@ def dense_relative(n_max, mu, s_a, s_b, max_power=2) -> dict:
     spin = {p: ell[p] + kron_all(eye_osc, spin_a.components[p], np.eye(spin_b.dim))
             + kron_all(eye_osc, np.eye(spin_a.dim), spin_b.components[p]) for p in J_PAIRS}
     rr = sum(m @ m for m in r)
-    h = sum(m @ m for m in q) / (2.0 * mu) + 0.5 * rr + 0.05 * rr @ rr
+    h = sum(m @ m for m in q) / (2.0 * mu) + sum(
+        c * np.linalg.matrix_power(rr, k) for k, c in enumerate(coefficients))
     return {"R": [lift(m) for m in r], "Q": [lift(m) for m in q], "L": ell, "S": spin,
             "spin_casimir": sum(spin[p] @ spin[p] for p in J_PAIRS), "H": lift(h)}
 
 
-@pytest.mark.parametrize("s_a,s_b", [(0, 0), (0.5, 0), (0.5, 1)])
-def test_relative_mode_operators_are_sparse_and_match_the_restricted_kron(s_a, s_b):
-    system = relative_mode_system(3, 0.75, GlobalUnits(), s_a=s_a, s_b=s_b)
-    ref = dense_relative(3, 0.75, s_a, s_b)
+@pytest.mark.parametrize("s_a,s_b,max_power",
+                         [(0, 0, 2), (0.5, 0, 2), (0.5, 1, 2), (0, 0, 1), (1, 0.5, 1), (0.5, 0, 0)])
+def test_relative_mode_operators_are_sparse_and_match_the_restricted_kron(s_a, s_b, max_power, monkeypatch):
+    coefficients = (0.0, 0.5, 0.05)[:max_power + 1]
+    system = relative_mode_system(3, 0.75, GlobalUnits(), s_a=s_a, s_b=s_b, max_power=max_power)
+    ref = dense_relative(3, 0.75, s_a, s_b, max(2 * max_power, 1), coefficients)
     assert_stored_operators_match(system, ref, ("R", "Q", "L", "S", "spin_casimir"))
-    h = system.hamiltonian(PotentialSpec("poly_r2", (0.0, 0.5, 0.05)))
+    h = system.hamiltonian(PotentialSpec("poly_r2", coefficients))
     assert isinstance(h, ladder.Operator) and close(h, ref["H"])
+    # relative_spin_spectrum diagonalizes its Casimir, built with headroom 1, shell by shell
+    shells = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shells.append(a) or eigvalsh(a))
+    relative_spin_spectrum(3, s_a, s_b)
+    assert close(scipy.linalg.block_diag(*shells), dense_relative(3, 1.0, s_a, s_b, 1)["spin_casimir"])
 
 
 @pytest.mark.parametrize("cfg", PARTICLES, ids=lambda c: f"d{c.dims}n{c.levels}s{c.spin}")
