@@ -46,7 +46,6 @@ from .particle import (
     ZetaRep,
     build_particle_rep,
     build_zeta_rep,
-    rep_config_from_json,
     verify_homomorphism,
 )
 from .composite import (

@@ -34,13 +34,13 @@ state and flags the result unreliable above a configurable threshold.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy  # scipy.linalg loads on the first expm
 
 from . import ladder
-from .particle import number_field
 from .report import VerificationReport
 
 __all__ = [
@@ -91,8 +91,10 @@ class PotentialSpec:
             raise ValueError(f"unknown potential kind {self.kind!r} (one of {_POT_KINDS})")
         if not isinstance(self.coefficients, (list, tuple)):
             raise ValueError(f"coefficients must be a list of numbers, got {self.coefficients!r}")
-        coefficients = tuple(number_field({"coefficients": c}, "coefficients") for c in self.coefficients)
-        object.__setattr__(self, "coefficients", coefficients)
+        for c in self.coefficients:
+            if isinstance(c, bool) or not isinstance(c, numbers.Real):
+                raise ValueError(f"coefficients must be a number, got {c!r}")
+        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         if len(self.coefficients) > _MAX_POLY_DEGREE + 1:
             raise ValueError(f"polynomial degree capped at {_MAX_POLY_DEGREE}")
         if self.kind == "none" and any(self.coefficients):

@@ -18,7 +18,6 @@ covers the polynomial degree of the identity under test.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "ZetaRep",
     "build_particle_rep",
     "build_zeta_rep",
-    "rep_config_from_json",
     "verify_homomorphism",
 ]
 
@@ -84,47 +82,6 @@ class RepConfig:
     @property
     def dim(self) -> int:
         return self.space_dim * self.spin_multiplicity
-
-
-def integer_field(payload: dict, key: str, default=None):
-    """payload[key], or `default` when absent, as an int; None stays None when `default` is.
-
-    Integral numbers only: a bool, a non-integral or non-finite float, or a
-    string raises a ValueError naming the field, rather than being truncated
-    or passed on.
-    """
-    value = payload.get(key, default)
-    if value is None and default is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def number_field(payload: dict, key: str, default=None) -> float:
-    """payload[key] as a float, or `default` when the key is absent and a default is given.
-
-    Real numbers only (numpy's included): a bool, a string or None raises a
-    ValueError naming the field, rather than being read as 1.0 or parsed.
-    """
-    value = payload[key] if default is None else payload.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def rep_config_from_json(payload: dict) -> RepConfig:
-    units = GlobalUnits(
-        hbar=number_field(payload, "hbar", 1.0),
-        omega_ref=number_field(payload, "omega_ref", 1.0),
-    )
-    return RepConfig(
-        mass=number_field(payload, "mass"),
-        dims=integer_field(payload, "dims", 1),
-        levels=integer_field(payload, "levels", 8),
-        spin=number_field(payload, "spin", 0.0),
-        units=units,
-    )
 
 
 class ParticleRep(ladder.OperatorSystem):

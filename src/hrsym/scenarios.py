@@ -6,7 +6,9 @@ A scenario file is JSON:
      "payload": {...kind-specific...},
      "tolerances": {"<tolerance-name>": value, ...}}
 
-Every emitted check record carries an anchor drawn from the fixed registry
+`KINDS` holds the payload format: a (runner, schema) pair per kind and per
+dynamics `check`, the schema naming each key's reader and default.  Every
+emitted check record carries an anchor drawn from the fixed registry
 below, naming the operator-algebra claim it verifies.  Reports are plain
 dicts dumped with sorted keys, so identical runs are byte-identical apart
 from the wall_time_s field.  Tolerance precedence: scenario override beats
@@ -19,6 +21,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ladder
-from .algebra import AlgebraError, build_algebra, check_jacobi, subalgebra_check
+from .algebra import build_algebra, check_jacobi, subalgebra_check
 from .composite import tensor_rep, verify_ccr_composite
 from .dynamics import (
     PotentialSpec,
@@ -47,11 +50,9 @@ from .enveloping import (
 from .rationals import QC
 from .particle import (
     GlobalUnits,
+    RepConfig,
     build_particle_rep,
     build_zeta_rep,
-    integer_field,
-    number_field,
-    rep_config_from_json,
     verify_homomorphism,
 )
 from .spin import (
@@ -79,8 +80,6 @@ __all__ = [
 ]
 
 TOOL_NAME = "hrsym"
-
-KINDS = ("algebra", "uea", "single_rep", "composite", "spectrum", "dynamics")
 
 ANCHOR_REGISTRY = frozenset(
     {
@@ -154,12 +153,10 @@ class Scenario:
     tolerances: dict = field(default_factory=dict)
 
     def digest(self) -> str:
-        canon = json.dumps(
-            {"kind": self.kind, "payload": self.payload, "tolerances": self.tolerances},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        canon = {"kind": self.kind, "payload": self.payload, "tolerances": self.tolerances}
+        # default=float hashes the numpy scalars a library caller may pass
+        text = json.dumps(canon, sort_keys=True, separators=(",", ":"), default=float)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -222,31 +219,129 @@ def _jsonable(value):
     return value
 
 
-def _real(value, key) -> float:
-    """`value` as a float by `number_field`'s rules, or a ScenarioError naming `key`."""
-    try:
-        return number_field({key: value}, key)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+# ---------------------------------------------------------------------------
+# payload readers: reader(value, key) returns the value a runner takes, or
+# raises a ScenarioError naming `key`
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a key a payload must carry
 
 
-def _as_object(value, what) -> dict:
+def _read(schema: dict, payload, where: str) -> dict:
+    """`payload` read key by key through `schema`, {key: (reader, default or _REQUIRED)}.
+
+    A key outside the schema is refused, naming it and the keys the schema
+    takes.  An absent key takes its default, read like a given value, but an
+    absent optional key (default None) stays None; a given null is read.
+    """
+    if not isinstance(payload, dict):
+        raise ScenarioError(f"{where} must be a JSON object, got {type(payload).__name__}")
+    unknown = sorted(set(payload) - set(schema), key=str)
+    if unknown:
+        raise ScenarioError(f"{where}: unknown key {unknown[0]!r} (known: {', '.join(sorted(schema))})")
+    fields = {}
+    for key, (read, default) in schema.items():
+        value = payload.get(key, default)
+        if value is _REQUIRED:
+            raise ScenarioError(f"{where} needs {key!r}")
+        fields[key] = None if key not in payload and default is None else read(value, key)
+    return fields
+
+
+def _number(value, key) -> float:
+    """A real number (numpy's included) as a float; a bool, a string or None is refused, not read or parsed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_written(value, key):
+    """A number kept as the payload writes it, so a metric that echoes it prints the same."""
+    _number(value, key)
+    return value
+
+
+def _integer(value, key) -> int:
+    """An integral number (`4` or `4.0`) as an int; a bool, a string or `4.5` is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ScenarioError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(value, key) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _string(value, key) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _json_object(value, key) -> dict:
     if not isinstance(value, dict):
-        raise ScenarioError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
+        raise ScenarioError(f"{key} must be a JSON object, got {type(value).__name__}")
+    return dict(value)
 
 
-def _as_list(value, what) -> list:
-    if not isinstance(value, list):
-        raise ScenarioError(f"{what} must be a JSON list, got {type(value).__name__}")
-    return value
-
-
-def _complex(value, key) -> complex:
-    """An `[re, im]` pair as a complex number, or a ScenarioError naming `key`."""
-    if len(_as_list(value, key)) != 2:
+def _pair(value, key) -> complex:
+    """An `[re, im]` pair as a complex number."""
+    if not isinstance(value, list) or len(value) != 2:
         raise ScenarioError(f"{key} must be an [re, im] pair, got {value!r}")
-    return complex(_real(value[0], key), _real(value[1], key))
+    return complex(_number(value[0], key), _number(value[1], key))
+
+
+def _one_of(*choices):
+    def read(value, key) -> str:
+        if not isinstance(value, str) or value not in choices:
+            raise ScenarioError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+        return value
+    return read
+
+
+def _list_of(read, nonempty=False):
+    """A JSON list, each entry read by `read`; `nonempty` refuses an empty one."""
+    def read_list(value, key) -> list:
+        if not isinstance(value, list) or (nonempty and not value):
+            raise ScenarioError(f"{key} must be a {'nonempty ' * nonempty}JSON list, got {value!r}")
+        return [read(v, key) for v in value]
+    return read_list
+
+
+def _within(read, low, high=math.inf):
+    """`read`, then refuse a value outside the open interval (low, high)."""
+    def read_within(value, key):
+        value = read(value, key)
+        if not low < value < high:
+            raise ScenarioError(f"{key} must lie in ({low}, {high}), got {value}")
+        return value
+    return read_within
+
+
+def _shells(value, key) -> dict:
+    """An object of lists of numbers, each list sorted."""
+    entries = _json_object(value, key).items()
+    return {str(k): sorted(_list_of(_number)(v, f"{key}[{k!r}]")) for k, v in entries}
+
+
+def _potential(kind):
+    """A coefficient list read as a `kind` PotentialSpec, which refuses and names bad `coefficients`."""
+    return lambda value, key: PotentialSpec(kind, value)
+
+
+def _tolerance(name):
+    """A payload field that carries tolerance `name`; explicit tolerances outrank it."""
+    return lambda value, key: check_tolerance(name, _number(value, name), "dynamics payload")
+
+
+def _tolerances(value, key) -> dict:
+    for name, tol in _json_object(value, key).items():
+        if name not in DEFAULT_TOLERANCES:
+            raise ScenarioError(f"{key}[{name!r}] is not a known tolerance")
+        check_tolerance(name, _number(tol, f"{key}[{name!r}]"), key)
+    return dict(value)
 
 
 def load_scenario(path) -> Scenario:
@@ -261,51 +356,34 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_dict(raw, where="scenario") -> Scenario:
-    raw = _as_object(raw, where)
-    kind = raw.get("kind")
-    if kind not in KINDS:
-        raise ScenarioError(f"{where}: kind must be one of {KINDS}, got {kind!r}")
-    payload = _as_object(raw.get("payload", {}), f"{where}.payload")
-    tolerances = _as_object(raw.get("tolerances", {}), f"{where}.tolerances")
-    for key, value in tolerances.items():
-        value = _real(value, f"{where}.tolerances[{key!r}]")
-        if key not in DEFAULT_TOLERANCES:
-            raise ScenarioError(f"{where}.tolerances[{key!r}] is not a known tolerance")
-        check_tolerance(key, value, where)
-    return Scenario(kind=kind, payload=payload, tolerances=dict(tolerances))
+    """The scenario `raw` holds; its payload is read against its kind's schema when it runs."""
+    return Scenario(**_read(_SCENARIO, raw, where))
 
 
 def _tol(scenario: Scenario, suite_overrides: dict | None, name: str, payload_value=None) -> float:
-    """Scenario tolerances, then suite overrides, then `payload_value`, then the default.
+    """Scenario tolerances, then suite overrides, then `payload_value`, then the default."""
+    for source in (scenario.tolerances, suite_overrides or {}):
+        if name in source:
+            return float(source[name])
+    return DEFAULT_TOLERANCES[name] if payload_value is None else payload_value
 
-    `payload_value` is a tolerance a payload carries as a field of its own;
-    it is validated like any other, and the explicit tolerances outrank it.
-    """
-    if payload_value is not None:
-        payload_value = check_tolerance(name, number_field({name: payload_value}, name),
-                                        f"{scenario.kind} payload")
-    if name in scenario.tolerances:
-        return float(scenario.tolerances[name])
-    if suite_overrides and name in suite_overrides:
-        return float(suite_overrides[name])
-    if payload_value is not None:
-        return payload_value
-    return DEFAULT_TOLERANCES[name]
+
+def _rep_config(f: dict) -> RepConfig:
+    """The particle that validated fields (a payload, or its particleA or particleB) describe."""
+    units = GlobalUnits(hbar=f["hbar"], omega_ref=f["omega_ref"])
+    return RepConfig(mass=f["mass"], dims=f["dims"], levels=f["levels"], spin=f.get("spin", 0.0), units=units)
 
 
 # ---------------------------------------------------------------------------
-# kind runners
+# kind runners: runner(fields, tol) with the payload's validated fields and
+# tol(name) the tolerance in force
 # ---------------------------------------------------------------------------
 
-def _run_algebra(sc: Scenario, tols) -> list:
-    payload = sc.payload
-    spec = payload.get("descriptor", payload.get("name"))
+def _run_algebra(p, tol) -> list:
+    spec = p["name"] if p["descriptor"] is None else p["descriptor"]
     if spec is None:
         raise ScenarioError("algebra payload needs 'name' or 'descriptor'")
-    try:
-        alg = build_algebra(spec)
-    except AlgebraError as exc:
-        raise ScenarioError(str(exc)) from None
+    alg = build_algebra(spec)
     checks = []
     jac = check_jacobi(alg)
     rec = jac["jacobi"]
@@ -317,10 +395,8 @@ def _run_algebra(sc: Scenario, tols) -> list:
             metrics=rec.metrics,
         )
     )
-    for sub in payload.get("subalgebras", []):
-        sub = _as_object(sub, "subalgebra entry")
-        names = sub.get("generators", [])
-        expect_closed = bool(sub.get("expect_closed", True))
+    for sub in p["subalgebras"]:
+        names, expect_closed = sub["generators"], sub["expect_closed"]
         rep = subalgebra_check(alg, names)
         closed = rep["closure"].passed
         checks.append(
@@ -335,10 +411,8 @@ def _run_algebra(sc: Scenario, tols) -> list:
     return checks
 
 
-def _run_uea(sc: Scenario, tols) -> list:
-    name = sc.payload.get("algebra")
-    if name not in ("hr3", "g3tilde"):
-        raise ScenarioError("uea payload needs algebra 'hr3' or 'g3tilde'")
+def _run_uea(p, tol) -> list:
+    name = p["algebra"]
     alg = build_algebra(name)
     anchors = {"M": "mass-central-element", "T.T/2": "spin-tensor-casimir", "2MH-P.P": "free-generator-casimir"}
     checks = []
@@ -373,12 +447,8 @@ def _run_uea(sc: Scenario, tols) -> list:
     return checks
 
 
-def _run_single_rep(sc: Scenario, tols) -> list:
-    payload = dict(sc.payload)
-    try:
-        config = rep_config_from_json(payload)
-    except (KeyError, ValueError) as exc:
-        raise ScenarioError(f"bad representation config: {exc}") from None
+def _run_single_rep(p, tol) -> list:
+    config = _rep_config(p)
     rep = build_particle_rep(config)
     hbar = config.units.hbar
     checks = []
@@ -393,24 +463,23 @@ def _run_single_rep(sc: Scenario, tols) -> list:
         )
     )
 
-    alg_name = payload.get("algebra", "hr3" if config.dims == 3 else "h3")
-    margin = integer_field(payload, "margin")
-    tol = _tol(sc, tols, "homomorphism")
-    hom = verify_homomorphism(rep, alg_name, margin=margin, tol=tol)
+    alg_name = ("hr3" if config.dims == 3 else "h3") if p["algebra"] is None else p["algebra"]
+    tol_h = tol("homomorphism")
+    hom = verify_homomorphism(rep, alg_name, margin=p["margin"], tol=tol_h)
     worst = float(np.max([c.metrics["defect_norm"] for c in hom.checks], initial=0.0))
     checks.append(
         CheckResult(
             name=f"homomorphism:{alg_name}",
             anchor="ccr-homomorphism",
             passed=hom.passed,
-            metrics={"pairs": len(hom.checks), "worst_defect": worst, "tol": tol,
+            metrics={"pairs": len(hom.checks), "worst_defect": worst, "tol": tol_h,
                      "failing": [c.name for c in hom.failures()],
                      "skipped": len(hom.skipped), "skipped_pairs": hom.skipped},
         )
     )
 
-    if payload.get("raw_defect"):
-        tol_raw = _tol(sc, tols, "raw_defect")
+    if p["raw_defect"]:
+        tol_raw = tol("raw_defect")
         worst_raw = rep.raw_boundary_defect()
         checks.append(
             CheckResult(
@@ -422,10 +491,10 @@ def _run_single_rep(sc: Scenario, tols) -> list:
             )
         )
 
-    if payload.get("zeta") is not None:
-        zrep = build_zeta_rep(number_field(payload, "zeta"), rep)
-        idx = rep.interior_indices(max(1, integer_field(payload, "zeta_margin", 1)))
-        tol_z = _tol(sc, tols, "zeta_ccr")
+    if p["zeta"] is not None:
+        zrep = build_zeta_rep(p["zeta"], rep)
+        idx = rep.interior_indices(p["zeta_margin"])
+        tol_z = tol("zeta_ccr")
         worst_z = zrep.defect(idx)
         checks.append(
             CheckResult(
@@ -436,8 +505,8 @@ def _run_single_rep(sc: Scenario, tols) -> list:
             )
         )
 
-    if payload.get("t_tensor"):
-        tol_t = _tol(sc, tols, "t_tensor")
+    if p["t_tensor"]:
+        tol_t = tol("t_tensor")
         worst_t, value = mass_times_spin(rep)
         checks.append(
             CheckResult(
@@ -451,21 +520,14 @@ def _run_single_rep(sc: Scenario, tols) -> list:
     return checks
 
 
-def _particle_pair(payload, what):
+def _particle_pair(p):
     """The two particle configs of a composite payload and their product representation."""
-    try:
-        cfg_a = rep_config_from_json(_as_object(payload["particleA"], "particleA"))
-        cfg_b = rep_config_from_json(_as_object(payload["particleB"], "particleB"))
-    except KeyError as exc:
-        raise ScenarioError(f"{what} payload needs {exc}") from None
-    except ValueError as exc:
-        raise ScenarioError(f"bad particle config: {exc}") from None
+    cfg_a, cfg_b = _rep_config(p["particleA"]), _rep_config(p["particleB"])
     return cfg_a, cfg_b, tensor_rep(build_particle_rep(cfg_a), build_particle_rep(cfg_b))
 
 
-def _run_composite(sc: Scenario, tols) -> list:
-    payload = sc.payload
-    cfg_a, cfg_b, comp = _particle_pair(payload, "composite")
+def _run_composite(p, tol) -> list:
+    cfg_a, cfg_b, comp = _particle_pair(p)
     checks = []
 
     total = cfg_a.mass + cfg_b.mass
@@ -479,9 +541,8 @@ def _run_composite(sc: Scenario, tols) -> list:
         )
     )
 
-    if payload.get("ccr", True):
-        margin = integer_field(payload, "margin", 1)
-        tol = _tol(sc, tols, "ccr_coefficient")
+    if p["ccr"]:
+        tol_c = tol("ccr_coefficient")
         anchors = {
             "x_com:p": "com-position-coefficient",
             "x_naive:p": "naive-position-sum-noncanonical",
@@ -489,7 +550,7 @@ def _run_composite(sc: Scenario, tols) -> list:
             "r:p": "com-relative-decoupling",
             "q:x_com": "com-relative-decoupling",
         }
-        for rec in verify_ccr_composite(comp, margin=margin, tol=tol):
+        for rec in verify_ccr_composite(comp, margin=p["margin"], tol=tol_c):
             checks.append(
                 CheckResult(
                     name=f"ccr:{rec.pair}",
@@ -499,14 +560,12 @@ def _run_composite(sc: Scenario, tols) -> list:
                 )
             )
 
-    if payload.get("reducibility"):
+    if p["reducibility"]:
         try:
-            value = casimir_spin_value(comp, margin=integer_field(payload, "margin", 1))
+            value = casimir_spin_value(comp, margin=p["margin"])
             passed, metrics = False, {"unexpected_scalar": value.value}
         except NonScalarCasimirError as exc:
             passed, metrics = True, {"fitted": exc.fitted, "deviation_norm": exc.deviation}
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
         checks.append(
             CheckResult(
                 name="composite_not_irreducible",
@@ -518,16 +577,13 @@ def _run_composite(sc: Scenario, tols) -> list:
     return checks
 
 
-def _run_spectrum(sc: Scenario, tols) -> list:
-    payload = sc.payload
+def _run_spectrum(p, tol) -> list:
     checks = []
-    tol_match = _tol(sc, tols, "spectrum_match")
+    tol_match = tol("spectrum_match")
 
-    if "n_max" in payload:
-        n_max = integer_field(payload, "n_max")
-        s_a = number_field(payload, "spin_a", 0)
-        s_b = number_field(payload, "spin_b", 0)
-        spectrum = relative_spin_spectrum(n_max, s_a=s_a, s_b=s_b)
+    n_max = p["n_max"]
+    if n_max is not None:
+        spectrum = relative_spin_spectrum(n_max, s_a=p["spin_a"], s_b=p["spin_b"])
         complete = spectrum.multiplicity_total() == spectrum.dim and not spectrum.unmatched
         checks.append(
             CheckResult(
@@ -544,11 +600,9 @@ def _run_spectrum(sc: Scenario, tols) -> list:
                 },
             )
         )
-        expect = payload.get("expect_shells")
-        if expect:
+        want = p["expect_shells"]
+        if want:
             got = {str(n): ells for n, ells in spectrum.ell_multisets()}
-            want = {str(k): sorted(_real(x, "expect_shells") for x in _as_list(v, f"expect_shells[{k!r}]"))
-                    for k, v in _as_object(expect, "expect_shells").items()}
             match = all(got.get(k) == want[k] for k in want)
             checks.append(
                 CheckResult(
@@ -559,11 +613,11 @@ def _run_spectrum(sc: Scenario, tols) -> list:
                 )
             )
 
-    if "spins" in payload:
-        tol_spin = _tol(sc, tols, "spin_casimir")
+    if p["spins"] is not None:
+        tol_spin = tol("spin_casimir")
         deviations = [0.0]
-        for s in _as_list(payload["spins"], "spins"):
-            rep = spin_matrices(_real(s, "spins"))
+        for s in p["spins"]:
+            rep = spin_matrices(s)
             deviations.append(np.max(np.abs(rep.casimir() - s * (s + 1) * np.eye(rep.dim))))
         worst = float(np.max(deviations))
         checks.append(
@@ -571,12 +625,12 @@ def _run_spectrum(sc: Scenario, tols) -> list:
                 name="spin_casimir_scalar",
                 anchor="spin-casimir-scalar",
                 passed=worst <= tol_spin,
-                metrics={"spins": list(payload["spins"]), "worst_deviation": worst, "tol": tol_spin},
+                metrics={"spins": p["spins"], "worst_deviation": worst, "tol": tol_spin},
             )
         )
 
-    if "addition_max" in payload:
-        top = number_field(payload, "addition_max")
+    top = p["addition_max"]
+    if top is not None:
         pairs, mismatches = spin_addition_mismatches(top)
         checks.append(
             CheckResult(
@@ -589,69 +643,38 @@ def _run_spectrum(sc: Scenario, tols) -> list:
     return checks
 
 
-def _packet(levels: int, alpha, key) -> np.ndarray:
-    return ladder.coherent_state(levels, _complex(alpha, key))
-
-
-def _initial_state(payload, rep, default_alpha) -> np.ndarray:
+def _initial_state(p, rep) -> np.ndarray:
     """Explicit coefficient vector ([re, im] pairs) or a coherent packet on every axis."""
-    vec = payload.get("psi0")
-    if vec is not None:
-        state = np.array([_complex(z, "psi0") for z in _as_list(vec, "psi0")])
+    if p["psi0"] is not None:
+        state = np.array(p["psi0"], dtype=complex)
         if len(state) != rep.dim:
             raise ScenarioError(f"psi0 has {len(state)} entries, the space has {rep.dim}")
         nrm = np.linalg.norm(state)
         if nrm == 0:
             raise ScenarioError("psi0 must be nonzero")
         return state / nrm
-    packet = _packet(rep.config.levels, payload.get("alpha", default_alpha), "alpha")
+    packet = ladder.coherent_state(rep.config.levels, p["alpha"])
     return functools.reduce(np.kron, [packet] * rep.dims)
 
 
-def _time_grid(payload) -> np.ndarray:
-    t_max = number_field(payload, "t_max", 1.0)
-    steps = integer_field(payload, "steps", 20)
-    if steps < 1:
-        raise ScenarioError(f"steps must be at least 1, got {steps}")
-    if not 0 < t_max < math.inf:
-        raise ScenarioError(f"t_max must be positive and finite, got {t_max}")
-    return np.linspace(0.0, t_max, steps + 1)
-
-
-def _single_system(payload):
-    cfg = rep_config_from_json(
-        {
-            "mass": payload.get("mass", 1.0),
-            "dims": payload.get("dims", 1),
-            "levels": payload.get("levels", 32),
-            "hbar": payload.get("hbar", 1.0),
-            "omega_ref": payload.get("omega_ref", 1.0),
-        }
-    )
-    return build_particle_rep(cfg)
-
-
-def _single_flow(payload, default_alpha) -> tuple:
+def _single_flow(p) -> tuple:
     """A single-particle flow: system, potential, physical Hamiltonian, initial state, time grid."""
-    rep = _single_system(payload)
-    pot = PotentialSpec(**_as_object(payload.get("potential", {"kind": "none"}), "potential"))
+    rep = build_particle_rep(_rep_config(p))
+    pot = PotentialSpec(**p["potential"])
     h = hamiltonian_physical(rep, pot)
-    return rep, pot, h, _initial_state(payload, rep, default_alpha), _time_grid(payload)
+    return rep, pot, h, _initial_state(p, rep), np.linspace(0.0, p["t_max"], p["steps"] + 1)
 
 
-def _dyn_flow_compare(sc: Scenario, tols) -> list:
-    payload = sc.payload
-    calV = number_field(payload, "calV", 0.0)
-    rep, pot, h_phys, psi0, times = _single_flow(payload, [0.6, 0.5])
-    expect = payload.get("expect", "scalar_phase" if pot.is_trivial else "diverge")
-    if expect not in ("scalar_phase", "diverge"):
-        raise ScenarioError(f"expect must be 'scalar_phase' or 'diverge', got {expect!r}")
+def _dyn_flow_compare(p, tol) -> list:
+    calV = p["calV"]
+    rep, pot, h_phys, psi0, times = _single_flow(p)
+    expect = p["expect"] or ("scalar_phase" if pot.is_trivial else "diverge")
     hbar = rep.units.hbar
     cmp = compare_flows(hamiltonian_galilei(rep, calV), h_phys, psi0, times, hbar=hbar)
     checks = []
     if expect == "scalar_phase":
-        tol_f = _tol(sc, tols, "fidelity")
-        tol_p = _tol(sc, tols, "phase")
+        tol_f = tol("fidelity")
+        tol_p = tol("phase")
         fid_ok = bool(np.all(cmp.fidelity >= 1.0 - tol_f))
         want = -calV * cmp.times / hbar
         err = np.abs(np.angle(np.exp(1j * (cmp.phase - want))))
@@ -669,8 +692,8 @@ def _dyn_flow_compare(sc: Scenario, tols) -> list:
             )
         )
     else:
-        below = number_field(payload, "fidelity_below", 0.99)
-        by_time = number_field(payload, "by_time", times[-1])
+        below = p["fidelity_below"]
+        by_time = times[-1] if p["by_time"] is None else p["by_time"]
         mask = cmp.times >= by_time - 1e-12
         reached = bool(np.any(cmp.fidelity[mask] < below))
         checks.append(
@@ -688,15 +711,15 @@ def _dyn_flow_compare(sc: Scenario, tols) -> list:
     return checks
 
 
-def _dyn_conservation(sc: Scenario, tols) -> list:
-    rep, _, h, psi0, times = _single_flow(sc.payload, [0.5, 0.0])
+def _dyn_conservation(p, tol) -> list:
+    rep, _, h, psi0, times = _single_flow(p)
     hbar = rep.units.hbar
     flow = evolve_state(
         h, psi0, times, hbar=hbar, boundary_weight=rep.boundary_weight,
-        leakage_threshold=_tol(sc, tols, "leakage"),
+        leakage_threshold=tol("leakage"),
     )
-    tol_u = _tol(sc, tols, "unitarity")
-    tol_e = _tol(sc, tols, "energy")
+    tol_u = tol("unitarity")
+    tol_e = tol("energy")
     norm_dev = float(np.max(np.abs(flow.norm_trace - 1.0)))
     energy_dev = float(np.max(np.abs(flow.energy_trace - flow.energy_trace[0])))
 
@@ -709,7 +732,7 @@ def _dyn_conservation(sc: Scenario, tols) -> list:
     u_back = evolve_state(h, u, [-float(times[-1])], hbar=hbar).states[-1]
     lhs = float(abs(np.vdot(u, flow.states[-1])) ** 2)
     rhs = float(abs(np.vdot(u_back, psi0)) ** 2)
-    tol_pic = _tol(sc, tols, "picture")
+    tol_pic = tol("picture")
     return [
         CheckResult(
             name="unitarity_energy",
@@ -731,12 +754,11 @@ def _dyn_conservation(sc: Scenario, tols) -> list:
     ]
 
 
-def _dyn_extra_casimir(sc: Scenario, tols) -> list:
-    payload = sc.payload
-    rep = _single_system(payload)
-    calV = number_field(payload, "calV", 0.0)
-    tol = _tol(sc, tols, "extra_casimir")
-    report = extra_casimir_check(rep, calV, margin=integer_field(payload, "margin", 1), tol=tol)
+def _dyn_extra_casimir(p, tol) -> list:
+    rep = build_particle_rep(_rep_config(p))
+    calV, margin = p["calV"], p["margin"]
+    tol_x = tol("extra_casimir")
+    report = extra_casimir_check(rep, calV, margin=margin, tol=tol_x)
     checks = [
         CheckResult(
             name="extra_casimir_scalar",
@@ -745,12 +767,9 @@ def _dyn_extra_casimir(sc: Scenario, tols) -> list:
             metrics={c.name: c.metrics for c in report.checks},
         )
     ]
-    sub = payload.get("substitute_potential")
-    if sub is not None:
-        pot = PotentialSpec(kind="poly_x", coefficients=sub)
-        h_phys = hamiltonian_physical(rep, pot)
-        rep2 = extra_casimir_check(rep, calV, margin=integer_field(payload, "margin", 1),
-                                   tol=tol, hamiltonian=h_phys)
+    if p["substitute_potential"] is not None:
+        h_phys = hamiltonian_physical(rep, p["substitute_potential"])
+        rep2 = extra_casimir_check(rep, calV, margin=margin, tol=tol_x, hamiltonian=h_phys)
         deviation = rep2["scalar_on_interior"].metrics["deviation_norm"]
         checks.append(
             CheckResult(
@@ -763,21 +782,17 @@ def _dyn_extra_casimir(sc: Scenario, tols) -> list:
     return checks
 
 
-def _dyn_com_decoupling(sc: Scenario, tols) -> list:
-    payload = sc.payload
-    cfg_a, cfg_b, comp = _particle_pair(payload, "com_decoupling")
-    pot = PotentialSpec(kind="poly_r2", coefficients=payload.get("coefficients", [0.0, 0.1]))
-    h = hamiltonian_physical(comp, pot)
-    alpha_a = payload.get("alpha_a", [0.4, 0.2])
-    alpha_b = payload.get("alpha_b", [-0.3, 0.1])
+def _dyn_com_decoupling(p, tol) -> list:
+    cfg_a, cfg_b, comp = _particle_pair(p)
+    h = hamiltonian_physical(comp, p["coefficients"])
     psi0 = np.kron(
-        _packet(cfg_a.levels, alpha_a, "alpha_a"), _packet(cfg_b.levels, alpha_b, "alpha_b")
+        ladder.coherent_state(cfg_a.levels, p["alpha_a"]), ladder.coherent_state(cfg_b.levels, p["alpha_b"])
     )
-    times = _time_grid(payload)
-    ehr = ehrenfest_check(comp, h, psi0, times, leakage_threshold=_tol(sc, tols, "leakage"))
-    tol_p = _tol(sc, tols, "com_momentum")
+    times = np.linspace(0.0, p["t_max"], p["steps"] + 1)
+    ehr = ehrenfest_check(comp, h, psi0, times, leakage_threshold=tol("leakage"))
+    tol_p = tol("com_momentum")
     drift = float(np.max(np.abs(ehr.p_traces - ehr.p_traces[:, :1])))
-    tol_x = _tol(sc, tols, "com_ehrenfest")
+    tol_x = tol("com_ehrenfest")
     return [
         CheckResult(
             name="com_momentum_constant",
@@ -794,24 +809,15 @@ def _dyn_com_decoupling(sc: Scenario, tols) -> list:
     ]
 
 
-def _dyn_relative_conservation(sc: Scenario, tols) -> list:
-    payload = sc.payload
-    n_max = integer_field(payload, "n_max", 6)
-    if n_max < 2:
-        raise ScenarioError(f"relative_conservation needs n_max >= 2 for its two-quanta state, got {n_max}")
-    mu = number_field(payload, "mu", 0.5)
-    units = GlobalUnits(hbar=number_field(payload, "hbar", 1.0),
-                        omega_ref=number_field(payload, "omega_ref", 1.0))
-    sys = relative_mode_system(
-        n_max, mu, units, s_a=number_field(payload, "spin_a", 0), s_b=number_field(payload, "spin_b", 0)
-    )
-    pot = PotentialSpec(kind="poly_r2", coefficients=payload.get("coefficients", [0.0, 0.5, 0.05]))
-    h = hamiltonian_physical(sys, pot)
+def _dyn_relative_conservation(p, tol) -> list:
+    units = GlobalUnits(hbar=p["hbar"], omega_ref=p["omega_ref"])
+    sys = relative_mode_system(p["n_max"], p["mu"], units, s_a=p["spin_a"], s_b=p["spin_b"])
+    h = hamiltonian_physical(sys, p["coefficients"])
 
     comm_norm = float(np.max([
-        ladder.spectral_norm(h @ sys.S[p] - sys.S[p] @ h) for p in J_PAIRS
+        ladder.spectral_norm(h @ sys.S[pair] - sys.S[pair] @ h) for pair in J_PAIRS
     ]))
-    tol_rot = _tol(sc, tols, "spin_conservation")
+    tol_rot = tol("spin_conservation")
 
     ladder_ops = sys.relative_ladder()
     state = sys.ground_state()
@@ -819,16 +825,15 @@ def _dyn_relative_conservation(sc: Scenario, tols) -> list:
     extra = ladder_ops[2].conj().T @ (ladder_ops[2].conj().T @ sys.ground_state())
     state = state / np.linalg.norm(state) + 0.5 * extra / np.linalg.norm(extra)
     state = state / np.linalg.norm(state)
-    times = _time_grid(payload)
     flow = evolve_state(
-        h, state, times, hbar=units.hbar,
+        h, state, np.linspace(0.0, p["t_max"], p["steps"] + 1), hbar=units.hbar,
         observables={"spin_casimir": sys.spin_casimir},
         boundary_weight=sys.boundary_weight,
         leakage_threshold=1.0,  # the top shell participates by construction
     )
     trace = flow.observable_traces["spin_casimir"]
     drift = float(np.max(np.abs(trace - trace[0])))
-    tol_u = _tol(sc, tols, "unitarity")
+    tol_u = tol("unitarity")
     norm_dev = float(np.max(np.abs(flow.norm_trace - 1.0)))
     return [
         CheckResult(
@@ -848,58 +853,95 @@ def _dyn_relative_conservation(sc: Scenario, tols) -> list:
     ]
 
 
-def _dyn_ehrenfest(sc: Scenario, tols) -> list:
-    tol = _tol(sc, tols, "ehrenfest", sc.payload.get("tol"))
-    rep, _, h, psi0, times = _single_flow(sc.payload, [0.5, 0.3])
-    result = ehrenfest_check(rep, h, psi0, times, leakage_threshold=_tol(sc, tols, "leakage"))
+def _dyn_ehrenfest(p, tol) -> list:
+    tol_e = tol("ehrenfest", p["tol"])
+    rep, _, h, psi0, times = _single_flow(p)
+    result = ehrenfest_check(rep, h, psi0, times, leakage_threshold=tol("leakage"))
     return [
         CheckResult(
             name="ehrenfest_velocity",
             anchor="unitary-flow-conservation",
-            passed=result.reliable and result.max_residual <= tol,
-            metrics={"residual": result.max_residual, "tol": tol, "reliable": result.reliable},
+            passed=result.reliable and result.max_residual <= tol_e,
+            metrics={"residual": result.max_residual, "tol": tol_e, "reliable": result.reliable},
         )
     ]
 
 
-_DYNAMICS = {
-    "flow_compare": _dyn_flow_compare,
-    "conservation": _dyn_conservation,
-    "extra_casimir": _dyn_extra_casimir,
-    "com_decoupling": _dyn_com_decoupling,
-    "relative_conservation": _dyn_relative_conservation,
-    "ehrenfest": _dyn_ehrenfest,
+# ---------------------------------------------------------------------------
+# the payload format: one (runner, schema) per kind, and per dynamics check
+# ---------------------------------------------------------------------------
+
+_UNITS = {"hbar": (_number, 1.0), "omega_ref": (_number, 1.0)}
+_PARTICLE = {"mass": (_number, _REQUIRED), "dims": (_integer, 1), "levels": (_integer, 8),
+             "spin": (_number, 0.0), **_UNITS}
+_PAIR = {"particleA": (functools.partial(_read, _PARTICLE), _REQUIRED),
+         "particleB": (functools.partial(_read, _PARTICLE), _REQUIRED)}
+_GRID = {"t_max": (_within(_number, 0), 1.0), "steps": (_within(_integer, 0), 20)}
+_CHECK = {"check": (_string, _REQUIRED)}
+_SYSTEM = {**_CHECK, "mass": (_number, 1.0), "dims": (_integer, 1), "levels": (_integer, 32), **_UNITS}
+_POTENTIAL = {"kind": (_string, "none"), "coefficients": (_list_of(_number), [])}
+_FLOW = {**_SYSTEM, **_GRID, "potential": (functools.partial(_read, _POTENTIAL), {}),
+         "psi0": (_list_of(_pair), None)}
+_SUBALGEBRA = {"generators": (_list_of(_string, nonempty=True), _REQUIRED), "expect_closed": (_flag, True)}
+
+KINDS = {
+    "algebra": (_run_algebra, {
+        "name": (_string, None), "descriptor": (_json_object, None),
+        "subalgebras": (_list_of(functools.partial(_read, _SUBALGEBRA)), [])}),
+    "uea": (_run_uea, {"algebra": (_one_of("hr3", "g3tilde"), _REQUIRED)}),
+    "single_rep": (_run_single_rep, {
+        **_PARTICLE, "algebra": (_string, None), "margin": (_integer, None),
+        "raw_defect": (_flag, False), "zeta": (_number, None),
+        "zeta_margin": (_within(_integer, 0), 1), "t_tensor": (_flag, False)}),
+    "composite": (_run_composite, {
+        **_PAIR, "margin": (_integer, 1), "ccr": (_flag, True), "reducibility": (_flag, False)}),
+    "spectrum": (_run_spectrum, {
+        "n_max": (_integer, None), "spin_a": (_number, 0), "spin_b": (_number, 0),
+        "expect_shells": (_shells, None), "spins": (_list_of(_as_written), None),
+        "addition_max": (_number, None)}),
+    "dynamics": {
+        "flow_compare": (_dyn_flow_compare, {
+            **_FLOW, "alpha": (_pair, [0.6, 0.5]), "calV": (_number, 0.0),
+            "expect": (_one_of("scalar_phase", "diverge"), None),
+            "fidelity_below": (_within(_number, 0, 1), 0.99), "by_time": (_number, None)}),
+        "conservation": (_dyn_conservation, {**_FLOW, "alpha": (_pair, [0.5, 0.0])}),
+        "extra_casimir": (_dyn_extra_casimir, {
+            **_SYSTEM, "calV": (_number, 0.0), "margin": (_integer, 1),
+            "substitute_potential": (_potential("poly_x"), None)}),
+        "com_decoupling": (_dyn_com_decoupling, {
+            **_CHECK, **_PAIR, **_GRID, "coefficients": (_potential("poly_r2"), [0.0, 0.1]),
+            "alpha_a": (_pair, [0.4, 0.2]), "alpha_b": (_pair, [-0.3, 0.1])}),
+        "relative_conservation": (_dyn_relative_conservation, {
+            **_CHECK, **_UNITS, **_GRID,
+            "n_max": (_within(_integer, 1), 6),  # its initial state holds two quanta
+            "mu": (_number, 0.5), "spin_a": (_number, 0), "spin_b": (_number, 0),
+            "coefficients": (_potential("poly_r2"), [0.0, 0.5, 0.05])}),
+        "ehrenfest": (_dyn_ehrenfest, {
+            **_FLOW, "alpha": (_pair, [0.5, 0.3]), "tol": (_tolerance("ehrenfest"), None)}),
+    },
 }
-
-
-def _run_dynamics(sc: Scenario, tols) -> list:
-    check = sc.payload.get("check")
-    runner = _DYNAMICS.get(check) if isinstance(check, str) else None
-    if runner is None:
-        raise ScenarioError(f"unknown dynamics check {check!r}")
-    return runner(sc, tols)
-
-
-_RUNNERS = {
-    "algebra": _run_algebra,
-    "uea": _run_uea,
-    "single_rep": _run_single_rep,
-    "composite": _run_composite,
-    "spectrum": _run_spectrum,
-    "dynamics": _run_dynamics,
-}
+_SCENARIO = {"kind": (_one_of(*KINDS), _REQUIRED), "payload": (_json_object, {}),
+             "tolerances": (_tolerances, {})}
 
 
 def run_scenario(scenario: Scenario, suite_tolerances: dict | None = None) -> RunReport:
-    """Execute the checks mapped to one scenario and assemble a report.
+    """Read the payload against its schema, execute the checks it maps to and assemble a report.
 
     Numeric violations become failed check records; configuration problems
-    (bad payload values, unknown generators, invalid margins) surface as
-    ScenarioError so the command line can map them to exit code 2.
+    (an unknown key, bad payload values, unknown generators, invalid margins,
+    a payload that selects no check) surface as ScenarioError so the command
+    line can map them to exit code 2.
     """
     start = time.perf_counter()
     try:
-        checks = _RUNNERS[scenario.kind](scenario, suite_tolerances)
+        entry = KINDS[scenario.kind]
+        if scenario.kind == "dynamics":
+            entry = entry[_one_of(*entry)(scenario.payload.get("check"), "dynamics check")]
+        runner, schema = entry
+        checks = runner(_read(schema, scenario.payload, f"{scenario.kind} payload"),
+                        functools.partial(_tol, scenario, suite_tolerances))
+        if not checks:
+            raise ScenarioError(f"{scenario.kind} payload runs no check (keys: {', '.join(sorted(schema))})")
     except ScenarioError:
         raise
     except (ValueError, KeyError, TypeError, OverflowError) as exc:

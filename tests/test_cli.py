@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from hrsym import ANCHOR_REGISTRY, build_algebra
-from hrsym.particle import number_field
 from hrsym.scenarios import ScenarioError, _jsonable, load_scenario, run_scenario, scenario_from_dict
 
 
@@ -164,6 +163,26 @@ MALFORMED = [
     ({"kind": "dynamics", "payload": {**RELATIVE, "coefficients": 5}}, "coefficients"),
     ({"kind": "dynamics", "payload": {"check": "extra_casimir", "levels": 6, "calV": 1.0,
                                       "substitute_potential": 0.5}}, "coefficients"),
+    # a key outside its kind's schema, or a value its reader refuses rather than reads loosely
+    ({"kind": "dynamics", "payload": {"check": "conservation", "levles": 6, "t_maxx": 100, "potental": {
+        "kind": "poly_x", "coefficients": [0.0, 0.0, 0.5]}}}, "'levles'"),
+    ({"kind": "single_rep", "payload": {"mass": 2.0, "dims": 3, "levels": 3, "spin": 0.5,
+                                        "t_tensr": True}}, "'t_tensr'"),
+    ({"kind": "algebra", "payload": {"name": "hr3", "subalgebras": [
+        {"generators": ["K1", "P1", "M"], "expect_closed": "false"}]}}, "expect_closed"),
+    ({"kind": "algebra", "payload": {"name": "hr3", "subalgebras": [{"generatorz": ["K1", "P1"]}]}},
+     "'generatorz'"),
+    ({"kind": "single_rep", "payload": {"mass": 1.0, "dims": 1, "levels": 4, "raw_defect": "no"}},
+     "raw_defect"),
+    ({"kind": "dynamics", "payload": {**FLOW, "levels": 4, "dims": 3, "spin": 0.5}}, "'spin'"),
+    ({"kind": "spectrum", "payload": {"nmax": 3}}, "'nmax'"),
+    ({"kind": "uea", "payload": {"algebra": "hr3"}, "tolerance": {"homomorphism": 1e-3}}, "'tolerance'"),
+    ({"kind": "dynamics", "payload": {**FLOW, "expect": "diverge", "fidelity_below": 1.5}}, "fidelity_below"),
+    ({"kind": "algebra", "payload": {"name": "hr3", "subalgebras": [{"generators": []}]}}, "generators"),
+    ({"kind": "single_rep", "payload": {"mass": 1.0, "dims": 1, "levels": 6, "zeta": 2.0,
+                                        "zeta_margin": -5}}, "zeta_margin"),
+    ({"kind": "single_rep", "payload": {"mass": 1.0, "dims": 1, "levels": 6, "zeta": 2.0,
+                                        "zeta_margin": 0}}, "zeta_margin"),
 ]
 
 
@@ -405,14 +424,22 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1 and f"{field} must be a number" in proc.stderr
 
     def test_number_field_takes_ints_and_numpy_floats(self):
-        payload = {"a": 2, "b": np.float32(0.5), "c": np.float64(-1.25), "d": np.int64(3)}
-        assert [number_field(payload, k) for k in "abcd"] == [2.0, 0.5, -1.25, 3.0]
-        assert number_field(payload, "e", 0.75) == 0.75
-        with pytest.raises(KeyError):
-            number_field(payload, "e")
+        def rep_checks(**fields):
+            payload = {"mass": 1.0, "dims": 1, "levels": 4, "raw_defect": True, **fields}
+            report = run_scenario(scenario_from_dict({"kind": "single_rep", "payload": payload}))
+            return {c.name: c.metrics for c in report.checks}
+
+        given = (2, np.float32(0.5), np.float64(-1.25), np.int64(3))
+        zetas = [rep_checks(zeta=z)[f"zeta_rep:{float(z)}"]["zeta"] for z in given]
+        assert zetas == [2.0, 0.5, -1.25, 3.0] and all(type(z) is float for z in zetas)
+        # an absent hbar takes its default 1.0: the raw defect per dimension is hbar * levels
+        assert rep_checks()["raw_boundary_defect"]["defect_norm_per_dim"] == 4.0
+        assert rep_checks(hbar=0.75)["raw_boundary_defect"]["defect_norm_per_dim"] == 3.0
+        with pytest.raises(ScenarioError, match="needs 'mass'"):
+            run_scenario(scenario_from_dict({"kind": "single_rep", "payload": {"levels": 4}}))
         for bad in (True, np.True_, "1", None, [1.0]):
-            with pytest.raises(ValueError, match="x must be a number"):
-                number_field({"x": bad}, "x")
+            with pytest.raises(ScenarioError, match="zeta must be a number"):
+                rep_checks(zeta=bad)
 
     @pytest.mark.parametrize("scenario, field", MALFORMED, ids=[
         f"{sc['payload'].get('check', sc['kind'])}:{field}:{i}" for i, (sc, field) in enumerate(MALFORMED)])
@@ -427,6 +454,18 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.count("\n") == 1 and field in out.err
+
+    @pytest.mark.parametrize("payload", [{}, {"spin_a": 0.5, "spin_b": 0.5}], ids=["empty", "spins_only"])
+    def test_payload_that_selects_no_check_exits_two_listing_the_keys(self, tmp_path, capsys, payload):
+        from hrsym.cli import main
+
+        path = tmp_path / "spectrum.json"
+        path.write_text(json.dumps({"kind": "spectrum", "payload": payload}))
+        assert main(["verify", "spectrum", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and "runs no check" in out.err
+        assert all(key in out.err for key in ("n_max", "spins", "addition_max"))
 
     def test_unknown_dynamics_check_exits_two_and_names_it(self, tmp_path):
         path = tmp_path / "dyn.json"

@@ -23,7 +23,6 @@ from hrsym import (
     hamiltonian_galilei,
     hamiltonian_physical,
     relative_mode_system,
-    rep_config_from_json,
     tensor_rep,
 )
 import hrsym.dynamics
@@ -690,7 +689,7 @@ class TestSparseAction:
     def test_wide_spectrum_block_holds_the_dynamics_tolerances(self, monkeypatch, t_max, steps, route):
         # one block of 300 levels with a Gershgorin half-width of 122: the Chebyshev
         # order grows with the distance travelled, so only the short flow takes it
-        rep = build_particle_rep(rep_config_from_json({"mass": 1.0, "dims": 1, "levels": 300, "hbar": 0.8}))
+        rep = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=300, units=GlobalUnits(hbar=0.8)))
         hbar = rep.units.hbar
         h = hamiltonian_physical(rep, PotentialSpec("poly_x", (0.0, 0.3, 0.5)))
         assert ladder.component_sizes(h).tolist() == [300]
@@ -718,7 +717,7 @@ class TestSparseAction:
     def test_long_flow_above_the_dense_dimension_holds_unitarity(self, monkeypatch):
         # a flow on more than _DENSE_DIM dimensions never takes the block exponentials,
         # however far it travels; the 300-level block stands in for one of 4,097 levels
-        rep = build_particle_rep(rep_config_from_json({"mass": 1.0, "dims": 1, "levels": 300, "hbar": 0.8}))
+        rep = build_particle_rep(RepConfig(mass=1.0, dims=1, levels=300, units=GlobalUnits(hbar=0.8)))
         hbar = rep.units.hbar
         h = hamiltonian_physical(rep, PotentialSpec("poly_x", (0.0, 0.3, 0.5)))
         monkeypatch.setattr(hrsym.dynamics, "_DENSE_DIM", 299)

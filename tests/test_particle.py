@@ -17,12 +17,12 @@ from hrsym import (
     build_algebra,
     build_particle_rep,
     build_zeta_rep,
-    rep_config_from_json,
     verify_homomorphism,
 )
 from hrsym import ladder
 from hrsym.dynamics import evolve_observable
-from hrsym.scenarios import run_scenario, scenario_from_dict
+import hrsym.scenarios
+from hrsym.scenarios import ScenarioError, run_scenario, scenario_from_dict
 
 
 def norm2(m):
@@ -46,9 +46,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             RepConfig(mass=1.0, dims=3, spin=0.3)
 
-    def test_json_round_trip(self):
-        cfg = rep_config_from_json(
-            {"mass": 2.0, "dims": 3, "levels": 4, "spin": 0.5, "hbar": 2.0, "omega_ref": 0.5}
+    @staticmethod
+    def config_from_json(monkeypatch, payload) -> RepConfig:
+        """The RepConfig a single_rep scenario with `payload` builds its representation from."""
+        built = []
+        monkeypatch.setattr(hrsym.scenarios, "build_particle_rep",
+                            lambda config: built.append(config) or build_particle_rep(config))
+        run_scenario(scenario_from_dict({"kind": "single_rep", "payload": payload}))
+        return built[0]
+
+    def test_json_round_trip(self, monkeypatch):
+        cfg = self.config_from_json(
+            monkeypatch, {"mass": 2.0, "dims": 3, "levels": 4, "spin": 0.5, "hbar": 2.0, "omega_ref": 0.5}
         )
         assert cfg.dim == 4**3 * 2
         assert cfg.units == GlobalUnits(hbar=2.0, omega_ref=0.5)
@@ -58,11 +67,11 @@ class TestConfig:
     ])
     def test_json_refuses_a_non_integral_size(self, field, value):
         payload = {"mass": 1.0, "dims": 1, "levels": 4, field: value}
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            rep_config_from_json(payload)
+        with pytest.raises(ScenarioError, match=f"{field} must be an integer"):
+            run_scenario(scenario_from_dict({"kind": "single_rep", "payload": payload}))
 
-    def test_json_accepts_an_integral_float(self):
-        cfg = rep_config_from_json({"mass": 1.0, "dims": 2.0, "levels": 3.0})
+    def test_json_accepts_an_integral_float(self, monkeypatch):
+        cfg = self.config_from_json(monkeypatch, {"mass": 1.0, "dims": 2.0, "levels": 3.0})
         assert (cfg.dims, cfg.levels) == (2, 3) and type(cfg.dims) is int and type(cfg.levels) is int
 
 
