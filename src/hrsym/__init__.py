@@ -16,13 +16,11 @@ from .version import __version__
 from .rationals import QC
 from .report import CheckRecord, VerificationReport
 from .algebra import (
-    AlgebraElement,
     AlgebraError,
     CATALOG_IDS,
     GeneratorId,
     LieAlgebra,
     StructureConstants,
-    bracket,
     build_algebra,
     check_jacobi,
     subalgebra_check,

@@ -2,8 +2,9 @@
 
 Bracket tables store [G_a, G_b] = i*hbar * sum_c f^c_ab G_c with every f an
 exact Fraction.  The unit i*hbar is carried implicitly so this module works
-entirely in rational arithmetic; hbar is reattached only when an algebra is
-realized by matrices (see particle.py).
+entirely in rational arithmetic; i*hbar is reattached when an algebra is
+realized by matrices (see particle.py) or its elements are bracketed in the
+enveloping algebra (enveloping.commutator_uea).
 
 Catalog ids:
 
@@ -31,17 +32,14 @@ from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
-from .rationals import QC, as_qc
 from .report import VerificationReport
 
 __all__ = [
     "AlgebraError",
-    "AlgebraElement",
     "CATALOG_IDS",
     "GeneratorId",
     "LieAlgebra",
     "StructureConstants",
-    "bracket",
     "build_algebra",
     "check_jacobi",
     "subalgebra_check",
@@ -50,10 +48,11 @@ __all__ = [
 CATALOG_IDS = ("h3_naive", "h3", "so3", "hr3", "g3tilde")
 
 _J_PAIRS = ((1, 2), (1, 3), (2, 3))
+_J_NAMES = [f"J{i}{j}" for i, j in _J_PAIRS]
 
 
 class AlgebraError(ValueError):
-    """Bad catalog id, malformed descriptor, or unsupported element."""
+    """Bad catalog id, malformed descriptor, unknown generator, or mismatched algebras."""
 
 
 @dataclass(frozen=True)
@@ -112,55 +111,6 @@ class StructureConstants:
         return self._table == other._table
 
 
-class AlgebraElement:
-    """Finitely supported combination of generators with exact QC coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        data = {}
-        for name, c in (coeffs or {}).items():
-            c = as_qc(c)
-            if c:
-                data[name] = c
-        self.coeffs = data
-
-    def items(self):
-        return self.coeffs.items()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for name, c in other.coeffs.items():
-            out[name] = out.get(name, QC()) + c
-        return AlgebraElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AlgebraElement({n: -c for n, c in self.coeffs.items()})
-
-    def __rmul__(self, scalar):
-        scalar = as_qc(scalar)
-        return AlgebraElement({n: scalar * c for n, c in self.coeffs.items()})
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if isinstance(other, AlgebraElement):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"({c})*{n}" for n, c in sorted(self.coeffs.items()))
-
-
 class LieAlgebra:
     """Named generator basis plus an exact structure-constant table."""
 
@@ -187,15 +137,6 @@ class LieAlgebra:
             return self._index[name]
         except KeyError:
             raise AlgebraError(f"generator {name!r} not in algebra {self.name!r}") from None
-
-    def basis_element(self, name: str) -> AlgebraElement:
-        self.index(name)
-        return AlgebraElement({name: 1})
-
-    def element(self, coeffs) -> AlgebraElement:
-        for name in coeffs:
-            self.index(name)
-        return AlgebraElement(coeffs)
 
     def bracket_table(self) -> dict:
         """Dense view {(name_a, name_b): {name_c: Fraction}} over stored pairs."""
@@ -248,75 +189,49 @@ def _jj_terms(p, q):
 
 
 def _jv_terms(p, k, prefix):
-    # [J_ij, V_k] = d_ik V_j - d_jk V_i for any spatial vector V (K or P).
+    # [J_ij, V_k] = d_ik V_j - d_jk V_i for any spatial vector V (K or P), with i < j.
     i, j = p
-    acc = {}
-    if i == k:
-        acc[f"{prefix}{j}"] = acc.get(f"{prefix}{j}", 0) + 1
-    if j == k:
-        acc[f"{prefix}{i}"] = acc.get(f"{prefix}{i}", 0) - 1
-    return {n: c for n, c in acc.items() if c}
+    return {f"{prefix}{j}": 1} if i == k else {f"{prefix}{i}": -1} if j == k else {}
 
 
-def _heisenberg_names(boost: str, central: str):
-    return [f"{boost}{i}" for i in (1, 2, 3)] + [f"P{i}" for i in (1, 2, 3)] + [central]
+def _from_names(name: str, names, brackets: dict) -> LieAlgebra:
+    """The algebra over `names` with the stored brackets {(a, b): {c: f}}, all given by name."""
+    idx = {n: i for i, n in enumerate(names)}
+    table = {
+        (idx[a], idx[b]): tuple((idx[c], Fraction(f)) for c, f in terms.items())
+        for (a, b), terms in brackets.items()
+    }
+    return LieAlgebra(name, names, StructureConstants(table))
 
 
 def _build_heisenberg(name: str, boost: str, central: str) -> LieAlgebra:
-    names = _heisenberg_names(boost, central)
-    idx = {n: i for i, n in enumerate(names)}
-    table = {}
-    for i in (1, 2, 3):
-        table[(idx[f"{boost}{i}"], idx[f"P{i}"])] = ((idx[central], Fraction(1)),)
-    return LieAlgebra(name, names, StructureConstants(table))
+    names = [f"{boost}{i}" for i in (1, 2, 3)] + [f"P{i}" for i in (1, 2, 3)] + [central]
+    return _from_names(name, names, {(f"{boost}{i}", f"P{i}"): {central: 1} for i in (1, 2, 3)})
 
 
-def _jj_block(idx) -> dict:
-    """The J-J brackets for the stored orientations, over generator positions `idx`."""
-    table = {}
-    for p, q in combinations(_J_PAIRS, 2):
-        terms = _jj_terms(p, q)
-        if terms:
-            table[(idx[f"J{p[0]}{p[1]}"], idx[f"J{q[0]}{q[1]}"])] = tuple(
-                (idx[n], Fraction(c)) for n, c in terms.items()
-            )
-    return table
-
-
-def _build_so3() -> LieAlgebra:
-    names = [f"J{i}{j}" for i, j in _J_PAIRS]
-    return LieAlgebra("so3", names, StructureConstants(_jj_block({n: i for i, n in enumerate(names)})))
+def _jj_block() -> dict:
+    """The J-J brackets for the stored orientations."""
+    return {(f"J{p[0]}{p[1]}", f"J{q[0]}{q[1]}"): _jj_terms(p, q) for p, q in combinations(_J_PAIRS, 2)}
 
 
 def _build_hr3(name="hr3", with_time_generator=False) -> LieAlgebra:
-    names = [f"J{i}{j}" for i, j in _J_PAIRS]
-    names += [f"K{i}" for i in (1, 2, 3)]
-    names += [f"P{i}" for i in (1, 2, 3)]
-    names.append("M")
-    if with_time_generator:
-        names.append("H")
-    idx = {n: i for i, n in enumerate(names)}
-    table = _jj_block(idx)
-    for p in _J_PAIRS:
+    names = _J_NAMES + [f"K{i}" for i in (1, 2, 3)] + [f"P{i}" for i in (1, 2, 3)] + ["M"]
+    names += ["H"] * with_time_generator
+    brackets = _jj_block()
+    for i, j in _J_PAIRS:
         for k in (1, 2, 3):
             for prefix in ("K", "P"):
-                terms = _jv_terms(p, k, prefix)
-                if terms:
-                    table[(idx[f"J{p[0]}{p[1]}"], idx[f"{prefix}{k}"])] = tuple(
-                        (idx[n], Fraction(c)) for n, c in terms.items()
-                    )
-    for i in (1, 2, 3):
-        table[(idx[f"K{i}"], idx[f"P{i}"])] = ((idx["M"], Fraction(1)),)
+                brackets[(f"J{i}{j}", f"{prefix}{k}")] = _jv_terms((i, j), k, prefix)
+    brackets.update({(f"K{i}", f"P{i}"): {"M": 1} for i in (1, 2, 3)})
     if with_time_generator:
-        for i in (1, 2, 3):
-            table[(idx[f"K{i}"], idx["H"])] = ((idx[f"P{i}"], Fraction(1)),)
-    return LieAlgebra(name, names, StructureConstants(table))
+        brackets.update({(f"K{i}", "H"): {f"P{i}": 1} for i in (1, 2, 3)})
+    return _from_names(name, names, brackets)
 
 
 _CATALOG_BUILDERS = {
     "h3_naive": lambda: _build_heisenberg("h3_naive", "X", "I"),
     "h3": lambda: _build_heisenberg("h3", "K", "M"),
-    "so3": _build_so3,
+    "so3": lambda: _from_names("so3", _J_NAMES, _jj_block()),
     "hr3": lambda: _build_hr3("hr3"),
     "g3tilde": lambda: _build_hr3("g3tilde", with_time_generator=True),
 }
@@ -386,30 +301,6 @@ def build_algebra(spec) -> LieAlgebra:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def _check_support(alg: LieAlgebra, elem: AlgebraElement):
-    for name in elem.coeffs:
-        alg.index(name)
-
-
-def bracket(alg: LieAlgebra, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Bilinear antisymmetric extension of the structure-constant table.
-
-    The result carries the implicit i*hbar unit of the tables, i.e. the
-    literal statement is [a, b] = i*hbar * bracket(alg, a, b).
-    """
-    _check_support(alg, a)
-    _check_support(alg, b)
-    out = {}
-    for na, ca in a.items():
-        ia = alg.index(na)
-        for nb, cb in b.items():
-            scale = ca * cb
-            for k, f in alg.constants.terms(ia, alg.index(nb)):
-                name = alg.generators[k].name
-                out[name] = out.get(name, QC()) + scale * f
-    return AlgebraElement(out)
-
 
 def check_jacobi(alg: LieAlgebra) -> VerificationReport:
     """Evaluate [[G_a, G_b], G_c] + cyclic over every ordered generator triple.

@@ -4,8 +4,8 @@
     hrsym suite  <paper-core|paper-full> [--out FILE] [--tol K=V ...]
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage or
-configuration error.  Reports are JSON on stdout (or --out); human-readable
-pass/fail lines go to stderr.
+configuration error, or a report that cannot be written to --out.  Reports
+are JSON on stdout (or --out); human-readable pass/fail lines go to stderr.
 """
 
 from __future__ import annotations
@@ -48,7 +48,10 @@ def _parse_tol(pairs) -> dict:
 
 def _emit(report_json: str, out_path):
     if out_path:
-        Path(out_path).write_text(report_json + "\n")
+        try:
+            Path(out_path).write_text(report_json + "\n")
+        except OSError as exc:
+            raise ScenarioError(f"cannot write report to {out_path}: {exc.strerror or exc}") from None
     else:
         print(report_json)
 

@@ -232,21 +232,16 @@ def generator_poly(alg: LieAlgebra, name: str) -> PbwPolynomial:
     return word_poly(alg, (name,))
 
 
-def poly(alg: LieAlgebra, terms) -> PbwPolynomial:
-    """Polynomial from an iterable of (generator-name sequence, coeff[, hbar_power])."""
-    raw = [(tuple(alg.index(n) for n in t[0]), t[1], t[2] if len(t) > 2 else 0) for t in terms]
-    return PbwPolynomial(alg, _normalize(alg, raw), _normal=True)
-
-
 def normal_order(alg: LieAlgebra, p) -> PbwPolynomial:
     """Normal order a polynomial given in any order.
 
     `p` may be a PbwPolynomial (idempotent), or an iterable of raw terms
-    (word-of-names, coeff[, hbar_power]).
+    (generator-name sequence, coeff[, hbar_power]).
     """
     if isinstance(p, PbwPolynomial):
         return PbwPolynomial(alg, p.terms)
-    return poly(alg, p)
+    raw = [(tuple(alg.index(n) for n in t[0]), t[1], t[2] if len(t) > 2 else 0) for t in p]
+    return PbwPolynomial(alg, _normalize(alg, raw), _normal=True)
 
 
 def commutator_uea(alg: LieAlgebra, p: PbwPolynomial, q: PbwPolynomial) -> PbwPolynomial:
@@ -282,7 +277,7 @@ class CasimirCandidate:
 
 def spin_tensor(alg: LieAlgebra, i: int, j: int) -> PbwPolynomial:
     """The degree-2 enveloping element T_ij = M J_ij - K_i P_j + P_i K_j."""
-    return poly(
+    return normal_order(
         alg,
         [
             (("M", f"J{i}{j}"), 1),
@@ -312,7 +307,7 @@ def casimir_candidates(spec) -> list:
         CasimirCandidate("T.T/2", _spin_tensor_square(alg), alg.name),
     ]
     if alg.name == "g3tilde":
-        extra = poly(
+        extra = normal_order(
             alg,
             [(("M", "H"), 2), (("P1", "P1"), -1), (("P2", "P2"), -1), (("P3", "P3"), -1)],
         )

@@ -58,6 +58,7 @@ from .particle import (
 from .spin import (
     J_PAIRS,
     NonScalarCasimirError,
+    _as_half_integer,
     casimir_spin_value,
     mass_times_spin,
     relative_mode_system,
@@ -320,6 +321,18 @@ def _within(read, low, high=math.inf):
     return read_within
 
 
+def _half_integer(read):
+    """`read`, then refuse a value that is not a nonnegative half-integer (NaN and infinity included)."""
+    def read_half_integer(value, key):
+        value = read(value, key)
+        try:
+            _as_half_integer(value, key)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
+        return value
+    return read_half_integer
+
+
 def _shells(value, key) -> dict:
     """An object of lists of numbers, each list sorted."""
     entries = _json_object(value, key).items()
@@ -492,6 +505,8 @@ def _run_single_rep(p, tol) -> list:
         )
 
     if p["zeta"] is not None:
+        if p["zeta_margin"] >= config.levels:
+            raise ScenarioError(f"zeta_margin must lie in (0, {config.levels}), got {p['zeta_margin']}")
         zrep = build_zeta_rep(p["zeta"], rep)
         idx = rep.interior_indices(p["zeta_margin"])
         tol_z = tol("zeta_ccr")
@@ -665,10 +680,15 @@ def _single_flow(p) -> tuple:
     return rep, pot, h, _initial_state(p, rep), np.linspace(0.0, p["t_max"], p["steps"] + 1)
 
 
+def _expect(p) -> str:
+    """The flow_compare outcome: `expect` as given, else scalar_phase without a potential, else diverge."""
+    return p["expect"] or ("scalar_phase" if PotentialSpec(**p["potential"]).is_trivial else "diverge")
+
+
 def _dyn_flow_compare(p, tol) -> list:
     calV = p["calV"]
     rep, pot, h_phys, psi0, times = _single_flow(p)
-    expect = p["expect"] or ("scalar_phase" if pot.is_trivial else "diverge")
+    expect = _expect(p)
     hbar = rep.units.hbar
     cmp = compare_flows(hamiltonian_galilei(rep, calV), h_phys, psi0, times, hbar=hbar)
     checks = []
@@ -872,8 +892,9 @@ def _dyn_ehrenfest(p, tol) -> list:
 # ---------------------------------------------------------------------------
 
 _UNITS = {"hbar": (_number, 1.0), "omega_ref": (_number, 1.0)}
+_SPIN = _half_integer(_number)
 _PARTICLE = {"mass": (_number, _REQUIRED), "dims": (_integer, 1), "levels": (_integer, 8),
-             "spin": (_number, 0.0), **_UNITS}
+             "spin": (_SPIN, 0.0), **_UNITS}
 _PAIR = {"particleA": (functools.partial(_read, _PARTICLE), _REQUIRED),
          "particleB": (functools.partial(_read, _PARTICLE), _REQUIRED)}
 _GRID = {"t_max": (_within(_number, 0), 1.0), "steps": (_within(_integer, 0), 20)}
@@ -896,8 +917,8 @@ KINDS = {
     "composite": (_run_composite, {
         **_PAIR, "margin": (_integer, 1), "ccr": (_flag, True), "reducibility": (_flag, False)}),
     "spectrum": (_run_spectrum, {
-        "n_max": (_integer, None), "spin_a": (_number, 0), "spin_b": (_number, 0),
-        "expect_shells": (_shells, None), "spins": (_list_of(_as_written), None),
+        "n_max": (_integer, None), "spin_a": (_SPIN, 0), "spin_b": (_SPIN, 0),
+        "expect_shells": (_shells, None), "spins": (_list_of(_half_integer(_as_written)), None),
         "addition_max": (_number, None)}),
     "dynamics": {
         "flow_compare": (_dyn_flow_compare, {
@@ -914,7 +935,7 @@ KINDS = {
         "relative_conservation": (_dyn_relative_conservation, {
             **_CHECK, **_UNITS, **_GRID,
             "n_max": (_within(_integer, 1), 6),  # its initial state holds two quanta
-            "mu": (_number, 0.5), "spin_a": (_number, 0), "spin_b": (_number, 0),
+            "mu": (_number, 0.5), "spin_a": (_SPIN, 0), "spin_b": (_SPIN, 0),
             "coefficients": (_potential("poly_r2"), [0.0, 0.5, 0.05])}),
         "ehrenfest": (_dyn_ehrenfest, {
             **_FLOW, "alpha": (_pair, [0.5, 0.3]), "tol": (_tolerance("ehrenfest"), None)}),
@@ -922,6 +943,16 @@ KINDS = {
 }
 _SCENARIO = {"kind": (_one_of(*KINDS), _REQUIRED), "payload": (_json_object, {}),
              "tolerances": (_tolerances, {})}
+
+# keys a mode never reads, refused when given: (key, the mode that skips it, whether the
+# validated fields are in that mode); no schema but those of these modes has these keys
+_PHASE = "under expect scalar_phase (the default without a potential)"
+_UNREAD = (
+    ("expect_shells", "without n_max", lambda p: p["n_max"] is None),
+    ("alpha", "beside psi0", lambda p: p["psi0"] is not None),
+    ("fidelity_below", _PHASE, lambda p: _expect(p) == "scalar_phase"),
+    ("by_time", _PHASE, lambda p: _expect(p) == "scalar_phase"),
+)
 
 
 def run_scenario(scenario: Scenario, suite_tolerances: dict | None = None) -> RunReport:
@@ -938,10 +969,14 @@ def run_scenario(scenario: Scenario, suite_tolerances: dict | None = None) -> Ru
         if scenario.kind == "dynamics":
             entry = entry[_one_of(*entry)(scenario.payload.get("check"), "dynamics check")]
         runner, schema = entry
-        checks = runner(_read(schema, scenario.payload, f"{scenario.kind} payload"),
-                        functools.partial(_tol, scenario, suite_tolerances))
+        where = f"{scenario.kind} payload"
+        fields = _read(schema, scenario.payload, where)
+        for key, mode, selected in _UNREAD:
+            if key in scenario.payload and selected(fields):
+                raise ScenarioError(f"{where}: {key} is not read {mode}")
+        checks = runner(fields, functools.partial(_tol, scenario, suite_tolerances))
         if not checks:
-            raise ScenarioError(f"{scenario.kind} payload runs no check (keys: {', '.join(sorted(schema))})")
+            raise ScenarioError(f"{where} runs no check (keys: {', '.join(sorted(schema))})")
     except ScenarioError:
         raise
     except (ValueError, KeyError, TypeError, OverflowError) as exc:

@@ -38,7 +38,7 @@ J_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 def _as_half_integer(s, what="spin") -> Fraction:
-    frac = None if isinstance(s, (bool, str)) else Fraction(s)
+    frac = None if isinstance(s, (bool, str)) or not math.isfinite(s) else Fraction(s)
     if frac is None or frac < 0 or (2 * frac).denominator != 1:
         raise ValueError(f"{what} must be a nonnegative half-integer, got {s!r}")
     return frac

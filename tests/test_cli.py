@@ -183,6 +183,20 @@ MALFORMED = [
                                         "zeta_margin": -5}}, "zeta_margin"),
     ({"kind": "single_rep", "payload": {"mass": 1.0, "dims": 1, "levels": 6, "zeta": 2.0,
                                         "zeta_margin": 0}}, "zeta_margin"),
+    # a key the chosen mode never reads
+    ({"kind": "spectrum", "payload": {"spins": [0.5], "expect_shells": {"0": [7]}}}, "expect_shells"),
+    ({"kind": "dynamics", "payload": {**FLOW, "fidelity_below": 0.1, "by_time": 99}}, "fidelity_below"),
+    ({"kind": "dynamics", "payload": {**FLOW, "by_time": 99}}, "by_time"),
+    ({"kind": "dynamics", "payload": {**CONSERVATION, "psi0": [[1, 0]] + [[0, 0]] * 5, "alpha": [9, 9]}},
+     "alpha"),
+    # a non-finite spin, or a zeta_margin beyond the levels, named by its own key
+    ({"kind": "spectrum", "payload": {"n_max": 1, "spin_a": math.nan}}, "spin_a"),
+    ({"kind": "spectrum", "payload": {"n_max": 1, "spin_b": math.inf}}, "spin_b"),
+    ({"kind": "spectrum", "payload": {"spins": [math.nan]}}, "spins"),
+    ({"kind": "single_rep", "payload": {"mass": 1.0, "dims": 1, "levels": 4, "spin": math.inf}}, "spin"),
+    ({"kind": "dynamics", "payload": {**RELATIVE, "spin_a": math.inf}}, "spin_a"),
+    ({"kind": "single_rep", "payload": {"mass": 1.0, "dims": 1, "levels": 4, "zeta": 2.0,
+                                        "zeta_margin": 9}}, "zeta_margin"),
 ]
 
 
@@ -474,6 +488,22 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "'free_fall'" in proc.stderr
+
+    def test_out_path_in_a_missing_directory_exits_two_naming_it(self, tmp_path, capsys):
+        from hrsym.cli import main
+
+        out = tmp_path / "missing" / "x.json"
+        assert main(["suite", "paper-core", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out) in err and "Traceback" not in err
+
+    def test_out_path_that_is_a_directory_exits_two_naming_it(self, tmp_path, capsys):
+        from hrsym.cli import main
+
+        scenario = SRC.parent / "scenarios" / "uea_g3tilde.json"
+        assert main(["verify", "uea", str(scenario), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path) in err and "Traceback" not in err
 
 
 class TestReports:

@@ -105,6 +105,11 @@ class TestSpinMatrices:
         with pytest.raises(ValueError, match="half-integer"):
             spin_matrices(bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_spin_rejected_naming_it(self, bad):
+        with pytest.raises(ValueError, match="spin must be a nonnegative half-integer"):
+            spin_matrices(bad)
+
 
 class TestSpinTensor:
     def test_spinless_tensor_vanishes(self):
