@@ -1,7 +1,8 @@
 """Truncated oscillator ladder matrices and tensor-slot helpers.
 
 Every representation operator and every Hamiltonian is an `Operator`: a CSR
-array built by one sparse Kron embedding.  Ladder generators are
+array built by one sparse Kron embedding, or for the relative modes by its
+restriction to the total-quanta states (`total_quanta_lifts`).  Ladder generators are
 two-diagonal, so products and commutators stay banded and cheap.  Interior
 restrictions stay CSR too (`block`): the exact spectral norm is taken per
 connected component of a block's row-column bipartite graph, and the scalar
@@ -88,7 +89,8 @@ def embed(op, slot: int, factor_dims) -> Operator:
     Slot 0 is leftmost.  I_left (x) op (x) I_right is assembled directly in
     CSR form, with the entries of `op` copied unchanged.
     """
-    a = scipy.sparse.csr_array(op, dtype=complex)
+    a = op if isinstance(op, scipy.sparse.csr_array) and op.dtype == complex else scipy.sparse.csr_array(
+        op, dtype=complex)
     left, right = math.prod(factor_dims[:slot]), math.prod(factor_dims[slot + 1:])
     # op (x) I_right: row (i, k) carries row i of op at columns j * right + k
     counts = np.repeat(np.diff(a.indptr), right)
@@ -133,7 +135,7 @@ def occupations(levels: int, dims: int) -> np.ndarray:
     Row m gives the occupation numbers of flat index m; the first factor is
     the most significant (kron ordering).
     """
-    return np.array(list(np.ndindex(*(levels,) * dims)), dtype=int)
+    return np.indices((levels,) * dims).reshape(dims, -1).T
 
 
 def interior_indices(levels: int, dims: int, margin: int, tail_dim: int = 1) -> np.ndarray:
@@ -191,17 +193,32 @@ def coherent_state(levels: int, alpha: complex) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def total_quanta_restriction(levels: int, n_max: int, dims: int = 3):
-    """Indices and occupation tuples of the total-quanta <= n_max subspace.
+def total_quanta_lifts(ops, n_total: int, dims: int) -> tuple:
+    """The states of `dims` modes with at most n_total quanta, and each bidiagonal op on each mode there.
 
-    The cube basis must be large enough (levels > n_max); the returned
-    indices are ordered shell by shell, i.e. by (total, tuple).
+    The states are occupation tuples ordered by (total, tuple).  lifts[j][k]
+    is `ops[j]` (n_total + 1 levels) on mode k, restricted from the Kron lift
+    on the cube without forming it: row t holds ops[j][t_k, t_k - 1] at
+    t - e_k and ops[j][t_k, t_k + 1] at t + e_k where those are states, each
+    copied from a diagonal of ops[j].
     """
-    occ = occupations(levels, dims)
-    keep = np.flatnonzero(occ.sum(axis=1) <= n_max)
-    keep = keep[sorted(range(len(keep)), key=lambda t: (int(occ[keep[t]].sum()), tuple(occ[keep[t]])))]
-    basis = [tuple(int(x) for x in occ[k]) for k in keep]
-    return keep, basis
+    occ = occupations(n_total + 1, dims)
+    total = occ.sum(axis=1)
+    occ = occ[total <= n_total][np.argsort(total[total <= n_total], kind="stable")]
+    # each tuple's row, -1 past n_total quanta; the level -1 of t - e_k indexes level n_total + 1
+    row = np.full((n_total + 2,) * dims, -1)
+    row[tuple(occ.T)] = np.arange(len(occ))
+    lifts = [[] for _ in ops]
+    for step in np.eye(dims, dtype=int):
+        cols = np.stack([row[tuple((occ - step).T)], row[tuple((occ + step).T)]], axis=1)
+        present = cols >= 0
+        indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1)))).astype(np.int32)
+        level = (occ @ step)[:, None]
+        for out, op in zip(lifts, ops):
+            sides = np.stack([np.append(0, op.diagonal(-1)), np.append(op.diagonal(1), 0)])
+            out.append(Operator((sides[[0, 1], level][present], cols[present].astype(np.int32), indptr),
+                                shape=(len(occ),) * 2))
+    return occ, lifts
 
 
 def _positions(comp: np.ndarray, n_comp: int) -> tuple:

@@ -945,13 +945,19 @@ _SCENARIO = {"kind": (_one_of(*KINDS), _REQUIRED), "payload": (_json_object, {})
              "tolerances": (_tolerances, {})}
 
 # keys a mode never reads, refused when given: (key, the mode that skips it, whether the
-# validated fields are in that mode); no schema but those of these modes has these keys
+# validated fields are in that mode); the test is false on the other schemas with that key
 _PHASE = "under expect scalar_phase (the default without a potential)"
 _UNREAD = (
     ("expect_shells", "without n_max", lambda p: p["n_max"] is None),
     ("alpha", "beside psi0", lambda p: p["psi0"] is not None),
     ("fidelity_below", _PHASE, lambda p: _expect(p) == "scalar_phase"),
     ("by_time", _PHASE, lambda p: _expect(p) == "scalar_phase"),
+    ("zeta_margin", "without zeta", lambda p: p["zeta"] is None),
+    ("margin", "with ccr and reducibility both false",
+     lambda p: "ccr" in p and not (p["ccr"] or p["reducibility"])),
+    *((key, "without n_max (only spins or addition_max selected)", lambda p: p["n_max"] is None and (
+        p["spins"] is not None or p["addition_max"] is not None)) for key in ("spin_a", "spin_b")),
+    ("name", "beside descriptor", lambda p: p["descriptor"] is not None),
 )
 
 

@@ -219,20 +219,13 @@ def relative_spin_spectrum(n_max: int, s_a=0, s_b=0, hbar: float = 1.0) -> Casim
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    cube = _RelativeCube(n_max, 1.0, 1.0, hbar, headroom=1)
-    spin_a = spin_matrices(s_a, hbar)
-    spin_b = spin_matrices(s_b, hbar)
+    spin_a, spin_b = spin_matrices(s_a, hbar), spin_matrices(s_b, hbar)
+    basis, _, _, _, _, casimir = _relative_modes(n_max, 1, 1.0, 1.0, hbar, spin_a, spin_b)
     spin_block = spin_a.dim * spin_b.dim
-    total = _add_spins({p: _lift(cube.orbital(p), cube.n, spin_block) for p in J_PAIRS}, spin_a, spin_b)
-    casimir = ladder.square_sum(total.values())
-
-    basis = cube.basis
     spectrum = CasimirSpectrum(hbar=hbar, dim=len(basis) * spin_block)
-    osc_offset = 0
+    edges = np.concatenate(([0], np.cumsum(np.bincount(basis.sum(axis=1))))) * spin_block
     for n in range(n_max + 1):
-        shell_osc = sum(1 for t in basis if sum(t) == n)
-        sl = slice(osc_offset * spin_block, (osc_offset + shell_osc) * spin_block)
-        osc_offset += shell_osc
+        sl = slice(edges[n], edges[n + 1])
         vals = np.linalg.eigvalsh(casimir[sl, sl].toarray())
         groups: dict = {}
         for lam in vals:
@@ -240,8 +233,7 @@ def relative_spin_spectrum(n_max: int, s_a=0, s_b=0, hbar: float = 1.0) -> Casim
             if not ok:
                 spectrum.unmatched.append(float(lam))
                 continue
-            bucket = groups.setdefault(ell, [])
-            bucket.append(float(lam))
+            groups.setdefault(ell, []).append(float(lam))
         entries = [
             SpectrumLine(value=float(np.mean(v)), multiplicity=len(v), ell=ell)
             for ell, v in sorted(groups.items())
@@ -320,48 +312,31 @@ def spin_addition_mismatches(top) -> tuple:
 # relative-mode system for dynamics
 # ---------------------------------------------------------------------------
 
-class _RelativeCube:
-    """Sparse relative R_i, Q_i on the 3-D oscillator states with at most n_max + headroom total quanta.
-
-    They are restricted once from the cube with n_max + headroom + 1 levels
-    per dimension.  `ladder.total_quanta_restriction` orders the states by
-    total quanta, so the `n` states with at most n_max quanta lead, in the
-    order of `basis`.  A product of at most headroom + 1 factors between two
-    of them never leaves the kept states, so its leading block is exact:
-    total quanta, the orbital shells and the spin invariant are then conserved
-    to rounding.
-    """
-
-    def __init__(self, n_max: int, mass: float, omega: float, hbar: float, headroom: int):
-        levels = n_max + 1 + headroom
-        dims3 = (levels,) * 3
-        keep, basis = ladder.total_quanta_restriction(levels, n_max + headroom)
-        self.r = [ladder.embed(ladder.position(levels, mass, omega, hbar), k, dims3)[keep][:, keep]
-                  for k in range(3)]
-        self.q = [ladder.embed(ladder.momentum(levels, mass, omega, hbar), k, dims3)[keep][:, keep]
-                  for k in range(3)]
-        self.basis = [t for t in basis if sum(t) <= n_max]
-        self.n = len(self.basis)
-
-    def orbital(self, pair) -> ladder.Operator:
-        i, j = pair
-        return self.r[i - 1] @ self.q[j - 1] - self.q[i - 1] @ self.r[j - 1]
-
-
 def _lift(op, n: int, spin_block: int) -> ladder.Operator:
     """The leading n x n block of `op`, repeated across the spin block."""
     return ladder.embed(op[:n, :n], 0, (n, spin_block))
 
 
-def _add_spins(orbital: dict, spin_a: SpinRep, spin_b: SpinRep) -> dict:
-    """Total angular momentum from lifted orbital components plus both spin blocks."""
-    layout = (orbital[(1, 2)].shape[0] // (spin_a.dim * spin_b.dim), spin_a.dim, spin_b.dim)
-    return {
-        p: orbital[p]
-        + ladder.embed(spin_a.components[p], 1, layout)
-        + ladder.embed(spin_b.components[p], 2, layout)
-        for p in J_PAIRS
-    }
+def _relative_modes(n_max: int, headroom: int, mass: float, omega: float, hbar: float,
+                    spin_a: SpinRep, spin_b: SpinRep) -> tuple:
+    """(basis, R, Q, L, S, S.S): relative ladders, and angular momentum on basis x spin block.
+
+    R_i and Q_i act on the 3-D oscillator states with at most n_max + headroom
+    total quanta, led by the `basis` states with at most n_max.  A product of
+    at most headroom + 1 factors between basis states never leaves those
+    states, so its leading block is exact: total quanta, the orbital shells
+    and the spin invariant are then conserved to rounding.
+    """
+    levels = n_max + headroom + 1
+    states, (r, q) = ladder.total_quanta_lifts(
+        [ladder.position(levels, mass, omega, hbar), ladder.momentum(levels, mass, omega, hbar)], levels - 1, 3)
+    basis = states[states.sum(axis=1) <= n_max]
+    n, spin_block = len(basis), spin_a.dim * spin_b.dim
+    layout = (n, spin_a.dim, spin_b.dim)
+    orbital = {(i, j): _lift(r[i - 1] @ q[j - 1] - q[i - 1] @ r[j - 1], n, spin_block) for i, j in J_PAIRS}
+    total = {p: orbital[p] + ladder.embed(spin_a.components[p], 1, layout)
+             + ladder.embed(spin_b.components[p], 2, layout) for p in J_PAIRS}
+    return basis, r, q, orbital, total, ladder.square_sum(total.values())
 
 
 class RelativeModeRep(ladder.OperatorSystem):
@@ -388,30 +363,21 @@ class RelativeModeRep(ladder.OperatorSystem):
         hbar = units.hbar
         # Q.Q and L are products of two factors, so they need one spare quantum even at max_power 0
         headroom = max(2 * self.max_power, 1)
-        cube = _RelativeCube(self.n_max, self.mass, units.omega_ref, hbar, headroom)
-        self.basis, self._n = cube.basis, cube.n
-
-        spin_a = spin_matrices(s_a, hbar)
-        spin_b = spin_matrices(s_b, hbar)
-        self.spin_a, self.spin_b = spin_a, spin_b
-        spin_block = spin_a.dim * spin_b.dim
-        self.spin_dim = spin_block
-        self.dim = len(self.basis) * spin_block
-
-        self._qq = ladder.square_sum(cube.q)
-        self._rr = ladder.square_sum(cube.r)
-        self.R = [_lift(m, cube.n, spin_block) for m in cube.r]
-        self.Q = [_lift(m, cube.n, spin_block) for m in cube.q]
-        self.L = {p: _lift(cube.orbital(p), cube.n, spin_block) for p in J_PAIRS}
-        self.S = _add_spins(self.L, spin_a, spin_b)
+        self.spin_a, self.spin_b = spin_matrices(s_a, hbar), spin_matrices(s_b, hbar)
+        self.spin_dim = self.spin_a.dim * self.spin_b.dim
+        self.basis, r, q, self.L, self.S, self.spin_casimir = _relative_modes(
+            self.n_max, headroom, self.mass, units.omega_ref, hbar, self.spin_a, self.spin_b)
+        self._n = len(self.basis)
+        self.dim = self._n * self.spin_dim
+        self._qq, self._rr = ladder.square_sum(q), ladder.square_sum(r)
+        self.R = [_lift(m, self._n, self.spin_dim) for m in r]
+        self.Q = [_lift(m, self._n, self.spin_dim) for m in q]
         self.J = self.S
-        self.spin_casimir = ladder.square_sum(self.S.values())
 
     def interior_indices(self, margin: int = 1) -> np.ndarray:
         if not 0 <= margin <= self.n_max:
             raise ValueError(f"margin must lie in [0, {self.n_max}]")
-        keep = [k for k, t in enumerate(self.basis) if sum(t) <= self.n_max - margin]
-        idx = np.array(keep, dtype=int)
+        idx = np.flatnonzero(self.basis.sum(axis=1) <= self.n_max - margin)
         return (idx[:, None] * self.spin_dim + np.arange(self.spin_dim)[None, :]).ravel()
 
     def hamiltonian(self, pot) -> ladder.Operator:

@@ -197,6 +197,13 @@ MALFORMED = [
     ({"kind": "dynamics", "payload": {**RELATIVE, "spin_a": math.inf}}, "spin_a"),
     ({"kind": "single_rep", "payload": {"mass": 1.0, "dims": 1, "levels": 4, "zeta": 2.0,
                                         "zeta_margin": 9}}, "zeta_margin"),
+    # more keys the chosen mode never reads
+    ({"kind": "single_rep", "payload": {"mass": 1.0, "levels": 4, "zeta_margin": 3}}, "zeta_margin"),
+    ({"kind": "composite", "payload": {**PAIR, "margin": 3, "ccr": False}}, "margin"),
+    ({"kind": "spectrum", "payload": {"spins": [0.5], "spin_a": 0.5}}, "spin_a"),
+    ({"kind": "spectrum", "payload": {"addition_max": 1.0, "spin_b": 0.5}}, "spin_b"),
+    ({"kind": "algebra", "payload": {"name": "so3", "descriptor": build_algebra("so3").to_descriptor()}},
+     "name"),
 ]
 
 

@@ -1,6 +1,8 @@
 """Sparse operator storage: dense cross-checks at small sizes and a scale guard."""
 
 import copy
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -524,7 +526,10 @@ def dense_relative(n_max, mu, s_a, s_b, headroom, coefficients=()) -> dict:
         return kron_all(*[op if i == k else eye_n for i in range(3)])
 
     r, q = [slot(x1, k) for k in range(3)], [slot(p1, k) for k in range(3)]
-    keep, _ = ladder.total_quanta_restriction(levels, n_max)
+    # the cube states with at most n_max quanta, ordered by (total, tuple)
+    occ = ladder.occupations(levels, 3)
+    keep = np.flatnonzero(occ.sum(axis=1) <= n_max)
+    keep = keep[np.argsort(occ[keep].sum(axis=1), kind="stable")]
     spin_a, spin_b = spin_matrices(s_a), spin_matrices(s_b)
     spin_block = spin_a.dim * spin_b.dim
 
@@ -557,6 +562,36 @@ def test_relative_mode_operators_are_sparse_and_match_the_restricted_kron(s_a, s
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shells.append(a) or eigvalsh(a))
     relative_spin_spectrum(3, s_a, s_b)
     assert close(scipy.linalg.block_diag(*shells), dense_relative(3, 1.0, s_a, s_b, 1)["spin_casimir"])
+
+
+def test_relative_modes_form_nothing_on_the_oscillator_cube(monkeypatch):
+    # R and Q are placed on the total-quanta states directly: no embedding and no
+    # operator spans the (n_max + headroom + 1)**3 cube those states are cut from
+    embeds, shapes = [], []
+    embed, init = ladder.embed, ladder.Operator.__init__
+
+    def recording_embed(op, slot, factor_dims):
+        embeds.append(tuple(factor_dims))
+        return embed(op, slot, factor_dims)
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        shapes.append(self.shape)
+
+    monkeypatch.setattr(ladder, "embed", recording_embed)
+    monkeypatch.setattr(ladder.Operator, "__init__", recording_init)
+    builds = [(max(2 * max_power, 1), functools.partial(
+        relative_mode_system, 4, 0.75, GlobalUnits(), s_a=s_a, s_b=s_b, max_power=max_power))
+        for max_power in (2, 0) for s_a, s_b in ((0, 0), (0.5, 1))]
+    builds.append((1, functools.partial(relative_spin_spectrum, 4, 0.5, 1)))
+    for headroom, build in builds:
+        embeds.clear()
+        shapes.clear()
+        build()
+        cube = (4 + headroom + 1) ** 3
+        assert embeds and shapes
+        assert all(math.prod(dims) < cube for dims in embeds), (headroom, embeds)
+        assert all(max(shape) < cube for shape in shapes), (headroom, shapes)
 
 
 @pytest.mark.parametrize("cfg", PARTICLES, ids=lambda c: f"d{c.dims}n{c.levels}s{c.spin}")
