@@ -49,8 +49,6 @@ from .particle import (
 from .composite import (
     CcrCoefficientReport,
     CompositeRep,
-    canonical_map_is_symplectic,
-    canonical_map_matrix,
     tensor_rep,
     verify_ccr_composite,
 )

@@ -56,6 +56,18 @@ def _emit(report_json: str, out_path):
         print(report_json)
 
 
+def _publish(report_json: str, out_path, checks) -> int:
+    """Emit the report, print one [PASS]/[FAIL] line per (label, check) and name the failures; the exit code."""
+    _emit(report_json, out_path)
+    for label, check in checks:
+        print(f"[{'PASS' if check.passed else 'FAIL'}] {label}", file=sys.stderr)
+    failing = [label for label, check in checks if not check.passed]
+    if failing:
+        print(f"FAIL: {', '.join(failing)}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hrsym",
@@ -103,32 +115,18 @@ def main(argv=None) -> int:
                     tolerances={**scenario.tolerances, **overrides},
                 )
             report = run_scenario(scenario)
-            _emit(report.render(), args.out)
-            for check in report.checks:
-                tag = "PASS" if check.passed else "FAIL"
-                print(f"[{tag}] {check.name}", file=sys.stderr)
-            if not report.passed:
-                names = ", ".join(report.failing_names())
-                print(f"FAIL: {names}", file=sys.stderr)
-                return 1
-            return 0
+            return _publish(report.render(), args.out, [(c.name, c) for c in report.checks])
 
         suite_report = run_suite(args.name, tolerances=overrides)
-        _emit(suite_report.render(), args.out)
-        for label, rep in suite_report.reports:
-            for check in rep.checks:
-                tag = "PASS" if check.passed else "FAIL"
-                print(f"[{tag}] {label}/{check.name}", file=sys.stderr)
-        if not suite_report.passed:
-            names = ", ".join(suite_report.failing_names())
-            print(f"FAIL: {names}", file=sys.stderr)
-            return 1
-        print(
-            f"suite {args.name}: {suite_report.check_count()} checks passed "
-            f"in {suite_report.wall_time_s:.2f}s",
-            file=sys.stderr,
-        )
-        return 0
+        status = _publish(suite_report.render(), args.out, [
+            (f"{label}/{c.name}", c) for label, rep in suite_report.reports for c in rep.checks])
+        if status == 0:
+            print(
+                f"suite {args.name}: {suite_report.check_count()} checks passed "
+                f"in {suite_report.wall_time_s:.2f}s",
+                file=sys.stderr,
+            )
+        return status
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

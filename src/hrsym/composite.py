@@ -11,7 +11,6 @@ the canonical coefficient).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,8 +20,6 @@ from .particle import ParticleRep
 __all__ = [
     "CcrCoefficientReport",
     "CompositeRep",
-    "canonical_map_is_symplectic",
-    "canonical_map_matrix",
     "tensor_rep",
     "verify_ccr_composite",
 ]
@@ -151,36 +148,3 @@ def verify_ccr_composite(comp: CompositeRep, margin: int = 1, tol: float = 1e-12
         ))
     return out
 
-
-def canonical_map_matrix(m_a, m_b) -> list:
-    """Exact coefficient matrix of (x_a, x_b, p_a, p_b) -> (X_com, R, P, Q)."""
-    ma, mb = Fraction(m_a), Fraction(m_b)
-    m = ma + mb
-    zero, one = Fraction(0), Fraction(1)
-    return [
-        [ma / m, mb / m, zero, zero],
-        [one, -one, zero, zero],
-        [zero, zero, one, one],
-        [zero, zero, mb / m, -ma / m],
-    ]
-
-
-def canonical_map_is_symplectic(m_a, m_b) -> bool:
-    """Exact check that the COM/relative change of basis preserves the canonical form."""
-    s = canonical_map_matrix(m_a, m_b)
-    zero, one = Fraction(0), Fraction(1)
-    omega = [
-        [zero, zero, one, zero],
-        [zero, zero, zero, one],
-        [-one, zero, zero, zero],
-        [zero, -one, zero, zero],
-    ]
-
-    def matmul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)]
-            for i in range(4)
-        ]
-
-    st = [[s[j][i] for j in range(4)] for i in range(4)]
-    return matmul(matmul(s, omega), st) == omega

@@ -139,19 +139,6 @@ class FlowResult:
     max_boundary_weight: float = 0.0
     reliable: bool = True
 
-    def to_json(self, include_states: bool = False) -> dict:
-        out = {
-            "times": self.times.tolist(),
-            "norm_trace": self.norm_trace.tolist(),
-            "energy_trace": self.energy_trace.tolist(),
-            "observable_traces": {k: v.tolist() for k, v in self.observable_traces.items()},
-            "max_boundary_weight": self.max_boundary_weight,
-            "reliable": self.reliable,
-        }
-        if include_states:
-            out["states"] = [[[z.real, z.imag] for z in row] for row in self.states]
-        return out
-
 
 def _check_times(times) -> np.ndarray:
     t = np.asarray(times, dtype=float)
@@ -455,10 +442,6 @@ class EhrenfestResult:
     x_traces: np.ndarray
     p_traces: np.ndarray
     flow: FlowResult
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.flow.times
 
     @property
     def reliable(self) -> bool:

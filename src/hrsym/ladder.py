@@ -28,11 +28,6 @@ import numpy as np
 import scipy.sparse
 
 
-def destroy(n: int) -> Operator:
-    return Operator(scipy.sparse.diags_array(np.sqrt(np.arange(1.0, n)), offsets=1, shape=(n, n),
-                                             format="csr", dtype=complex))
-
-
 def _bidiagonal(n: int, lower, upper) -> Operator:
     """CSR n x n operator with `lower` on the first sub- and `upper` on the first superdiagonal."""
     return Operator(scipy.sparse.diags_array([lower, upper], offsets=[-1, 1], shape=(n, n),

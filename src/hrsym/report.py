@@ -39,12 +39,3 @@ class VerificationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "metrics": c.metrics}
-                for c in self.checks
-            ],
-        }

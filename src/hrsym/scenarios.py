@@ -686,6 +686,9 @@ def _expect(p) -> str:
 
 
 def _dyn_flow_compare(p, tol) -> list:
+    # a window past the grid (NaN included) holds no grid point, so it is refused, not failed
+    if p["by_time"] is not None and not p["by_time"] <= p["t_max"]:
+        raise ScenarioError(f"by_time must be at most t_max ({p['t_max']}), got {p['by_time']}")
     calV = p["calV"]
     rep, pot, h_phys, psi0, times = _single_flow(p)
     expect = _expect(p)
@@ -1145,12 +1148,6 @@ class SuiteReport:
 
     def check_count(self) -> int:
         return sum(len(report.checks) for _, report in self.reports)
-
-    def failing_names(self) -> list:
-        out = []
-        for label, report in self.reports:
-            out.extend(f"{label}/{name}" for name in report.failing_names())
-        return out
 
     def to_json(self) -> dict:
         return {

@@ -12,7 +12,7 @@ orbital components X_i P_j - P_i X_j (catalog sign [S12, S23] = -i hb S13).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -205,9 +205,6 @@ class CasimirSpectrum:
 
     def ell_multisets(self) -> list:
         return [(shell.n, sorted(e.ell for e in shell.entries)) for shell in self.shells]
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "eigenvalues": [asdict(e) for e in self.entries]}
 
 
 def relative_spin_spectrum(n_max: int, s_a=0, s_b=0, hbar: float = 1.0) -> CasimirSpectrum:

@@ -9,7 +9,7 @@ PUBLIC = [
     "ParticleRep", "PbwPolynomial", "PotentialSpec", "QC", "RelativeModeRep", "RepConfig", "RunReport",
     "SUITE_NAMES", "Scenario", "ScenarioError", "SpinCasimirValue", "SpinRep", "StructureConstants",
     "VerificationReport", "ZetaRep", "algebra", "build_algebra", "build_particle_rep", "build_zeta_rep",
-    "canonical_map_is_symplectic", "canonical_map_matrix", "casimir_candidates", "casimir_spin_value",
+    "casimir_candidates", "casimir_spin_value",
     "check_central", "check_jacobi", "commutator_uea", "compare_flows", "composite",
     "decompose_product_spins", "dynamics", "ehrenfest_check", "enveloping", "evolve_observable",
     "evolve_state", "extra_casimir_check", "generator_poly", "hamiltonian_galilei", "hamiltonian_physical",

@@ -204,6 +204,10 @@ MALFORMED = [
     ({"kind": "spectrum", "payload": {"addition_max": 1.0, "spin_b": 0.5}}, "spin_b"),
     ({"kind": "algebra", "payload": {"name": "so3", "descriptor": build_algebra("so3").to_descriptor()}},
      "name"),
+    # a divergence window past t_max, or NaN, would hold no grid point
+    ({"kind": "dynamics", "payload": {**FLOW, "expect": "diverge", "by_time": 5.0}}, "by_time"),
+    ({"kind": "dynamics", "payload": {**FLOW, "expect": "diverge", "by_time": 0.5 + 1e-9}}, "by_time"),
+    ({"kind": "dynamics", "payload": {**FLOW, "expect": "diverge", "by_time": math.nan}}, "by_time"),
 ]
 
 
@@ -784,13 +788,15 @@ class TestImportFootprint:
         assert "scipy.linalg" in stages["flow"] and "scipy.sparse.csgraph" not in stages["flow"]
 
 
-# runs one scenario in a fresh process and prints its peak resident memory in kB
+# runs one scenario in a fresh process and prints its peak resident memory in kB: VmHWM
+# starts again at exec, where ru_maxrss keeps the resident size of the forking process
 PEAK_SCRIPT = """
-import json, resource, sys
+import json, sys
 from hrsym.scenarios import run_scenario, scenario_from_dict
 
 assert run_scenario(scenario_from_dict(json.loads(sys.argv[1]))).passed
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
 

@@ -10,8 +10,6 @@ from hrsym import (
     RepConfig,
     build_algebra,
     build_particle_rep,
-    canonical_map_is_symplectic,
-    canonical_map_matrix,
     tensor_rep,
     verify_ccr_composite,
 )
@@ -305,17 +303,3 @@ class TestSymmetries:
             assert np.array_equal(w @ op @ w, op.toarray())
         assert np.array_equal(w @ comp.R[0] @ w, -comp.R[0].toarray())
         assert np.array_equal(w @ comp.Q[0] @ w, -comp.Q[0].toarray())
-
-    @settings(max_examples=25, deadline=None)
-    @given(m_a=st.floats(0.01, 50.0), m_b=st.floats(0.01, 50.0))
-    def test_canonical_map_symplectic_exact(self, m_a, m_b):
-        assert canonical_map_is_symplectic(m_a, m_b)
-
-    def test_canonical_map_rows(self):
-        from fractions import Fraction
-
-        s = canonical_map_matrix(1, 2)
-        assert s[0] == [Fraction(1, 3), Fraction(2, 3), 0, 0]
-        assert s[1] == [1, -1, 0, 0]
-        assert s[2] == [0, 0, 1, 1]
-        assert s[3] == [0, 0, Fraction(2, 3), Fraction(-1, 3)]

@@ -116,7 +116,6 @@ class TestLadderMatrices:
         mass, omega, hbar = 0.37, 1.3, 0.8
         x_scale, p_scale = math.sqrt(hbar / (2.0 * mass * omega)), math.sqrt(hbar * mass * omega / 2.0)
         pairs = [
-            (ladder.destroy(n), a),
             (ladder.position(n, mass, omega, hbar), x_scale * (a + a.conj().T)),
             (ladder.momentum(n, mass, omega, hbar), 1j * p_scale * (a.conj().T - a)),
         ]

@@ -222,13 +222,6 @@ class TestRelativeSpectrum:
             want = line.ell * (line.ell + 1)
             assert abs(line.value - want) <= 1e-8 * max(1.0, want)
 
-    def test_json_serialization(self):
-        import json
-
-        payload = relative_spin_spectrum(1).to_json()
-        json.dumps(payload)
-        assert payload["eigenvalues"][0]["ell"] == 0.0
-
 
 class TestRelativeModeAgainstTensorProduct:
     def test_relative_construction_matches_two_particle_build(self):
