@@ -25,12 +25,10 @@ which fixes the sign convention [J12, J23] = -J13 (and, cyclically,
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from pathlib import Path
 
 from .report import VerificationReport
 
@@ -47,8 +45,8 @@ __all__ = [
 
 CATALOG_IDS = ("h3_naive", "h3", "so3", "hr3", "g3tilde")
 
-_J_PAIRS = ((1, 2), (1, 3), (2, 3))
-_J_NAMES = [f"J{i}{j}" for i, j in _J_PAIRS]
+J_PAIRS = ((1, 2), (1, 3), (2, 3))  # the rotation components (i, j), i < j, in storage order
+_J_NAMES = [f"J{i}{j}" for i, j in J_PAIRS]
 
 
 class AlgebraError(ValueError):
@@ -211,14 +209,14 @@ def _build_heisenberg(name: str, boost: str, central: str) -> LieAlgebra:
 
 def _jj_block() -> dict:
     """The J-J brackets for the stored orientations."""
-    return {(f"J{p[0]}{p[1]}", f"J{q[0]}{q[1]}"): _jj_terms(p, q) for p, q in combinations(_J_PAIRS, 2)}
+    return {(f"J{p[0]}{p[1]}", f"J{q[0]}{q[1]}"): _jj_terms(p, q) for p, q in combinations(J_PAIRS, 2)}
 
 
 def _build_hr3(name="hr3", with_time_generator=False) -> LieAlgebra:
     names = _J_NAMES + [f"K{i}" for i in (1, 2, 3)] + [f"P{i}" for i in (1, 2, 3)] + ["M"]
     names += ["H"] * with_time_generator
     brackets = _jj_block()
-    for i, j in _J_PAIRS:
+    for i, j in J_PAIRS:
         for k in (1, 2, 3):
             for prefix in ("K", "P"):
                 brackets[(f"J{i}{j}", f"{prefix}{k}")] = _jv_terms((i, j), k, prefix)
@@ -274,27 +272,17 @@ def _from_descriptor(desc: dict) -> LieAlgebra:
 def build_algebra(spec) -> LieAlgebra:
     """Build a catalog algebra by id, or a custom one from a descriptor.
 
-    `spec` may be a catalog id string, a descriptor dict, a path to a
-    descriptor JSON file, or an existing LieAlgebra (returned as is).
+    `spec` may be a catalog id string, a descriptor dict, or an existing
+    LieAlgebra (returned as is).
     """
     if isinstance(spec, LieAlgebra):
         return spec
     if isinstance(spec, dict):
         return _from_descriptor(spec)
-    if isinstance(spec, (str, Path)):
-        key = str(spec)
-        if key in _CATALOG_BUILDERS:
-            return _CATALOG_BUILDERS[key]()
-        path = Path(spec)
-        if path.suffix == ".json" or path.exists():
-            try:
-                desc = json.loads(path.read_text())
-            except OSError as exc:
-                raise AlgebraError(f"cannot read algebra descriptor {path}: {exc}") from None
-            except json.JSONDecodeError as exc:
-                raise AlgebraError(f"invalid JSON in {path}: {exc}") from None
-            return _from_descriptor(desc)
-        raise AlgebraError(f"unknown algebra catalog id {key!r} (known: {', '.join(CATALOG_IDS)})")
+    if isinstance(spec, str):
+        if spec in _CATALOG_BUILDERS:
+            return _CATALOG_BUILDERS[spec]()
+        raise AlgebraError(f"unknown algebra catalog id {spec!r} (known: {', '.join(CATALOG_IDS)})")
     raise AlgebraError(f"cannot build an algebra from {type(spec).__name__}")
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .scenarios import (
     DEFAULT_TOLERANCES,
+    KINDS,
     SUITE_NAMES,
     ScenarioError,
     check_tolerance,
@@ -24,8 +25,8 @@ from .scenarios import (
     run_suite,
 )
 
-_VERIFY_KINDS = ("algebra", "uea", "rep", "composite", "spectrum", "dynamics")
-_KIND_ALIASES = {"rep": "single_rep"}
+_SUBCOMMANDS = {"single_rep": "rep"}  # a scenario kind's verify subcommand, where the two differ
+_VERIFY_KINDS = tuple(_SUBCOMMANDS.get(kind, kind) for kind in KINDS)
 
 
 def _parse_tol(pairs) -> dict:
@@ -102,8 +103,7 @@ def main(argv=None) -> int:
         overrides = _parse_tol(args.tol)
         if args.command == "verify":
             scenario = load_scenario(args.scenario)
-            expected_kind = _KIND_ALIASES.get(args.kind, args.kind)
-            if scenario.kind != expected_kind:
+            if _SUBCOMMANDS.get(scenario.kind, scenario.kind) != args.kind:
                 raise ScenarioError(
                     f"scenario kind {scenario.kind!r} does not match subcommand {args.kind!r}"
                 )

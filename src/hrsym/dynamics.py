@@ -94,6 +94,8 @@ class PotentialSpec:
         for c in self.coefficients:
             if isinstance(c, bool) or not isinstance(c, numbers.Real):
                 raise ValueError(f"coefficients must be a number, got {c!r}")
+            if not math.isfinite(c):
+                raise ValueError(f"coefficients must be finite, got {c!r}")
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         if len(self.coefficients) > _MAX_POLY_DEGREE + 1:
             raise ValueError(f"polynomial degree capped at {_MAX_POLY_DEGREE}")

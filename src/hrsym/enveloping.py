@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraError, LieAlgebra, build_algebra
+from .algebra import AlgebraError, J_PAIRS, LieAlgebra, build_algebra
 from .rationals import QC, as_qc
 from .report import VerificationReport
 
@@ -290,7 +290,7 @@ def spin_tensor(alg: LieAlgebra, i: int, j: int) -> PbwPolynomial:
 def _spin_tensor_square(alg: LieAlgebra) -> PbwPolynomial:
     # Half the doubly-oriented contraction equals the sum over i < j of T_ij^2.
     total = None
-    for i, j in ((1, 2), (1, 3), (2, 3)):
+    for i, j in J_PAIRS:
         t = spin_tensor(alg, i, j)
         sq = t * t
         total = sq if total is None else total + sq

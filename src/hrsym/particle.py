@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ladder
-from .algebra import LieAlgebra, build_algebra
+from .algebra import J_PAIRS, LieAlgebra, build_algebra
 from .report import VerificationReport
-from .spin import J_PAIRS, _as_half_integer, spin_matrices
+from .spin import _as_half_integer, spin_matrices
 
 __all__ = [
     "GlobalUnits",

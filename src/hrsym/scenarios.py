@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ladder
-from .algebra import build_algebra, check_jacobi, subalgebra_check
+from .algebra import CATALOG_IDS, J_PAIRS, build_algebra, check_jacobi, subalgebra_check
 from .composite import tensor_rep, verify_ccr_composite
 from .dynamics import (
     PotentialSpec,
@@ -56,7 +56,6 @@ from .particle import (
     verify_homomorphism,
 )
 from .spin import (
-    J_PAIRS,
     NonScalarCasimirError,
     _as_half_integer,
     casimir_spin_value,
@@ -384,7 +383,16 @@ def _tol(scenario: Scenario, suite_overrides: dict | None, name: str, payload_va
 def _rep_config(f: dict) -> RepConfig:
     """The particle that validated fields (a payload, or its particleA or particleB) describe."""
     units = GlobalUnits(hbar=f["hbar"], omega_ref=f["omega_ref"])
-    return RepConfig(mass=f["mass"], dims=f["dims"], levels=f["levels"], spin=f.get("spin", 0.0), units=units)
+    spin = f["spin"] if "spin" in f else 0.0
+    return RepConfig(mass=f["mass"], dims=f["dims"], levels=f["levels"], spin=spin, units=units)
+
+
+class _Fields(dict):
+    """A payload's validated fields that record in `read` every key a runner looks up."""
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +606,7 @@ def _run_spectrum(p, tol) -> list:
 
     n_max = p["n_max"]
     if n_max is not None:
-        spectrum = relative_spin_spectrum(n_max, s_a=p["spin_a"], s_b=p["spin_b"])
+        spectrum = relative_spin_spectrum(n_max, s_a=p["spin_a"], s_b=p["spin_b"], rtol=tol_match)
         complete = spectrum.multiplicity_total() == spectrum.dim and not spectrum.unmatched
         checks.append(
             CheckResult(
@@ -680,18 +688,15 @@ def _single_flow(p) -> tuple:
     return rep, pot, h, _initial_state(p, rep), np.linspace(0.0, p["t_max"], p["steps"] + 1)
 
 
-def _expect(p) -> str:
-    """The flow_compare outcome: `expect` as given, else scalar_phase without a potential, else diverge."""
-    return p["expect"] or ("scalar_phase" if PotentialSpec(**p["potential"]).is_trivial else "diverge")
-
-
 def _dyn_flow_compare(p, tol) -> list:
-    # a window past the grid (NaN included) holds no grid point, so it is refused, not failed
-    if p["by_time"] is not None and not p["by_time"] <= p["t_max"]:
-        raise ScenarioError(f"by_time must be at most t_max ({p['t_max']}), got {p['by_time']}")
     calV = p["calV"]
     rep, pot, h_phys, psi0, times = _single_flow(p)
-    expect = _expect(p)
+    expect = p["expect"] or ("scalar_phase" if pot.is_trivial else "diverge")
+    if expect == "diverge":
+        by_time = times[-1] if p["by_time"] is None else p["by_time"]
+        # a window past the grid (NaN included) holds no grid point, so it is refused, not failed
+        if not by_time <= p["t_max"]:
+            raise ScenarioError(f"by_time must be at most t_max ({p['t_max']}), got {by_time}")
     hbar = rep.units.hbar
     cmp = compare_flows(hamiltonian_galilei(rep, calV), h_phys, psi0, times, hbar=hbar)
     checks = []
@@ -716,7 +721,6 @@ def _dyn_flow_compare(p, tol) -> list:
         )
     else:
         below = p["fidelity_below"]
-        by_time = times[-1] if p["by_time"] is None else p["by_time"]
         mask = cmp.times >= by_time - 1e-12
         reached = bool(np.any(cmp.fidelity[mask] < below))
         checks.append(
@@ -907,14 +911,19 @@ _POTENTIAL = {"kind": (_string, "none"), "coefficients": (_list_of(_number), [])
 _FLOW = {**_SYSTEM, **_GRID, "potential": (functools.partial(_read, _POTENTIAL), {}),
          "psi0": (_list_of(_pair), None)}
 _SUBALGEBRA = {"generators": (_list_of(_string, nonempty=True), _REQUIRED), "expect_closed": (_flag, True)}
+_TERM = {"c": (_string, _REQUIRED), "num": (_integer, _REQUIRED), "den": (_within(_integer, 0), 1)}
+_BRACKET = {"a": (_string, _REQUIRED), "b": (_string, _REQUIRED),
+            "terms": (_list_of(functools.partial(_read, _TERM)), _REQUIRED)}
+_DESCRIPTOR = {"name": (_string, _REQUIRED), "generators": (_list_of(_string, nonempty=True), _REQUIRED),
+               "brackets": (_list_of(functools.partial(_read, _BRACKET)), _REQUIRED)}
 
 KINDS = {
     "algebra": (_run_algebra, {
-        "name": (_string, None), "descriptor": (_json_object, None),
+        "name": (_one_of(*CATALOG_IDS), None), "descriptor": (functools.partial(_read, _DESCRIPTOR), None),
         "subalgebras": (_list_of(functools.partial(_read, _SUBALGEBRA)), [])}),
     "uea": (_run_uea, {"algebra": (_one_of("hr3", "g3tilde"), _REQUIRED)}),
     "single_rep": (_run_single_rep, {
-        **_PARTICLE, "algebra": (_string, None), "margin": (_integer, None),
+        **_PARTICLE, "algebra": (_one_of(*CATALOG_IDS), None), "margin": (_integer, None),
         "raw_defect": (_flag, False), "zeta": (_number, None),
         "zeta_margin": (_within(_integer, 0), 1), "t_tensor": (_flag, False)}),
     "composite": (_run_composite, {
@@ -947,30 +956,14 @@ KINDS = {
 _SCENARIO = {"kind": (_one_of(*KINDS), _REQUIRED), "payload": (_json_object, {}),
              "tolerances": (_tolerances, {})}
 
-# keys a mode never reads, refused when given: (key, the mode that skips it, whether the
-# validated fields are in that mode); the test is false on the other schemas with that key
-_PHASE = "under expect scalar_phase (the default without a potential)"
-_UNREAD = (
-    ("expect_shells", "without n_max", lambda p: p["n_max"] is None),
-    ("alpha", "beside psi0", lambda p: p["psi0"] is not None),
-    ("fidelity_below", _PHASE, lambda p: _expect(p) == "scalar_phase"),
-    ("by_time", _PHASE, lambda p: _expect(p) == "scalar_phase"),
-    ("zeta_margin", "without zeta", lambda p: p["zeta"] is None),
-    ("margin", "with ccr and reducibility both false",
-     lambda p: "ccr" in p and not (p["ccr"] or p["reducibility"])),
-    *((key, "without n_max (only spins or addition_max selected)", lambda p: p["n_max"] is None and (
-        p["spins"] is not None or p["addition_max"] is not None)) for key in ("spin_a", "spin_b")),
-    ("name", "beside descriptor", lambda p: p["descriptor"] is not None),
-)
-
 
 def run_scenario(scenario: Scenario, suite_tolerances: dict | None = None) -> RunReport:
     """Read the payload against its schema, execute the checks it maps to and assemble a report.
 
     Numeric violations become failed check records; configuration problems
     (an unknown key, bad payload values, unknown generators, invalid margins,
-    a payload that selects no check) surface as ScenarioError so the command
-    line can map them to exit code 2.
+    a payload that selects no check, a given key the runner never looked up)
+    surface as ScenarioError so the command line can map them to exit code 2.
     """
     start = time.perf_counter()
     try:
@@ -979,13 +972,14 @@ def run_scenario(scenario: Scenario, suite_tolerances: dict | None = None) -> Ru
             entry = entry[_one_of(*entry)(scenario.payload.get("check"), "dynamics check")]
         runner, schema = entry
         where = f"{scenario.kind} payload"
-        fields = _read(schema, scenario.payload, where)
-        for key, mode, selected in _UNREAD:
-            if key in scenario.payload and selected(fields):
-                raise ScenarioError(f"{where}: {key} is not read {mode}")
+        fields = _Fields(_read(schema, scenario.payload, where))
+        fields.read = {"check"}  # the dispatcher read the dynamics check
         checks = runner(fields, functools.partial(_tol, scenario, suite_tolerances))
         if not checks:
             raise ScenarioError(f"{where} runs no check (keys: {', '.join(sorted(schema))})")
+        unread = sorted(set(scenario.payload) - fields.read)
+        if unread:
+            raise ScenarioError(f"{where}: the chosen mode does not read {', '.join(unread)}")
     except ScenarioError:
         raise
     except (ValueError, KeyError, TypeError, OverflowError) as exc:

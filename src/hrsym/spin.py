@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ladder
+from .algebra import J_PAIRS
 
 __all__ = [
     "CasimirSpectrum",
@@ -33,8 +34,6 @@ __all__ = [
     "spin_matrices",
     "t_tensor",
 ]
-
-J_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 def _as_half_integer(s, what="spin") -> Fraction:
@@ -207,12 +206,13 @@ class CasimirSpectrum:
         return [(shell.n, sorted(e.ell for e in shell.entries)) for shell in self.shells]
 
 
-def relative_spin_spectrum(n_max: int, s_a=0, s_b=0, hbar: float = 1.0) -> CasimirSpectrum:
+def relative_spin_spectrum(n_max: int, s_a=0, s_b=0, hbar: float = 1.0, rtol: float = 1e-8) -> CasimirSpectrum:
     """Diagonalize the composite intrinsic angular momentum invariant.
 
     Builds the relative-motion orbital components on a single 3-D oscillator
     basis with total quanta <= n_max, adds the two spin blocks, and labels
-    each shell eigenvalue by ell from ell (ell + 1) hbar^2.
+    each shell eigenvalue by ell from ell (ell + 1) hbar^2, to `rtol` as
+    spin_from_casimir reads it; an eigenvalue no ell matches is unmatched.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -226,7 +226,7 @@ def relative_spin_spectrum(n_max: int, s_a=0, s_b=0, hbar: float = 1.0) -> Casim
         vals = np.linalg.eigvalsh(casimir[sl, sl].toarray())
         groups: dict = {}
         for lam in vals:
-            _, ell, ok = spin_from_casimir(float(lam), hbar)
+            _, ell, ok = spin_from_casimir(float(lam), hbar, rtol)
             if not ok:
                 spectrum.unmatched.append(float(lam))
                 continue

@@ -195,13 +195,6 @@ class TestDescriptors:
         assert rebuilt.names() == hr3.names()
         assert rebuilt.constants == hr3.constants
 
-    def test_descriptor_file(self, tmp_path):
-        import json
-
-        path = tmp_path / "alg.json"
-        path.write_text(json.dumps(build_algebra("so3").to_descriptor()))
-        assert check_jacobi(build_algebra(str(path))).passed
-
     def test_antisymmetry_violation_rejected(self):
         desc = {
             "name": "bad",

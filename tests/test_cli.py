@@ -118,6 +118,13 @@ NUMBER_FIELDS = [
 ]
 
 
+def algebra_descriptor(generators=("A", "B", "C"), **term):
+    """An algebra scenario whose descriptor holds [A, B] = i hbar (num/den) C, `term` overriding num and den."""
+    return {"kind": "algebra", "payload": {"descriptor": {
+        "name": "abc", "generators": generators,
+        "brackets": [{"a": "A", "b": "B", "terms": [{"c": "C", "num": 1, **term}]}]}}}
+
+
 # (scenario, field): each scenario carries one boolean, string or unknown
 # value where a number, a list of numbers or a known word belongs, and must
 # exit 2 with one line naming the field
@@ -204,10 +211,30 @@ MALFORMED = [
     ({"kind": "spectrum", "payload": {"addition_max": 1.0, "spin_b": 0.5}}, "spin_b"),
     ({"kind": "algebra", "payload": {"name": "so3", "descriptor": build_algebra("so3").to_descriptor()}},
      "name"),
+    # every unread key is named
+    ({"kind": "dynamics", "payload": {**FLOW, "fidelity_below": 0.1, "by_time": 99}}, "by_time, fidelity_below"),
+    ({"kind": "spectrum", "payload": {"spins": [0.5], "expect_shells": {"0": [7]}, "spin_a": 0.5}},
+     "expect_shells, spin_a"),
     # a divergence window past t_max, or NaN, would hold no grid point
     ({"kind": "dynamics", "payload": {**FLOW, "expect": "diverge", "by_time": 5.0}}, "by_time"),
     ({"kind": "dynamics", "payload": {**FLOW, "expect": "diverge", "by_time": 0.5 + 1e-9}}, "by_time"),
     ({"kind": "dynamics", "payload": {**FLOW, "expect": "diverge", "by_time": math.nan}}, "by_time"),
+    # a descriptor read loosely would run its checks on an algebra the file never wrote
+    (algebra_descriptor(num=0.5), "num"),
+    (algebra_descriptor(num="3"), "num"),
+    (algebra_descriptor(num=True), "num"),
+    (algebra_descriptor(den=2.5), "den"),
+    (algebra_descriptor(den=0), "den"),
+    (algebra_descriptor(generators="ABC"), "generators"),
+    # an algebra name that is not a catalog id
+    ({"kind": "algebra", "payload": {"name": "hr4"}}, "name"),
+    # a non-finite potential coefficient is refused, not checked
+    ({"kind": "dynamics", "payload": {"check": "extra_casimir", "levels": 6, "calV": 1.0,
+                                      "substitute_potential": [math.nan]}}, "coefficients"),
+    ({"kind": "dynamics", "payload": {"check": "extra_casimir", "levels": 6, "calV": 1.0,
+                                      "substitute_potential": [0, 0, math.inf]}}, "coefficients"),
+    ({"kind": "dynamics", "payload": {**CONSERVATION, "potential": {
+        "kind": "poly_x", "coefficients": [0.0, 0.0, math.nan]}}}, "coefficients"),
 ]
 
 
@@ -480,6 +507,23 @@ class TestExitCodes:
         assert out.out == ""
         assert out.err.count("\n") == 1 and field in out.err
 
+    @pytest.mark.parametrize("kind, payload, key", [
+        ("algebra", {}, "name"),
+        ("single_rep", {"mass": 1.0, "dims": 1, "levels": 6}, "algebra"),
+    ])
+    def test_algebra_key_naming_a_descriptor_file_exits_two(self, tmp_path, capsys, kind, payload, key):
+        from hrsym.cli import main
+
+        # only catalog ids are read: a file name is refused, not opened
+        descriptor = tmp_path / "h3.json"
+        descriptor.write_text(json.dumps(build_algebra("h3").to_descriptor()))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"kind": kind, "payload": {**payload, key: str(descriptor)}}))
+        assert main(["verify", {"single_rep": "rep"}.get(kind, kind), str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and f"{key} must be one of" in out.err
+
     @pytest.mark.parametrize("payload", [{}, {"spin_a": 0.5, "spin_b": 0.5}], ids=["empty", "spins_only"])
     def test_payload_that_selects_no_check_exits_two_listing_the_keys(self, tmp_path, capsys, payload):
         from hrsym.cli import main
@@ -618,6 +662,17 @@ class TestToleranceOverrides:
         with pytest.raises(ScenarioError):
             load_scenario(path)
 
+
+    def test_spectrum_match_tolerance_labels_the_shells(self):
+        # each shell's eigenvalues sit about 1.5e-15 from ell (ell + 1) at n_max 3
+        def completeness(tolerances):
+            sc = scenario_from_dict({"kind": "spectrum", "payload": {"n_max": 3}, "tolerances": tolerances})
+            return run_scenario(sc).checks[0]
+
+        assert completeness({}).passed
+        strict = completeness({"spectrum_match": 1e-16})
+        assert strict.name == "shell_completeness:n3" and not strict.passed
+        assert strict.metrics["unmatched"]
 
     def test_ehrenfest_tolerance_is_registered(self, tmp_path):
         # the payload's own `tol` is the scenario value; explicit tolerances outrank it
