@@ -26,6 +26,7 @@ which fixes the sign convention [J12, J23] = -J13 (and, cyclically,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -193,13 +194,20 @@ def _jv_terms(p, k, prefix):
 
 
 def _from_names(name: str, names, brackets: dict) -> LieAlgebra:
-    """The algebra over `names` with the stored brackets {(a, b): {c: f}}, all given by name."""
+    """The algebra over `names` with the stored brackets {(a, b): {c: f}}, all given by name.
+
+    A generator outside `names` and a table that breaks antisymmetry are refused.
+    """
     idx = {n: i for i, n in enumerate(names)}
-    table = {
-        (idx[a], idx[b]): tuple((idx[c], Fraction(f)) for c, f in terms.items())
-        for (a, b), terms in brackets.items()
-    }
-    return LieAlgebra(name, names, StructureConstants(table))
+    if unknown := [n for (a, b), terms in brackets.items() for n in (a, b, *terms) if n not in idx]:
+        raise AlgebraError(f"bracket of {name!r} names unknown generator {unknown[0]!r}")
+    constants = StructureConstants({
+        (idx[a], idx[b]): tuple((idx[c], Fraction(f)) for c, f in terms.items()) for (a, b), terms in brackets.items()
+    })
+    if bad := constants.antisymmetry_violations():
+        pairs = ", ".join(f"({names[i]}, {names[j]})" for i, j in bad)
+        raise AlgebraError(f"{name!r} violates antisymmetry at {pairs}")
+    return LieAlgebra(name, names, constants)
 
 
 def _build_heisenberg(name: str, boost: str, central: str) -> LieAlgebra:
@@ -212,61 +220,54 @@ def _jj_block() -> dict:
     return {(f"J{p[0]}{p[1]}", f"J{q[0]}{q[1]}"): _jj_terms(p, q) for p, q in combinations(J_PAIRS, 2)}
 
 
-def _build_hr3(name="hr3", with_time_generator=False) -> LieAlgebra:
-    names = _J_NAMES + [f"K{i}" for i in (1, 2, 3)] + [f"P{i}" for i in (1, 2, 3)] + ["M"]
-    names += ["H"] * with_time_generator
+_HR3_NAMES = _J_NAMES + [f"K{i}" for i in (1, 2, 3)] + [f"P{i}" for i in (1, 2, 3)] + ["M"]
+_TIME_ROWS = {(f"K{i}", "H"): {f"P{i}": 1} for i in (1, 2, 3)}  # g3tilde's [K_i, H] = P_i
+
+
+def _hr3_brackets() -> dict:
+    """hr3's stored brackets by name: so3, J acting on the vectors K and P, and [K_i, P_i] = M."""
     brackets = _jj_block()
     for i, j in J_PAIRS:
         for k in (1, 2, 3):
             for prefix in ("K", "P"):
                 brackets[(f"J{i}{j}", f"{prefix}{k}")] = _jv_terms((i, j), k, prefix)
     brackets.update({(f"K{i}", f"P{i}"): {"M": 1} for i in (1, 2, 3)})
-    if with_time_generator:
-        brackets.update({(f"K{i}", "H"): {f"P{i}": 1} for i in (1, 2, 3)})
-    return _from_names(name, names, brackets)
+    return brackets
 
 
 _CATALOG_BUILDERS = {
     "h3_naive": lambda: _build_heisenberg("h3_naive", "X", "I"),
     "h3": lambda: _build_heisenberg("h3", "K", "M"),
     "so3": lambda: _from_names("so3", _J_NAMES, _jj_block()),
-    "hr3": lambda: _build_hr3("hr3"),
-    "g3tilde": lambda: _build_hr3("g3tilde", with_time_generator=True),
+    "hr3": lambda: _from_names("hr3", _HR3_NAMES, _hr3_brackets()),
+    "g3tilde": lambda: _from_names("g3tilde", _HR3_NAMES + ["H"], {**_hr3_brackets(), **_TIME_ROWS}),
 }
 
 
+def _constant(term) -> Fraction:
+    """A term's num/den: integers, not a bool, a float or a string, and den positive."""
+    num, den = term["num"], term.get("den", 1)
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (num, den)) or den <= 0:
+        raise AlgebraError(f"term {term['c']!r} needs integer num and positive integer den, got {num=!r}, {den=!r}")
+    return Fraction(int(num), int(den))
+
+
 def _from_descriptor(desc: dict) -> LieAlgebra:
+    """The algebra a descriptor writes, read strictly: nothing is coerced."""
     try:
-        name = desc["name"]
-        gen_names = list(desc["generators"])
-        brackets = desc["brackets"]
-    except (KeyError, TypeError) as exc:
+        names, brackets = desc["generators"], {}
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise AlgebraError(f"descriptor generators must be a list of strings, got {names!r}")
+        for entry in desc["brackets"]:
+            pair, terms = (entry["a"], entry["b"]), [(t["c"], _constant(t)) for t in entry["terms"]]
+            if pair in brackets or len(dict(terms)) < len(terms):
+                raise AlgebraError(f"bracket ({pair[0]}, {pair[1]}) is given twice or repeats a term")
+            brackets[pair] = dict(terms)
+        return _from_names(desc["name"], names, brackets)
+    except KeyError as exc:
         raise AlgebraError(f"malformed algebra descriptor: missing {exc}") from None
-    idx = {n: i for i, n in enumerate(gen_names)}
-    if len(idx) != len(gen_names):
-        raise AlgebraError("duplicate generator names in descriptor")
-    table = {}
-    for entry in brackets:
-        try:
-            a, b = entry["a"], entry["b"]
-            terms = [
-                (idx[t["c"]], Fraction(int(t["num"]), int(t.get("den", 1))))
-                for t in entry["terms"]
-            ]
-        except KeyError as exc:
-            raise AlgebraError(f"malformed bracket entry: missing {exc}") from None
-        if a not in idx or b not in idx:
-            raise AlgebraError(f"bracket references unknown generator {a!r} or {b!r}")
-        key = (idx[a], idx[b])
-        if key in table:
-            raise AlgebraError(f"duplicate bracket entry for ({a}, {b})")
-        table[key] = tuple(terms)
-    constants = StructureConstants(table)
-    bad = constants.antisymmetry_violations()
-    if bad:
-        pairs = ", ".join(f"({gen_names[i]}, {gen_names[j]})" for i, j in bad)
-        raise AlgebraError(f"descriptor violates antisymmetry at {pairs}")
-    return LieAlgebra(name, gen_names, constants)
+    except TypeError as exc:
+        raise AlgebraError(f"malformed algebra descriptor: {exc}") from None
 
 
 def build_algebra(spec) -> LieAlgebra:

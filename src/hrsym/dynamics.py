@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +95,7 @@ class PotentialSpec:
         for c in self.coefficients:
             if isinstance(c, bool) or not isinstance(c, numbers.Real):
                 raise ValueError(f"coefficients must be a number, got {c!r}")
-            if not math.isfinite(c):
+            if not abs(c) <= sys.float_info.max:  # NaN, an infinity or an integer past the float range
                 raise ValueError(f"coefficients must be finite, got {c!r}")
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         if len(self.coefficients) > _MAX_POLY_DEGREE + 1:

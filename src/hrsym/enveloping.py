@@ -113,26 +113,15 @@ def _accumulate(alg: LieAlgebra, terms, den: int) -> dict:
     return out
 
 
-def _normalize(alg: LieAlgebra, raw) -> dict:
-    # raw: iterable of (word tuple, coefficient, hbar_power); returns normal-form terms.
-    raw = [((tuple(w), int(h)), as_qc(c)) for w, c, h in raw]
-    if any(h < 0 for (_, h), _ in raw):
-        raise ValueError("hbar powers must be nonnegative")
-    den, terms = _over_common_denominator(raw)
-    return _accumulate(alg, ((w, a, b, h) for (w, h), a, b in terms), den)
-
-
 class PbwPolynomial:
-    """Normal-ordered noncommutative polynomial over one algebra's generators."""
+    """Noncommutative polynomial over one algebra's generators, its `terms` {Monomial: QC} stored as given:
+    nonzero and already in normal order, as `normal_order` (the one normalizer) and the arithmetic return them."""
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: LieAlgebra, terms=None, _normal=False):
+    def __init__(self, algebra: LieAlgebra, terms=None):
         self.algebra = algebra
-        if _normal:
-            self.terms = dict(terms or {})
-        else:
-            self.terms = _normalize(algebra, ((m.word, c, m.hbar_power) for m, c in (terms or {}).items()))
+        self.terms = dict(terms or {})
 
     @property
     def is_zero(self) -> bool:
@@ -154,19 +143,19 @@ class PbwPolynomial:
                 out[mono] = total
             else:
                 out.pop(mono, None)
-        return PbwPolynomial(self.algebra, out, _normal=True)
+        return PbwPolynomial(self.algebra, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return PbwPolynomial(self.algebra, {m: -c for m, c in self.terms.items()}, _normal=True)
+        return PbwPolynomial(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def scaled(self, scalar) -> "PbwPolynomial":
         scalar = as_qc(scalar)
         if not scalar:
-            return PbwPolynomial(self.algebra, {}, _normal=True)
-        return PbwPolynomial(self.algebra, {m: scalar * c for m, c in self.terms.items()}, _normal=True)
+            return PbwPolynomial(self.algebra, {})
+        return PbwPolynomial(self.algebra, {m: scalar * c for m, c in self.terms.items()})
 
     __rmul__ = scaled
 
@@ -180,7 +169,7 @@ class PbwPolynomial:
             for m1, a1, b1 in xs
             for m2, a2, b2 in ys
         )
-        return PbwPolynomial(self.algebra, _accumulate(self.algebra, terms, dp * dq), _normal=True)
+        return PbwPolynomial(self.algebra, _accumulate(self.algebra, terms, dp * dq))
 
     def __eq__(self, other):
         if not isinstance(other, PbwPolynomial):
@@ -224,8 +213,7 @@ def _check_same_algebra(a: LieAlgebra, b: LieAlgebra):
 
 def word_poly(alg: LieAlgebra, names, coeff=1, hbar_power=0) -> PbwPolynomial:
     """Polynomial from one product of generators given by name, in any order."""
-    word = tuple(alg.index(n) for n in names)
-    return PbwPolynomial(alg, _normalize(alg, [(word, coeff, hbar_power)]), _normal=True)
+    return normal_order(alg, [(names, coeff, hbar_power)])
 
 
 def generator_poly(alg: LieAlgebra, name: str) -> PbwPolynomial:
@@ -239,9 +227,14 @@ def normal_order(alg: LieAlgebra, p) -> PbwPolynomial:
     (generator-name sequence, coeff[, hbar_power]).
     """
     if isinstance(p, PbwPolynomial):
-        return PbwPolynomial(alg, p.terms)
-    raw = [(tuple(alg.index(n) for n in t[0]), t[1], t[2] if len(t) > 2 else 0) for t in p]
-    return PbwPolynomial(alg, _normalize(alg, raw), _normal=True)
+        raw = [(m.word, c, m.hbar_power) for m, c in p.items()]
+    else:
+        raw = [(tuple(alg.index(n) for n in t[0]), t[1], t[2] if len(t) > 2 else 0) for t in p]
+    raw = [((w, int(h)), as_qc(c)) for w, c, h in raw]
+    if any(h < 0 for (_, h), _ in raw):
+        raise ValueError("hbar powers must be nonnegative")
+    den, terms = _over_common_denominator(raw)
+    return PbwPolynomial(alg, _accumulate(alg, ((w, a, b, h) for (w, h), a, b in terms), den))
 
 
 def commutator_uea(alg: LieAlgebra, p: PbwPolynomial, q: PbwPolynomial) -> PbwPolynomial:
@@ -265,7 +258,7 @@ def commutator_uea(alg: LieAlgebra, p: PbwPolynomial, q: PbwPolynomial) -> PbwPo
                     # [G_x, G_y] = i hbar sum_k (F/D) G_k, and i F (a + i b) = -F b + i F a
                     for k, f in table.get((x, y), ()):
                         terms.append((u[:i] + v[:j] + (k,) + v[j + 1:] + u[i + 1:], -f * b, f * a, h))
-    return PbwPolynomial(alg, _accumulate(alg, terms, dp * dq * alg.constants.denominator), _normal=True)
+    return PbwPolynomial(alg, _accumulate(alg, terms, dp * dq * alg.constants.denominator))
 
 
 @dataclass

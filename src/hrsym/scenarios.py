@@ -249,10 +249,13 @@ def _read(schema: dict, payload, where: str) -> dict:
 
 
 def _number(value, key) -> float:
-    """A real number (numpy's included) as a float; a bool, a string or None is refused, not read or parsed."""
+    """A real number (numpy's included) as a float; a bool, a string, None or an int past float range is refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ScenarioError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{key} must be a number in the float range, got {value!r}") from None
 
 
 def _as_written(value, key):
@@ -263,7 +266,7 @@ def _as_written(value, key):
 
 def _integer(value, key) -> int:
     """An integral number (`4` or `4.0`) as an int; a bool, a string or `4.5` is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not _number(value, key).is_integer():
         raise ScenarioError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -349,9 +352,10 @@ def _tolerance(name):
 
 
 def _tolerances(value, key) -> dict:
+    """Tolerance overrides {name: value}, from a scenario file or the command line's --tol."""
     for name, tol in _json_object(value, key).items():
         if name not in DEFAULT_TOLERANCES:
-            raise ScenarioError(f"{key}[{name!r}] is not a known tolerance")
+            raise ScenarioError(f"{key}[{name!r}]: unknown tolerance (known: {', '.join(sorted(DEFAULT_TOLERANCES))})")
         check_tolerance(name, _number(tol, f"{key}[{name!r}]"), key)
     return dict(value)
 
@@ -362,8 +366,8 @@ def load_scenario(path) -> Scenario:
         raw = json.loads(path.read_text())
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # invalid JSON, or an integer literal past Python's digit limit
+        raise ScenarioError(f"{path}: cannot parse JSON: {exc}") from None
     return scenario_from_dict(raw, where=str(path))
 
 
@@ -487,6 +491,9 @@ def _run_single_rep(p, tol) -> list:
     alg_name = ("hr3" if config.dims == 3 else "h3") if p["algebra"] is None else p["algebra"]
     tol_h = tol("homomorphism")
     hom = verify_homomorphism(rep, alg_name, margin=p["margin"], tol=tol_h)
+    if not hom.checks:  # a check over no pair would pass
+        raise ScenarioError(f"algebra {alg_name!r} realizes no bracket at dims {config.dims} "
+                            f"({len(hom.skipped)} pairs skipped)")
     worst = float(np.max([c.metrics["defect_norm"] for c in hom.checks], initial=0.0))
     checks.append(
         CheckResult(
@@ -638,11 +645,8 @@ def _run_spectrum(p, tol) -> list:
 
     if p["spins"] is not None:
         tol_spin = tol("spin_casimir")
-        deviations = [0.0]
-        for s in p["spins"]:
-            rep = spin_matrices(s)
-            deviations.append(np.max(np.abs(rep.casimir() - s * (s + 1) * np.eye(rep.dim))))
-        worst = float(np.max(deviations))
+        reps = {s: spin_matrices(s) for s in p["spins"]}
+        worst = float(max(np.max(np.abs(r.casimir() - s * (s + 1) * np.eye(r.dim))) for s, r in reps.items()))
         checks.append(
             CheckResult(
                 name="spin_casimir_scalar",
@@ -666,6 +670,14 @@ def _run_spectrum(p, tol) -> list:
     return checks
 
 
+def _packet(rep, alpha) -> np.ndarray:
+    """A particle's coherent packet `alpha` on every axis, in the first state of its spin block."""
+    packet = ladder.coherent_state(rep.config.levels, alpha)
+    state = np.zeros(rep.dim, dtype=complex)
+    state[::rep.spin_rep.dim] = functools.reduce(np.kron, [packet] * rep.dims)
+    return state
+
+
 def _initial_state(p, rep) -> np.ndarray:
     """Explicit coefficient vector ([re, im] pairs) or a coherent packet on every axis."""
     if p["psi0"] is not None:
@@ -676,8 +688,7 @@ def _initial_state(p, rep) -> np.ndarray:
         if nrm == 0:
             raise ScenarioError("psi0 must be nonzero")
         return state / nrm
-    packet = ladder.coherent_state(rep.config.levels, p["alpha"])
-    return functools.reduce(np.kron, [packet] * rep.dims)
+    return _packet(rep, p["alpha"])
 
 
 def _single_flow(p) -> tuple:
@@ -810,11 +821,9 @@ def _dyn_extra_casimir(p, tol) -> list:
 
 
 def _dyn_com_decoupling(p, tol) -> list:
-    cfg_a, cfg_b, comp = _particle_pair(p)
+    _, _, comp = _particle_pair(p)
     h = hamiltonian_physical(comp, p["coefficients"])
-    psi0 = np.kron(
-        ladder.coherent_state(cfg_a.levels, p["alpha_a"]), ladder.coherent_state(cfg_b.levels, p["alpha_b"])
-    )
+    psi0 = np.kron(_packet(comp.rep_a, p["alpha_a"]), _packet(comp.rep_b, p["alpha_b"]))
     times = np.linspace(0.0, p["t_max"], p["steps"] + 1)
     ehr = ehrenfest_check(comp, h, psi0, times, leakage_threshold=tol("leakage"))
     tol_p = tol("com_momentum")
@@ -930,7 +939,7 @@ KINDS = {
         **_PAIR, "margin": (_integer, 1), "ccr": (_flag, True), "reducibility": (_flag, False)}),
     "spectrum": (_run_spectrum, {
         "n_max": (_integer, None), "spin_a": (_SPIN, 0), "spin_b": (_SPIN, 0),
-        "expect_shells": (_shells, None), "spins": (_list_of(_half_integer(_as_written)), None),
+        "expect_shells": (_shells, None), "spins": (_list_of(_half_integer(_as_written), nonempty=True), None),
         "addition_max": (_number, None)}),
     "dynamics": {
         "flow_compare": (_dyn_flow_compare, {

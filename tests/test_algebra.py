@@ -216,6 +216,45 @@ class TestDescriptors:
         with pytest.raises(AlgebraError):
             build_algebra(desc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num", 0.5), ("num", "3"), ("num", True), ("den", 2.5), ("den", 0), ("den", -2), ("den", False),
+    ])
+    def test_non_integer_or_non_positive_constant_rejected(self, field, value):
+        # num 0.5 truncated to 0 would drop [A, B] and leave an abelian algebra that passes Jacobi
+        desc = _abc_descriptor(**{field: value})
+        with pytest.raises(AlgebraError, match=f"{field}={value!r}"):
+            build_algebra(desc)
+
+    def test_generators_must_be_a_list_of_strings(self):
+        for generators in ("ABC", ["A", "B", 3], ("A", "B", "C")):
+            with pytest.raises(AlgebraError, match="generators must be a list of strings"):
+                build_algebra({**_abc_descriptor(), "generators": generators})
+
+    def test_term_outside_the_generators_is_named_as_unknown(self):
+        desc = _abc_descriptor()
+        desc["brackets"][0]["terms"][0]["c"] = "Z"
+        with pytest.raises(AlgebraError, match="unknown generator 'Z'"):
+            build_algebra(desc)
+
+    @pytest.mark.parametrize("key", ["name", "generators", "brackets"])
+    def test_missing_key_rejected(self, key):
+        desc = _abc_descriptor()
+        del desc[key]
+        with pytest.raises(AlgebraError, match=f"missing '{key}'"):
+            build_algebra(desc)
+
+    def test_repeated_term_rejected(self):
+        desc = _abc_descriptor()
+        desc["brackets"][0]["terms"].append({"c": "C", "num": 2})
+        with pytest.raises(AlgebraError, match=r"bracket \(A, B\) is given twice or repeats a term"):
+            build_algebra(desc)
+
+
+def _abc_descriptor(**term):
+    """A descriptor of [A, B] = i hbar (num/den) C, `term` overriding num and den."""
+    return {"name": "abc", "generators": ["A", "B", "C"],
+            "brackets": [{"a": "A", "b": "B", "terms": [{"c": "C", "num": 1, **term}]}]}
+
 
 _coeff = st.builds(
     QC,

@@ -235,6 +235,20 @@ MALFORMED = [
                                       "substitute_potential": [0, 0, math.inf]}}, "coefficients"),
     ({"kind": "dynamics", "payload": {**CONSERVATION, "potential": {
         "kind": "poly_x", "coefficients": [0.0, 0.0, math.nan]}}}, "coefficients"),
+    # a check that would pass after checking nothing: no so3 bracket below dims 3, no spin
+    ({"kind": "single_rep", "payload": {"mass": 1.0, "dims": 1, "levels": 4, "algebra": "so3"}},
+     "algebra 'so3'"),
+    ({"kind": "single_rep", "payload": {"mass": 1.0, "dims": 2, "levels": 4, "algebra": "so3"}},
+     "3 pairs skipped"),
+    ({"kind": "spectrum", "payload": {"spins": []}}, "spins"),
+    # an integer too large for a float, named by its own key
+    ({"kind": "algebra", "payload": {"name": "so3"}, "tolerances": {"homomorphism": 10 ** 400}}, "homomorphism"),
+    ({"kind": "single_rep", "payload": {"mass": 1.0, "dims": 1, "levels": 10 ** 400}}, "levels"),
+    ({"kind": "single_rep", "payload": {"mass": 10 ** 400, "dims": 1, "levels": 4}}, "mass"),
+    ({"kind": "dynamics", "payload": {**CONSERVATION, "potential": {
+        "kind": "poly_x", "coefficients": [0.0, 0.0, 10 ** 400]}}}, "coefficients"),
+    ({"kind": "dynamics", "payload": {"check": "extra_casimir", "levels": 6, "calV": 1.0,
+                                      "substitute_potential": [10 ** 400]}}, "coefficients"),
 ]
 
 
@@ -536,6 +550,18 @@ class TestExitCodes:
         assert out.err.count("\n") == 1 and "runs no check" in out.err
         assert all(key in out.err for key in ("n_max", "spins", "addition_max"))
 
+    def test_integer_past_the_digit_limit_exits_two_naming_the_file(self, tmp_path, capsys):
+        from hrsym.cli import main
+
+        # json.loads refuses an integer of more than 4300 digits with a plain ValueError
+        path = tmp_path / "scenario.json"
+        path.write_text('{"kind": "algebra", "payload": {"name": "so3"}, "tolerances": {"homomorphism": 1%s}}'
+                        % ("0" * 5000))
+        assert main(["verify", "algebra", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and str(path) in out.err
+
     def test_unknown_dynamics_check_exits_two_and_names_it(self, tmp_path):
         path = tmp_path / "dyn.json"
         path.write_text(json.dumps({"kind": "dynamics", "payload": {"check": "free_fall"}}))
@@ -661,6 +687,17 @@ class TestToleranceOverrides:
         )
         with pytest.raises(ScenarioError):
             load_scenario(path)
+
+    def test_unknown_tolerance_lists_the_known_names_from_a_file_and_from_the_command_line(self, tmp_path):
+        path = tmp_path / "so3.json"
+        path.write_text(json.dumps({"kind": "algebra", "payload": {"name": "so3"}, "tolerances": {"bogus": 1.0}}))
+        from_file = run_cli("verify", "algebra", str(path))
+        path.write_text(json.dumps({"kind": "algebra", "payload": {"name": "so3"}}))
+        from_flag = run_cli("verify", "algebra", str(path), "--tol", "bogus=1")
+        for proc in (from_file, from_flag):
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr.count("\n") == 1 and "'bogus'" in proc.stderr
+            assert "known: ccr_coefficient, com_ehrenfest" in proc.stderr
 
 
     def test_spectrum_match_tolerance_labels_the_shells(self):
@@ -790,6 +827,32 @@ class TestDynamicsPayloads:
         assert report.passed
         assert [c.name for c in report.checks] == ["unitarity_energy", "picture_equivalence"]
 
+    def test_com_decoupling_runs_at_two_dimensions(self, tmp_path, capsys):
+        from hrsym.cli import main
+
+        # small packets over a short time keep the boundary weight below the leakage gate
+        payload = {**COM_DECOUPLING, "particleA": {"mass": 1.0, "dims": 2, "levels": 10},
+                   "particleB": {"mass": 2.0, "dims": 2, "levels": 10},
+                   "alpha_a": [0.1, 0.05], "alpha_b": [-0.05, 0.05], "t_max": 0.1, "steps": 4}
+        path = tmp_path / "dyn.json"
+        path.write_text(json.dumps({"kind": "dynamics", "payload": payload}))
+        assert main(["verify", "dynamics", str(path)]) == 0, capsys.readouterr().err
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["name"] for c in checks] == ["com_momentum_constant", "com_velocity_matches_momentum"]
+        assert checks[0]["metrics"]["reliable"] is True
+
+    def test_com_decoupling_puts_a_spin_particle_in_the_first_spin_state(self):
+        # the spin block is decoupled from the flow, so a spin-1/2 particle A reports what a spinless one does
+        def metrics(spin):
+            payload = {**COM_DECOUPLING, "particleA": {"mass": 1.0, "dims": 3, "levels": 4, "spin": spin},
+                       "particleB": {"mass": 2.0, "dims": 3, "levels": 4},
+                       "alpha_a": [0.05, 0.0], "alpha_b": [-0.05, 0.0], "t_max": 0.05, "steps": 2}
+            return {name: c.metrics for name, c in dynamics_checks(payload).items()}
+
+        spinless = metrics(0.0)
+        assert list(spinless) == ["com_momentum_constant", "com_velocity_matches_momentum"]
+        assert metrics(0.5) == spinless
+
     def test_relative_conservation_reports_its_boundary_weight(self):
         checks = dynamics_checks({"check": "relative_conservation", "n_max": 4,
                                   "t_max": 1.0, "steps": 10})
@@ -806,6 +869,14 @@ class TestDynamicsPayloads:
         payload["levels"] = 16
         with pytest.raises(ScenarioError, match="psi0 has 16 entries, the space has 256"):
             run_scenario(scenario_from_dict({"kind": "dynamics", "payload": payload}))
+
+
+@pytest.mark.parametrize("path", sorted((SRC.parent / "scenarios").glob("*.json")), ids=lambda path: path.name)
+def test_shipped_example_passes_through_its_verify_subcommand(path, capsys):
+    from hrsym.cli import _SUBCOMMANDS, main
+
+    kind = json.loads(path.read_text())["kind"]
+    assert main(["verify", _SUBCOMMANDS.get(kind, kind), str(path)]) == 0, capsys.readouterr().err
 
 
 # imports hrsym and runs scenarios in a fresh process (the test process holds
