@@ -255,6 +255,8 @@ def _constant(term) -> Fraction:
 def _from_descriptor(desc: dict) -> LieAlgebra:
     """The algebra a descriptor writes, read strictly: nothing is coerced."""
     try:
+        if not isinstance(desc["name"], str):
+            raise AlgebraError(f"descriptor name must be a string, got {desc['name']!r}")
         names, brackets = desc["generators"], {}
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise AlgebraError(f"descriptor generators must be a list of strings, got {names!r}")

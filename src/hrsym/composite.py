@@ -43,32 +43,22 @@ class CompositeRep(ladder.OperatorSystem):
         self.mass = ca.mass + cb.mass
         self.reduced_mass = ca.mass * cb.mass / self.mass
         self.dim = rep_a.dim * rep_b.dim
+        self.headroom = np.minimum.outer(rep_a.headroom, rep_b.headroom).ravel()
+        layout = (rep_a.dim, rep_b.dim)
 
-        xa, xb = [self.lift_a(op) for op in rep_a.X], [self.lift_b(op) for op in rep_b.X]
-        pa, pb = [self.lift_a(op) for op in rep_a.P], [self.lift_b(op) for op in rep_b.P]
+        xa, xb = [ladder.embed(op, 0, layout) for op in rep_a.X], [ladder.embed(op, 1, layout) for op in rep_b.X]
+        pa, pb = [ladder.embed(op, 0, layout) for op in rep_a.P], [ladder.embed(op, 1, layout) for op in rep_b.P]
         self.P = [a + b for a, b in zip(pa, pb)]
         # the lift of K = m X, i.e. m_a X_a (x) I + I (x) m_b X_b, with the lifted X reused
         self.K = [ca.mass * a + cb.mass * b for a, b in zip(xa, xb)]
-        self.M = self.lift_a(rep_a.M) + self.lift_b(rep_b.M)
-        self.J = {pair: self.lift_a(rep_a.J[pair]) + self.lift_b(rep_b.J[pair]) for pair in rep_a.J}
+        self.M = ladder.embed(rep_a.M, 0, layout) + ladder.embed(rep_b.M, 1, layout)
+        self.J = {pair: ladder.embed(rep_a.J[pair], 0, layout) + ladder.embed(rep_b.J[pair], 1, layout)
+                  for pair in rep_a.J}
         self.X = [op / self.mass for op in self.K]
         # the additive sum X_a (x) I + I (x) X_b, kept for the CCR failure witness
         self.X_naive = [a + b for a, b in zip(xa, xb)]
         self.R = [a - b for a, b in zip(xa, xb)]
         self.Q = [(cb.mass * a - ca.mass * b) / self.mass for a, b in zip(pa, pb)]
-
-    def lift_a(self, op) -> ladder.Operator:
-        """op (x) I on the product space."""
-        return ladder.embed(op, 0, (self.rep_a.dim, self.rep_b.dim))
-
-    def lift_b(self, op) -> ladder.Operator:
-        """I (x) op on the product space."""
-        return ladder.embed(op, 1, (self.rep_a.dim, self.rep_b.dim))
-
-    def interior_indices(self, margin: int) -> np.ndarray:
-        ia = self.rep_a.interior_indices(margin)
-        ib = self.rep_b.interior_indices(margin)
-        return (ia[:, None] * self.rep_b.dim + ib[None, :]).ravel()
 
     def hamiltonian(self, pot) -> ladder.Operator:
         """P.P / 2m + Q.Q / 2mu + V(R.R); the interaction may depend on R only."""

@@ -27,6 +27,7 @@ on words of length len(u) + len(v) - 1, not from both p*q and q*p.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -230,9 +231,10 @@ def normal_order(alg: LieAlgebra, p) -> PbwPolynomial:
         raw = [(m.word, c, m.hbar_power) for m, c in p.items()]
     else:
         raw = [(tuple(alg.index(n) for n in t[0]), t[1], t[2] if len(t) > 2 else 0) for t in p]
+    bad = [h for _, _, h in raw if isinstance(h, bool) or not isinstance(h, numbers.Integral) or h < 0]
+    if bad:
+        raise ValueError(f"hbar powers must be nonnegative integers, got {bad[0]!r}")
     raw = [((w, int(h)), as_qc(c)) for w, c, h in raw]
-    if any(h < 0 for (_, h), _ in raw):
-        raise ValueError("hbar powers must be nonnegative")
     den, terms = _over_common_denominator(raw)
     return PbwPolynomial(alg, _accumulate(alg, ((w, a, b, h) for (w, h), a, b in terms), den))
 

@@ -133,42 +133,27 @@ def occupations(levels: int, dims: int) -> np.ndarray:
     return np.indices((levels,) * dims).reshape(dims, -1).T
 
 
-def interior_indices(levels: int, dims: int, margin: int, tail_dim: int = 1) -> np.ndarray:
-    """Flat indices whose occupations all stay at or below levels - 1 - margin.
-
-    A trailing factor of dimension `tail_dim` (e.g. a spin block) is kept
-    whole: each spatial index expands to `tail_dim` consecutive indices.
-    """
-    if not 0 <= margin < levels:
-        raise ValueError(f"margin must lie in [0, {levels - 1}], got {margin}")
-    occ = occupations(levels, dims)
-    keep = np.flatnonzero((occ <= levels - 1 - margin).all(axis=1))
-    if tail_dim == 1:
-        return keep
-    return (keep[:, None] * tail_dim + np.arange(tail_dim)[None, :]).ravel()
-
-
 class OperatorSystem:
     """The surface every representation space shares with the checks and flows.
 
     Subclasses provide `dims`, `dim`, `mass` (the central charge: a particle's
     mass, a composite's total mass, the reduced mass of relative motion),
-    `units` (hbar, omega_ref), `interior_indices(margin)` and
-    `hamiltonian(pot)`.
+    `units` (hbar, omega_ref), `headroom` and `hamiltonian(pot)`.  `headroom`
+    is the one statement of where the truncation edge lies: per basis state,
+    the quanta left before it.  Every interior and the boundary derive from it.
     """
+
+    def interior_indices(self, margin: int) -> np.ndarray:
+        """Flat indices of the states at least `margin` quanta from the truncation edge."""
+        top = int(self.headroom.max())
+        if not 0 <= margin <= top:
+            raise ValueError(f"margin must lie in [0, {top}], got {margin}")
+        return np.flatnonzero(self.headroom >= margin)
 
     @functools.cached_property
     def boundary_indices(self) -> np.ndarray:
-        """Flat indices outside the margin-1 interior, i.e. on the truncation boundary.
-
-        A system too small for a margin-1 interior is all boundary.
-        """
-        outside = np.ones(self.dim, dtype=bool)
-        try:
-            outside[self.interior_indices(1)] = False
-        except ValueError:
-            pass
-        return np.flatnonzero(outside)
+        """Flat indices on the truncation edge: the states with no headroom left."""
+        return np.flatnonzero(self.headroom < 1)
 
     def boundary_weight(self, states: np.ndarray) -> np.ndarray:
         """Probability on the truncation boundary of each state of a (..., dim) stack.

@@ -101,6 +101,7 @@ class ParticleRep(ladder.OperatorSystem):
         self.dims, self.dim = d, config.dim
         self.spin_rep = spin_matrices(config.spin, units.hbar)
         layout = self.factor_dims = (n,) * d + (self.spin_rep.dim,)
+        self.headroom = np.repeat(n - 1 - ladder.occupations(n, d).max(axis=1), self.spin_rep.dim)
 
         x1 = ladder.position(n, m, units.omega_ref, units.hbar)
         p1 = ladder.momentum(n, m, units.omega_ref, units.hbar)
@@ -130,11 +131,6 @@ class ParticleRep(ladder.OperatorSystem):
             edge = ladder.identity(self.dim) - n * ladder.embed(top, i, self.factor_dims)
             worst.append(abs(x @ p - p @ x - 1j * self.units.hbar * edge).max())
         return float(np.max(worst))
-
-    def interior_indices(self, margin: int) -> np.ndarray:
-        return ladder.interior_indices(
-            self.config.levels, self.config.dims, margin, tail_dim=self.factor_dims[-1]
-        )
 
     def hamiltonian(self, pot) -> ladder.Operator:
         """P.P / 2m + V(X), the potential applied per dimension and summed."""

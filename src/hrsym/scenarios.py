@@ -290,10 +290,13 @@ def _json_object(value, key) -> dict:
 
 
 def _pair(value, key) -> complex:
-    """An `[re, im]` pair as a complex number."""
+    """An `[re, im]` pair of finite numbers as a complex number."""
     if not isinstance(value, list) or len(value) != 2:
         raise ScenarioError(f"{key} must be an [re, im] pair, got {value!r}")
-    return complex(_number(value[0], key), _number(value[1], key))
+    parts = _number(value[0], key), _number(value[1], key)
+    if not all(map(math.isfinite, parts)):
+        raise ScenarioError(f"{key} must be an [re, im] pair of finite numbers, got {value!r}")
+    return complex(*parts)
 
 
 def _one_of(*choices):
@@ -956,7 +959,7 @@ KINDS = {
         "relative_conservation": (_dyn_relative_conservation, {
             **_CHECK, **_UNITS, **_GRID,
             "n_max": (_within(_integer, 1), 6),  # its initial state holds two quanta
-            "mu": (_number, 0.5), "spin_a": (_SPIN, 0), "spin_b": (_SPIN, 0),
+            "mu": (_within(_number, 0), 0.5), "spin_a": (_SPIN, 0), "spin_b": (_SPIN, 0),
             "coefficients": (_potential("poly_r2"), [0.0, 0.5, 0.05])}),
         "ehrenfest": (_dyn_ehrenfest, {
             **_FLOW, "alpha": (_pair, [0.5, 0.3]), "tol": (_tolerance("ehrenfest"), None)}),

@@ -314,17 +314,17 @@ def _lift(op, n: int, spin_block: int) -> ladder.Operator:
     return ladder.embed(op[:n, :n], 0, (n, spin_block))
 
 
-def _relative_modes(n_max: int, headroom: int, mass: float, omega: float, hbar: float,
+def _relative_modes(n_max: int, spare: int, mass: float, omega: float, hbar: float,
                     spin_a: SpinRep, spin_b: SpinRep) -> tuple:
     """(basis, R, Q, L, S, S.S): relative ladders, and angular momentum on basis x spin block.
 
-    R_i and Q_i act on the 3-D oscillator states with at most n_max + headroom
+    R_i and Q_i act on the 3-D oscillator states with at most n_max + spare
     total quanta, led by the `basis` states with at most n_max.  A product of
-    at most headroom + 1 factors between basis states never leaves those
+    at most spare + 1 factors between basis states never leaves those
     states, so its leading block is exact: total quanta, the orbital shells
     and the spin invariant are then conserved to rounding.
     """
-    levels = n_max + headroom + 1
+    levels = n_max + spare + 1
     states, (r, q) = ladder.total_quanta_lifts(
         [ladder.position(levels, mass, omega, hbar), ladder.momentum(levels, mass, omega, hbar)], levels - 1, 3)
     basis = states[states.sum(axis=1) <= n_max]
@@ -343,7 +343,7 @@ class RelativeModeRep(ladder.OperatorSystem):
     Q.Q / (2 mu) + V(R.R); `mass` is the reduced mass mu.  Every operator is
     the leading block of a product taken on the states with at most
     n_max + 2 max_power total quanta (n_max + 1 at max_power 0), the
-    headroom of (R.R)^max_power, so its elements are exact; hence total
+    spare quanta of (R.R)^max_power, so its elements are exact; hence total
     quanta, the orbital shells, and the spin invariant are conserved to
     rounding.
     """
@@ -359,26 +359,21 @@ class RelativeModeRep(ladder.OperatorSystem):
         self.max_power = int(max_power)
         hbar = units.hbar
         # Q.Q and L are products of two factors, so they need one spare quantum even at max_power 0
-        headroom = max(2 * self.max_power, 1)
+        spare = max(2 * self.max_power, 1)
         self.spin_a, self.spin_b = spin_matrices(s_a, hbar), spin_matrices(s_b, hbar)
         self.spin_dim = self.spin_a.dim * self.spin_b.dim
         self.basis, r, q, self.L, self.S, self.spin_casimir = _relative_modes(
-            self.n_max, headroom, self.mass, units.omega_ref, hbar, self.spin_a, self.spin_b)
+            self.n_max, spare, self.mass, units.omega_ref, hbar, self.spin_a, self.spin_b)
         self._n = len(self.basis)
         self.dim = self._n * self.spin_dim
+        self.headroom = np.repeat(self.n_max - self.basis.sum(axis=1), self.spin_dim)
         self._qq, self._rr = ladder.square_sum(q), ladder.square_sum(r)
         self.R = [_lift(m, self._n, self.spin_dim) for m in r]
         self.Q = [_lift(m, self._n, self.spin_dim) for m in q]
         self.J = self.S
 
-    def interior_indices(self, margin: int = 1) -> np.ndarray:
-        if not 0 <= margin <= self.n_max:
-            raise ValueError(f"margin must lie in [0, {self.n_max}]")
-        idx = np.flatnonzero(self.basis.sum(axis=1) <= self.n_max - margin)
-        return (idx[:, None] * self.spin_dim + np.arange(self.spin_dim)[None, :]).ravel()
-
     def hamiltonian(self, pot) -> ladder.Operator:
-        """Q.Q / 2mu + V(R.R), taken with headroom and restricted; V has degree <= `max_power`."""
+        """Q.Q / 2mu + V(R.R), taken with spare quanta and restricted; V has degree <= `max_power`."""
         if pot.kind == "poly_x":
             raise ValueError("a composite interaction must depend on the relative separation only")
         beyond = [k for k, c in enumerate(pot.coefficients) if c and k > self.max_power]

@@ -230,6 +230,12 @@ class TestDescriptors:
             with pytest.raises(AlgebraError, match="generators must be a list of strings"):
                 build_algebra({**_abc_descriptor(), "generators": generators})
 
+    @pytest.mark.parametrize("name", [5, None, ["abc"]])
+    def test_name_must_be_a_string(self, name):
+        # a report would name its checks after it, e.g. jacobi:5
+        with pytest.raises(AlgebraError, match="descriptor name must be a string"):
+            build_algebra({**_abc_descriptor(), "name": name})
+
     def test_term_outside_the_generators_is_named_as_unknown(self):
         desc = _abc_descriptor()
         desc["brackets"][0]["terms"][0]["c"] = "Z"

@@ -249,6 +249,16 @@ MALFORMED = [
         "kind": "poly_x", "coefficients": [0.0, 0.0, 10 ** 400]}}}, "coefficients"),
     ({"kind": "dynamics", "payload": {"check": "extra_casimir", "levels": 6, "calV": 1.0,
                                       "substitute_potential": [10 ** 400]}}, "coefficients"),
+    # a non-finite part of an [re, im] pair, named by its own key, not as an unnormalized state
+    ({"kind": "dynamics", "payload": {**FLOW, "alpha": [math.nan, 0.1]}}, "alpha"),
+    ({"kind": "dynamics", "payload": {**CONSERVATION, "alpha": [0.5, math.inf]}}, "alpha"),
+    ({"kind": "dynamics", "payload": {**COM_DECOUPLING, "alpha_a": [-math.inf, 0.2]}}, "alpha_a"),
+    ({"kind": "dynamics", "payload": {**COM_DECOUPLING, "alpha_b": [-0.2, math.nan]}}, "alpha_b"),
+    ({"kind": "dynamics", "payload": {**CONSERVATION, "psi0": [[math.nan, 0]] + [[0, 0]] * 5}}, "psi0"),
+    # a reduced mass that is not positive and finite, named by its own key
+    ({"kind": "dynamics", "payload": {**RELATIVE, "mu": math.nan}}, "mu must"),
+    ({"kind": "dynamics", "payload": {**RELATIVE, "mu": 0}}, "mu must"),
+    ({"kind": "dynamics", "payload": {**RELATIVE, "mu": -0.5}}, "mu must"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,6 +86,15 @@ class TestNormalOrder:
     def test_negative_hbar_power_rejected(self, hr3):
         with pytest.raises(ValueError, match="hbar"):
             word_poly(hr3, ("K1",), hbar_power=-1)
+
+    @pytest.mark.parametrize("power", [1.5, 1.0, True, "1"])
+    def test_non_integer_hbar_power_rejected(self, hr3, power):
+        # int() would read each of these as a power of hbar the caller never wrote
+        with pytest.raises(ValueError, match="hbar powers must be nonnegative integers"):
+            word_poly(hr3, ("K1",), hbar_power=power)
+
+    def test_numpy_integer_hbar_power_accepted(self, hr3):
+        assert word_poly(hr3, ("K1",), hbar_power=np.int64(2)) == word_poly(hr3, ("K1",), hbar_power=2)
 
 
 _word = st.lists(st.integers(0, 10), min_size=0, max_size=4).map(tuple)

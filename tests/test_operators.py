@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -623,3 +624,66 @@ def test_composite_hamiltonian_is_an_operator_equal_to_its_dense_terms(cfg_a, cf
             + 0.2 * np.eye(comp.dim) + 0.5 * rr + 0.05 * rr @ rr)
     h = comp.hamiltonian(PotentialSpec("poly_r2", (0.2, 0.5, 0.05)))
     assert isinstance(h, ladder.Operator) and close(h, want)
+
+
+def _particle_tuples(cfg: RepConfig) -> list:
+    """One occupation tuple per basis state, in kron order, repeated across the spin block."""
+    return [occ for occ in itertools.product(range(cfg.levels), repeat=cfg.dims)
+            for _ in range(cfg.spin_multiplicity)]
+
+
+def _particle_case(cfg: RepConfig):
+    tuples = _particle_tuples(cfg)
+    return (build_particle_rep(cfg), cfg.levels - 1,
+            lambda m: [k for k, occ in enumerate(tuples) if max(occ) <= cfg.levels - 1 - m])
+
+
+def _composite_case(cfg_a: RepConfig, cfg_b: RepConfig):
+    tuples = list(itertools.product(_particle_tuples(cfg_a), _particle_tuples(cfg_b)))
+
+    def keep(m):
+        return [k for k, (a, b) in enumerate(tuples)
+                if max(a) <= cfg_a.levels - 1 - m and max(b) <= cfg_b.levels - 1 - m]
+
+    comp = tensor_rep(build_particle_rep(cfg_a), build_particle_rep(cfg_b))
+    return comp, min(cfg_a.levels, cfg_b.levels) - 1, keep
+
+
+def _relative_case(n_max: int, s_a: float):
+    system = relative_mode_system(n_max, 0.5, GlobalUnits(), s_a=s_a)
+    shells = sorted((sum(t), t) for t in itertools.product(range(n_max + 1), repeat=3) if sum(t) <= n_max)
+    assert np.array_equal(system.basis, [t for _, t in shells])
+    tuples = [total for total, _ in shells for _ in range(system.spin_dim)]
+    return system, n_max, lambda m: [k for k, total in enumerate(tuples) if total <= n_max - m]
+
+
+EDGE_CASES = {
+    "particle:d1n2": lambda: _particle_case(RepConfig(mass=1.0, dims=1, levels=2)),
+    "particle:d2n4": lambda: _particle_case(RepConfig(mass=1.0, dims=2, levels=4)),
+    "particle:d3n3s1": lambda: _particle_case(RepConfig(mass=1.0, dims=3, levels=3, spin=1.0)),
+    "composite:d1n5n3": lambda: _composite_case(RepConfig(mass=1.0, dims=1, levels=5),
+                                                RepConfig(mass=2.0, dims=1, levels=3)),
+    "composite:d3n3s0.5n5": lambda: _composite_case(RepConfig(mass=1.0, dims=3, levels=3, spin=0.5),
+                                                    RepConfig(mass=2.0, dims=3, levels=5)),
+    "relative:n0": lambda: _relative_case(0, 0.5),
+    "relative:n1": lambda: _relative_case(1, 0.0),
+    "relative:n3s0.5": lambda: _relative_case(3, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_interior_and_boundary_sets_match_the_occupation_tuples(case):
+    system, top, keep = EDGE_CASES[case]()
+    for m in range(top + 1):
+        assert np.array_equal(system.interior_indices(m), keep(m)), m
+    inside = keep(1) if top >= 1 else []
+    assert np.array_equal(system.boundary_indices, np.setdiff1d(np.arange(system.dim), inside))
+    with pytest.raises(ValueError, match=rf"margin must lie in \[0, {top}\]"):
+        system.interior_indices(top + 1)
+
+
+@pytest.mark.parametrize("case, margin", [("relative:n3s0.5", 4), ("composite:d1n5n3", 5)])
+def test_margin_refusal_names_the_systems_own_range_and_the_margin(case, margin):
+    system, top, _ = EDGE_CASES[case]()
+    with pytest.raises(ValueError, match=rf"^margin must lie in \[0, {top}\], got {margin}$"):
+        system.interior_indices(margin)
