@@ -13,10 +13,10 @@ one of three propagators from the block sizes of the direct sum of H
   time grid;
 - a larger block on at most `_DENSE_DIM` dimensions takes one `eigh` per
   stack of equal-sized blocks, and every state of the grid at once as
-  V exp(-i w t / hbar) V^H psi0, exact on any grid, unless the flow is short
-  enough for Chebyshev to be cheaper: its order r s / hbar (r the
-  half-width of the spectrum, s the time travelled) is at most
-  `_ACTION_SPAN` b^2 for the largest block b;
+  V exp(-i w t / hbar) V^H psi0, one `gemm` per block, exact on any grid,
+  unless the flow is short enough for Chebyshev to be cheaper: its order
+  r s / hbar (r the half-width of the spectrum, s the time travelled) is at
+  most `_ACTION_SPAN` b^2 for the largest block b;
 - otherwise the Chebyshev expansion of exp(-i t H / hbar) (Tal-Ezer &
   Kosloff 1984): H is scaled into [-1, 1] by the Gershgorin enclosure of its
   spectrum, and each state of a stretch of the grid is a Bessel-weighted
@@ -24,7 +24,10 @@ one of three propagators from the block sizes of the direct sum of H
 
 All three are deterministic, every trace (norm, energy, observables,
 boundary weight) is one product over the stack of states, and an observable
-flow conjugates by the same `eigh` per stack as the state flow.
+flow conjugates by the same `eigh` per stack as the state flow.  The eigh
+route's dense work (`eigh` and its `gemm` products) runs in `scipy.linalg`,
+on the OpenBLAS copy that `expm` uses: numpy's copy and scipy's each keep a
+thread pool, and calls that alternate between the two stall each other.
 
 Truncation makes long flows untrustworthy once amplitude reaches the top
 Fock levels, so every flow records the boundary occupation of the evolving
@@ -39,7 +42,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy  # scipy.linalg loads on the first expm
+import scipy  # scipy.linalg loads on the first expm or eigh-route flow
 
 from . import ladder
 from .report import VerificationReport
@@ -59,10 +62,10 @@ __all__ = [
 
 _POT_KINDS = ("none", "poly_x", "poly_r2")
 _MAX_POLY_DEGREE = 4
-# Blocks of at most _DENSE_LIMIT states take stepped scipy.linalg.expm, the one call that loads
-# scipy.linalg and its own OpenBLAS copy.  Up to 32 states its helper threads stay nearly idle
-# (at most 5 clock ticks per 50 calls on (3, b, b) stacks, against 6 to 14 from 40 to 64, on a
-# 2-core x86_64 host at OPENBLAS_NUM_THREADS=2; BENCH_13.json).  The route stays only because
+# Blocks of at most _DENSE_LIMIT states take stepped scipy.linalg.expm; larger ones take eigh,
+# on the same OpenBLAS copy.  Up to 32 states expm's helper threads stay nearly idle (at most 5
+# clock ticks per 50 calls on (3, b, b) stacks, against 6 to 14 from 40 to 64, on a 2-core x86_64
+# host at OPENBLAS_NUM_THREADS=2; BENCH_13.json).  The route stays only because
 # perfbench/test_perfbench.py counts expm calls on a flow with blocks of 4, 10 and 20 states;
 # it goes once that test counts a dynamics span instead.
 _DENSE_LIMIT = 32
@@ -296,13 +299,19 @@ def _route(H: ladder.Operator, t: np.ndarray, hbar: float) -> str:
 
 
 def _eigh_stacks(H: ladder.Operator) -> list:
-    """[(idx, w, v)] per `ladder.direct_sum` stack: one `numpy.linalg.eigh`, real when H is real."""
+    """[(idx, w, v)] per `ladder.direct_sum` stack: one `scipy.linalg.eigh`, real when H is real.
+
+    Its "evd" driver is LAPACK's divide and conquer ?syevd / ?heevd, the routine
+    `numpy.linalg.eigh` calls, run on the OpenBLAS copy that `scipy.linalg.expm`
+    uses, so an eigh-route state flow runs on that one BLAS thread pool.
+    """
     real = not np.any(H.data.imag)
-    return [(idx, *np.linalg.eigh(stack.real if real else stack)) for idx, stack in ladder.direct_sum(H)]
+    return [(idx, *scipy.linalg.eigh(stack.real if real else stack, driver="evd"))
+            for idx, stack in ladder.direct_sum(H)]
 
 
 def _eigh_states(H: ladder.Operator, psi0: np.ndarray, t: np.ndarray, hbar: float) -> np.ndarray:
-    """psi0 at every time of `t` as V exp(-i w t / hbar) V^H psi0, one batched product per stack.
+    """psi0 at every time of `t` as V exp(-i w t / hbar) V^H psi0, one scipy `gemm` per block.
 
     Exact on any grid: each time is reached from t = 0 in one step.
     """
@@ -311,11 +320,12 @@ def _eigh_states(H: ladder.Operator, psi0: np.ndarray, t: np.ndarray, hbar: floa
         coeffs = np.einsum("kji,kj->ki", v.conj(), psi0[idx])
         # (k, s, len(t)) amplitudes on the eigenvectors of each block, one column per time
         amps = np.exp(-1j / hbar * w[:, :, None] * t) * coeffs[:, :, None]
-        if np.isrealobj(v):  # a real V acts on the real and imaginary parts as separate columns
-            out = np.matmul(v, amps.view(float)).view(complex)
-        else:
-            out = np.matmul(v, amps)
-        states[:, idx] = out.transpose(2, 0, 1)
+        real = np.isrealobj(v)  # a real V acts on the real and imaginary parts as separate columns
+        gemm = scipy.linalg.blas.dgemm if real else scipy.linalg.blas.zgemm
+        for rows, vk, ak in zip(idx, v, amps.view(float) if real else amps):
+            # (V A)^T = A^T V^T takes both factors in Fortran order, so gemm copies neither
+            out = gemm(1.0, ak.T, vk, trans_b=1)
+            states[:, rows] = out.T.view(complex).T if real else out
     return states
 
 
@@ -401,7 +411,7 @@ def evolve_observable(H, A, t: float, hbar: float = 1.0) -> np.ndarray:
     """Heisenberg-picture conjugation exp(+i t H / hbar) A exp(-i t H / hbar).
 
     exp(+i t H / hbar) is taken block by block over the direct sum of H,
-    from one `numpy.linalg.eigh` per stack of equal-sized blocks
+    from one `scipy.linalg.eigh` per stack of equal-sized blocks
     (`_eigh_stacks`, the decomposition of the state flows' eigh route).
     """
     H = ladder.Operator(H)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 import scipy.sparse
@@ -145,6 +146,8 @@ class OperatorSystem:
 
     def interior_indices(self, margin: int) -> np.ndarray:
         """Flat indices of the states at least `margin` quanta from the truncation edge."""
+        if isinstance(margin, bool) or not isinstance(margin, numbers.Integral):
+            raise ValueError(f"margin must be an integer, got {margin!r}")
         top = int(self.headroom.max())
         if not 0 <= margin <= top:
             raise ValueError(f"margin must lie in [0, {top}], got {margin}")

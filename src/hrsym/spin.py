@@ -12,6 +12,7 @@ orbital components X_i P_j - P_i X_j (catalog sign [S12, S23] = -i hb S13).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -353,6 +354,9 @@ class RelativeModeRep(ladder.OperatorSystem):
     def __init__(self, n_max: int, mu: float, units, s_a=0, s_b=0, max_power: int = 2):
         if not 0 < mu < math.inf:
             raise ValueError(f"reduced mass must be positive and finite, got {mu}")
+        for key, count in (("n_max", n_max), ("max_power", max_power)):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+                raise ValueError(f"{key} must be a nonnegative integer, got {count!r}")
         self.n_max = int(n_max)
         self.mass = float(mu)
         self.units = units

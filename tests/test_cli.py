@@ -907,19 +907,38 @@ print(json.dumps(stages))
 
 
 class TestImportFootprint:
-    def test_operator_scenarios_load_no_scipy_linear_algebra_and_small_flows_load_it(self):
-        operators = [
-            {"kind": "single_rep", "payload": {"mass": 1.0, "dims": 3, "levels": 3, "algebra": "g3tilde"}},
-            {"kind": "composite", "payload": PAIR},
-            {"kind": "spectrum", "payload": {"spins": [0, 0.5, 1], "addition_max": 1.0, "n_max": 2,
-                                             "expect_shells": {"0": [0], "1": [1], "2": [0, 2]}}},
-        ]
-        flow = [{"kind": "dynamics", "payload": FLOW}]  # one block of 8 states: the expm route
+    OPERATORS = [
+        {"kind": "single_rep", "payload": {"mass": 1.0, "dims": 3, "levels": 3, "algebra": "g3tilde"}},
+        {"kind": "composite", "payload": PAIR},
+        {"kind": "spectrum", "payload": {"spins": [0, 0.5, 1], "addition_max": 1.0, "n_max": 2,
+                                         "expect_shells": {"0": [0], "1": [1], "2": [0, 2]}}},
+    ]
+    # one block of 40 states (the linear term breaks parity), too long a flow for Chebyshev
+    EIGH_FLOW = {"kind": "dynamics", "payload": {
+        **CONSERVATION, "levels": 40, "t_max": 6.0, "steps": 10,
+        "potential": {"kind": "poly_x", "coefficients": [0.3, 0.1, 0.4]}}}
+
+    def stages(self, flow: list) -> dict:
         proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT,
-                               json.dumps([["operators", operators], ["flow", flow]])],
+                               json.dumps([["operators", self.OPERATORS], ["flow", flow]])],
                               capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 0, proc.stderr
-        stages = json.loads(proc.stdout)
+        return json.loads(proc.stdout)
+
+    def test_operator_scenarios_load_no_scipy_linear_algebra_and_small_flows_load_it(self):
+        flow = [{"kind": "dynamics", "payload": FLOW}]  # one block of 8 states: the expm route
+        stages = self.stages(flow)
+        assert stages["import"] == stages["operators"] == []
+        assert "scipy.linalg" in stages["flow"] and "scipy.sparse.csgraph" not in stages["flow"]
+
+    def test_an_eigh_route_flow_loads_scipy_linear_algebra(self, monkeypatch):
+        import hrsym.dynamics
+
+        eigh_states = []
+        real = hrsym.dynamics._eigh_states
+        monkeypatch.setattr(hrsym.dynamics, "_eigh_states", lambda *args: eigh_states.append(1) or real(*args))
+        assert run_scenario(scenario_from_dict(self.EIGH_FLOW)).passed and len(eigh_states) == 2
+        stages = self.stages([self.EIGH_FLOW])
         assert stages["import"] == stages["operators"] == []
         assert "scipy.linalg" in stages["flow"] and "scipy.sparse.csgraph" not in stages["flow"]
 

@@ -56,8 +56,8 @@ def count_expm(monkeypatch) -> list:
 
 
 def count_eigh(monkeypatch) -> list:
-    """The shape of every numpy.linalg.eigh argument."""
-    return count_calls(monkeypatch, np.linalg, "eigh", lambda a, *args, **kwargs: a.shape)
+    """The shape of every scipy.linalg.eigh argument."""
+    return count_calls(monkeypatch, scipy.linalg, "eigh", lambda a, *args, **kwargs: a.shape)
 
 
 def dense_reference(h, psi0, times, hbar=1.0) -> np.ndarray:
@@ -557,8 +557,11 @@ class TestPoolSplit:
         times = np.linspace(0.0, 2.0, 21)
         assert hrsym.dynamics._route(h, times, 0.8) == route
         dense = count_expm(monkeypatch)
+        # numpy's own OpenBLAS pool takes no dense work of the flow either
+        numpy_eigh = count_calls(monkeypatch, np.linalg, "eigh", lambda a, *args, **kwargs: a.shape)
+        numpy_matmul = count_calls(monkeypatch, np, "matmul", lambda a, b, *args, **kwargs: a.shape)
         flow = evolve_state(h, coherent_state(rep_2d.dim, 0.3), times, hbar=0.8)
-        assert dense == []
+        assert dense == [] and numpy_eigh == [] and numpy_matmul == []
         assert np.max(np.abs(flow.norm_trace - 1.0)) <= 1e-12
 
     def test_blocks_of_4_10_and_20_still_take_expm(self, monkeypatch):
@@ -833,7 +836,7 @@ class TestChebyshevKernels:
         want_states = dense_reference(h, psi0, times, hbar=0.8)
         assert ladder.component_sizes(ladder.Operator(h)).max() > hrsym.dynamics._DENSE_LIMIT
         monkeypatch.setattr(hrsym.dynamics, "_ACTION_SPAN", 0.0)
-        kinds = count_calls(monkeypatch, np.linalg, "eigh", lambda m: m.dtype.kind)
+        kinds = count_calls(monkeypatch, scipy.linalg, "eigh", lambda m, driver: m.dtype.kind)
         got = evolve_observable(ladder.Operator(h), obs, 0.7, hbar=0.8)
         flow = evolve_state(ladder.Operator(h), psi0, times, hbar=0.8)
         assert len(kinds) >= 2 and set(kinds) == {"c"}

@@ -682,6 +682,21 @@ def test_interior_and_boundary_sets_match_the_occupation_tuples(case):
         system.interior_indices(top + 1)
 
 
+@pytest.mark.parametrize("case", ["particle:d1n2", "relative:n3s0.5", "composite:d1n5n3"])
+@pytest.mark.parametrize("margin", [1.5, 1.0, True, "1"])
+def test_a_margin_that_is_not_an_integer_is_refused(case, margin):
+    # 1.5 would otherwise select the margin-2 set, and True the margin-1 set
+    system, _, _ = EDGE_CASES[case]()
+    with pytest.raises(ValueError, match=rf"^margin must be an integer, got {margin!r}$"):
+        system.interior_indices(margin)
+
+
+def test_a_numpy_integer_margin_selects_the_same_interior():
+    system, top, keep = EDGE_CASES["relative:n3s0.5"]()
+    for m in range(top + 1):
+        assert np.array_equal(system.interior_indices(np.int64(m)), keep(m)), m
+
+
 @pytest.mark.parametrize("case, margin", [("relative:n3s0.5", 4), ("composite:d1n5n3", 5)])
 def test_margin_refusal_names_the_systems_own_range_and_the_margin(case, margin):
     system, top, _ = EDGE_CASES[case]()

@@ -223,6 +223,23 @@ class TestRelativeSpectrum:
             assert abs(line.value - want) <= 1e-8 * max(1.0, want)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_max", 2.7), ("n_max", 2.0), ("n_max", True), ("n_max", "2"), ("n_max", -1),
+    ("max_power", 1.9), ("max_power", False), ("max_power", -1),
+])
+def test_relative_mode_system_refuses_a_count_that_is_not_a_nonnegative_integer(key, value):
+    # a count is refused, never truncated to a neighbouring system
+    args = {"n_max": 2, "mu": 0.5, "units": GlobalUnits(), key: value}
+    with pytest.raises(ValueError, match=rf"^{key} must be a nonnegative integer, got {value!r}$"):
+        relative_mode_system(**args)
+
+
+def test_relative_mode_system_takes_a_numpy_integer_count():
+    system = relative_mode_system(np.int64(2), 0.5, GlobalUnits(), max_power=np.int32(1))
+    assert (system.n_max, system.max_power, system.dim) == (2, 1, 10)
+    assert type(system.n_max) is int and type(system.max_power) is int
+
+
 class TestRelativeModeAgainstTensorProduct:
     def test_relative_construction_matches_two_particle_build(self):
         # cross-check: one-oscillator relative orbital operators against the
